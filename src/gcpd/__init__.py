@@ -11,8 +11,7 @@ from .estimators import (EstimatorState, GradientRequest, batch_gradient,
                          estimate_gradient, full_gradient, vr_diagnostics)
 from .losses import LossSpec, link_inverse, loss_deriv, loss_value, objective
 from .metrics import LyapunovRecord, MseReport, lyapunov, model_mse, mse, nre
-from .solver import (IterationTrace, SolverConfig, TraceRecord, inertial_step,
-                     plain_step, run)
+from .solver import IterationTrace, SolverConfig, TraceRecord, run, step
 from .tensors import (DenseTensor, KruskalModel, SparseTensorCOO, TensorShape,
                       data_fibers, fiber_to_multi_index, khatri_rao_rows,
                       model_fibers, multi_index_to_fiber, unfold)

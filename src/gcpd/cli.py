@@ -21,7 +21,7 @@ from .bregman import GeneratorSpec, RegularizerSpec
 from .errors import ConfigError, DataError, DivergenceError, GcpdError
 from .losses import KINDS as LOSS_KINDS
 from .losses import LossSpec, check_data_domain
-from .solver import SolverConfig, inertial_step, plain_step, run
+from .solver import SolverConfig, run
 
 _DENSIFY_LIMIT = 1 << 22
 
@@ -371,8 +371,7 @@ def cmd_compare(args) -> int:
                 base, estimator=estimator, seed=base.seed + s,
                 c1=base.c1 if head == "inertial" else 0.0,
                 c2=base.c2 if head == "inertial" else 0.0)
-            step = inertial_step if head == "inertial" else plain_step
-            trace, _ = run(config.resolved(tensor.shape), tensor, truth=truth, step=step)
+            trace, _ = run(config, tensor, truth=truth)
             hit = iterations_to_threshold(trace, args.threshold, metric)
             iters.append(hit if hit is not None else float("inf"))
             finals_nre.append(trace.records[-1].nre)

@@ -16,6 +16,7 @@ bernoulli-logit   log(1+exp(m)) - x m          {0, 1}       reals   exp(m)/(1+ex
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,6 @@ def _softplus(m):
 
 def _check_domain(spec: LossSpec, x, m):
     kind = spec.kind
-    x = np.atleast_1d(x)
-    m = np.atleast_1d(m)
     if kind in ("gamma",):
         if x.size and x.min() < 0:
             raise LossDomainError(f"{kind}: data value {x.min()} < 0")
@@ -87,6 +86,28 @@ def _check_domain(spec: LossSpec, x, m):
     if kind in NONNEGATIVE_KINDS:
         if m.size and m.min() < 0:
             raise LossDomainError(f"{kind}: model value {m.min()} < 0")
+
+
+def _gamma_deriv(x, m, eps):
+    shifted = m + eps
+    return -x / shifted ** 2 + 1.0 / shifted
+
+
+# Per-kind df/dm given (x, m, epsilon); x and m are float arrays.
+_DERIVS = {
+    "gaussian": lambda x, m, eps: m - x,
+    "gamma": _gamma_deriv,
+    "poisson-identity": lambda x, m, eps: 1.0 - x / (m + eps),
+    "poisson-log": lambda x, m, eps: np.exp(m) - x,
+    "bernoulli-odds": lambda x, m, eps: 1.0 / (m + 1.0) - x / (m + eps),
+    "bernoulli-logit": lambda x, m, eps: _sigmoid(m) - x,
+}
+
+
+def deriv_kernel(spec: LossSpec):
+    """df/dm as a function of (x, m) that skips the domain checks of
+    :func:`loss_deriv`; only for values already known to lie in the domain."""
+    return functools.partial(_DERIVS[spec.kind], eps=spec.epsilon)
 
 
 def loss_value(spec: LossSpec, x, m):
@@ -116,21 +137,7 @@ def loss_deriv(spec: LossSpec, x, m):
     x = np.asarray(x, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     _check_domain(spec, x, m)
-    eps = spec.epsilon
-    kind = spec.kind
-    if kind == "gaussian":
-        return m - x
-    if kind == "gamma":
-        return -x / (m + eps) ** 2 + 1.0 / (m + eps)
-    if kind == "poisson-identity":
-        return 1.0 - x / (m + eps)
-    if kind == "poisson-log":
-        return np.exp(m) - x
-    if kind == "bernoulli-odds":
-        return 1.0 / (m + 1.0) - x / (m + eps)
-    if kind == "bernoulli-logit":
-        return _sigmoid(m) - x
-    raise ConfigError(f"unknown loss kind {kind!r}")
+    return _DERIVS[spec.kind](x, m, spec.epsilon)
 
 
 def link_inverse(spec: LossSpec, m):

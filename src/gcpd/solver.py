@@ -6,13 +6,20 @@ extrapolated points from the one-step momentum direction A^k - A^{k-1}
 with coefficient beta_k), estimates the block gradient at the gradient point,
 and applies one mirror-prox step to the anchor. All other blocks are copied.
 The schedules are alpha_k = c1 (k-1)/(k+2), beta_k = c2 (k-1)/(k+2), so the
-first step has no inertia, and A^{-1} := A^0 at the start. `plain_step`
-(c1 = c2 = 0) is the no-inertia baseline kept as a named variant so
-comparisons are explicit.
+first step has no inertia, and A^{-1} := A^0 at the start. There is one step
+function, :func:`step`; the no-inertia baseline is the config c1 = c2 = 0.
 
 The momentum buffers hold the global previous iterates, so the momentum
 direction for mode n is nonzero only when mode n also moved at the previous
 iteration; this is the literal block-randomized update rule.
+
+:func:`run` validates its inputs once, at the run boundary: the config
+(`SolverConfig.resolved`), the data against the loss domain, and the initial
+factors (finite, matching the tensor and rank, nonnegative where the run keeps
+factors nonnegative). The steps then trust what the run builds: fiber rows
+drawn without replacement and sorted are in range and unique, and the
+estimator state matches the factors by construction. Guards that can still
+fire (non-finite factors, the divergence and overflow bounds) stay in the loop.
 """
 
 from __future__ import annotations
@@ -28,10 +35,10 @@ import numpy as np
 
 from .bregman import (GeneratorSpec, RegularizerSpec, bregman_div, mirror_prox_step,
                       regularizer_value)
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError, LossDomainError
 from .estimators import (ESTIMATOR_KINDS, EstimatorState, GradientRequest,
                          estimate_gradient, vr_diagnostics)
-from .losses import LossSpec, objective
+from .losses import LossSpec, check_data_domain, objective
 from .metrics import lyapunov, model_mse
 from .tensors import KruskalModel, TensorShape
 
@@ -194,6 +201,12 @@ class IterationTrace:
     eta_history: list = field(default_factory=list)
 
 
+def _streams(seed: int) -> list:
+    """Independent child seeds of one run: 0 mode and fiber draws, 1 the
+    estimator, 2 sampled evaluation, 3 initial factors, 4 diagnostics."""
+    return np.random.SeedSequence(seed).spawn(5)
+
+
 class SolverRunState:
     """Factors plus the one/two-step history and RNG streams of one run."""
 
@@ -207,9 +220,12 @@ class SolverRunState:
         self.eta_history = []
         self.last_alpha = 0.0
         self.last_beta = 0.0
-        streams = np.random.SeedSequence(config.seed).spawn(3)
+        streams = _streams(config.seed)
         self.rng = np.random.default_rng(streams[0])
-        self.diag_rng = np.random.default_rng(streams[2])
+        self.eval_rng = np.random.default_rng(streams[2])
+        # Diagnostics draw from their own stream so that turning them on
+        # cannot move the sampled objective trace.
+        self.diag_rng = np.random.default_rng(streams[4])
         self.estimator = EstimatorState(
             config.estimator, tensor, KruskalModel(self.factors), config.loss,
             batch=config.batch, p=config.sarah_p,
@@ -248,23 +264,21 @@ def extrapolation_guard(config: SolverConfig, a_cur, a_prev, beta: float,
     return 0.0
 
 
-def _advance(state: SolverRunState, config: SolverConfig, force_plain: bool = False) -> int:
-    """One Algorithm step; exactly one mode is updated. Returns that mode."""
-    shape = state.tensor.shape
-    order = shape.order
+def step(state: SolverRunState, config: SolverConfig) -> int:
+    """One Algorithm step; exactly one mode is updated. Returns that mode.
+
+    `config` is the resolved config the state was built for.
+    """
     k = state.k + 1
     if config.block_order == "cyclic":
-        n = (k - 1) % order
+        n = (k - 1) % state.estimator.order
     else:
-        n = int(state.rng.integers(order))
-    j_n = shape.fiber_count(n)
+        n = int(state.rng.integers(state.estimator.order))
+    j_n = state.estimator.fiber_counts[n]
     b = state.estimator.batches[n]
     rows = np.sort(state.rng.choice(j_n, size=b, replace=False))
 
-    if force_plain:
-        alpha_k, beta_k = 0.0, 0.0
-    else:
-        alpha_k, beta_k = inertial_coefficients(config.c1, config.c2, k)
+    alpha_k, beta_k = inertial_coefficients(config.c1, config.c2, k)
     a_cur = state.factors[n]
     a_prev = state.prev[n]
     beta_k = extrapolation_guard(config, a_cur, a_prev, beta_k, state.eta_prev)
@@ -277,8 +291,8 @@ def _advance(state: SolverRunState, config: SolverConfig, force_plain: bool = Fa
 
     request_factors = list(state.factors)
     request_factors[n] = gradient_point
-    request = GradientRequest(request_factors, n, rows, config.loss)
-    grad = estimate_gradient(state.estimator, request)
+    grad = estimate_gradient(state.estimator, GradientRequest.presorted(
+        request_factors, n, rows, config.loss))
 
     if config.stepsize_rule == "constant":
         eta_k = config.eta
@@ -296,22 +310,21 @@ def _advance(state: SolverRunState, config: SolverConfig, force_plain: bool = Fa
     # Trust region: cap |eta * grad| per coordinate. Loss barriers (x/(m+eps)
     # near m = 0) produce ~1/eps^2-scale derivatives that would otherwise turn
     # one update into an overflow; the cap binds only in that zone.
-    if np.isfinite(config.max_step):
+    if config.max_step < math.inf:
         bound = config.max_step / eta_k
-        grad = np.clip(grad, -bound, bound)
+        grad = np.minimum(np.maximum(grad, -bound), bound)  # np.clip, minus its dispatch
 
-    regs = config.regularizer
-    new_block = mirror_prox_step(config.generator, regs[n], anchor, grad, eta_k)
-    if not np.all(np.isfinite(new_block)):
+    new_block = mirror_prox_step(config.generator, config.regularizer[n], anchor, grad, eta_k)
+    if not np.isfinite(new_block).all():
         raise DivergenceError(
             f"non-finite factor entries after iteration {k} (mode {n}); "
             "reduce eta or tighten max_step", iteration=k)
 
+    # Factor arrays are never written in place, so the histories share them.
     state.prev2 = state.prev
-    state.prev = list(state.factors)
-    factors = list(state.factors)
-    factors[n] = new_block
-    state.factors = factors
+    state.prev = state.factors
+    state.factors = list(state.factors)
+    state.factors[n] = new_block
     state.k = k
     state.eta_prev = eta_k
     state.eta_history.append(eta_k)
@@ -320,22 +333,28 @@ def _advance(state: SolverRunState, config: SolverConfig, force_plain: bool = Fa
     return n
 
 
-def inertial_step(state: SolverRunState, config: SolverConfig) -> int:
-    """One accelerated step with the configured c1/c2 schedules."""
-    return _advance(state, config, force_plain=False)
-
-
-def plain_step(state: SolverRunState, config: SolverConfig) -> int:
-    """The no-inertia baseline: identical update with alpha_k = beta_k = 0."""
-    return _advance(state, config, force_plain=True)
-
-
 def initial_factors(config: SolverConfig, shape: TensorShape,
                     rng: np.random.Generator) -> list:
     """I.i.d. uniform entries on (0, init_max]; strictly positive so entropy
     generators start inside their domain."""
     return [config.init_max * (1.0 - rng.random((d, config.rank)))
             for d in shape.dims]
+
+
+def _checked_initial(config: SolverConfig, shape: TensorShape, initial) -> list:
+    """Validate user-supplied initial factors once, before the first step."""
+    model = KruskalModel(initial)  # matrices of one rank, finite entries
+    if model.shape.dims != shape.dims or model.rank != config.rank:
+        raise DataError(
+            f"initial factors are {model.shape.dims} x rank {model.rank}; the run "
+            f"needs {shape.dims} x rank {config.rank}")
+    if config.loss.nonnegative or config.generator.entropic:
+        low = min(float(a.min()) for a in model.factors)
+        if low < 0:
+            raise LossDomainError(
+                f"initial factor entry {low} < 0; loss {config.loss.kind!r} with the "
+                f"{config.generator.kind} generator needs nonnegative factors")
+    return model.factors
 
 
 def _gamma_diagnostics(state: SolverRunState, config: SolverConfig) -> tuple:
@@ -353,7 +372,7 @@ def _gamma_diagnostics(state: SolverRunState, config: SolverConfig) -> tuple:
 def _evaluate(state: SolverRunState, config: SolverConfig, truth, t0) -> TraceRecord:
     model = KruskalModel(state.factors)
     nre_val = objective(config.loss, state.tensor, model,
-                        sample=config.eval_samples, rng=state.diag_rng).value
+                        sample=config.eval_samples, rng=state.eval_rng).value
     seconds = (time.perf_counter() - t0) if config.record_timing else 0.0
     rec = TraceRecord(iteration=state.k, seconds=seconds, nre=nre_val)
     if truth is not None:
@@ -378,17 +397,21 @@ def _evaluate(state: SolverRunState, config: SolverConfig, truth, t0) -> TraceRe
 
 
 def run(config: SolverConfig, tensor, truth: KruskalModel | None = None,
-        initial: list | None = None, step=inertial_step):
+        initial: list | None = None):
     """Run the solver to the stopping rule; returns (IterationTrace, KruskalModel).
 
     Stops when the relative objective change is below `tol` at two consecutive
     evaluations, at `max_iters`, or with DivergenceError past the guard.
-    Deterministic for a given (config, tensor, truth) triple.
+    Deterministic for a given (config, tensor, truth) triple. Raises
+    LossDomainError for data outside the loss domain.
     """
     config = config.resolved(tensor.shape)
+    check_data_domain(config.loss, tensor.values)
     if initial is None:
-        init_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(4)[3])
+        init_rng = np.random.default_rng(_streams(config.seed)[3])
         initial = initial_factors(config, tensor.shape, init_rng)
+    else:
+        initial = _checked_initial(config, tensor.shape, initial)
     state = SolverRunState(config, tensor, initial)
 
     trace = IterationTrace(manifest={

@@ -16,6 +16,7 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,12 @@ class DenseTensor:
     def dims(self) -> tuple[int, ...]:
         return self.shape.dims
 
+    def fiber_rows(self, mode: int, rows) -> np.ndarray:
+        """Rows of the mode-`mode` unfolding at the given fiber indices, (B, I_mode)."""
+        rows = _check_rows(self.shape.dims, mode, rows)
+        plan = FiberPlan(self, mode)
+        return plan.fibers(rows, plan.digits(rows))
+
 
 class SparseTensorCOO:
     """Sparse coordinate tensor with implicit-zero semantics.
@@ -131,13 +138,21 @@ class SparseTensorCOO:
 
     def fiber_rows(self, mode: int, rows) -> np.ndarray:
         """Rows of the mode-`mode` unfolding at the given fiber indices, (B, I_mode)."""
-        rows = _check_rows(self.shape, mode, rows)
-        out = np.zeros((rows.size, self.shape.dims[mode]))
-        order = self._fiber_order[mode]
+        return self._gather(mode, _check_rows(self.shape.dims, mode, rows))
+
+    def _gather(self, mode: int, rows: np.ndarray) -> np.ndarray:
+        """`fiber_rows` for rows known to be in range: one gather over the
+        concatenated index slices of the requested fibers."""
         starts = self._fiber_starts[mode]
-        for b, j in enumerate(rows):
-            sel = order[starts[j]:starts[j + 1]]
-            out[b, self.indices[sel, mode]] = self.values[sel]
+        first = starts.take(rows)
+        counts = starts.take(rows + 1) - first
+        # Slot t of fiber b's run lies at first[b] + (t - offset[b]).
+        offsets = np.cumsum(counts) - counts
+        slots = np.arange(counts.sum()) + np.repeat(first - offsets, counts)
+        sel = self._fiber_order[mode].take(slots)
+        out = np.zeros((rows.size, self.shape.dims[mode]))
+        out[np.repeat(np.arange(rows.size), counts), self.indices[sel, mode]] = \
+            self.values.take(sel)
         return out
 
     def values_at_linear(self, linear_ids) -> np.ndarray:
@@ -258,25 +273,68 @@ def multi_index_to_fiber_array(shape: TensorShape, mode: int, indices: np.ndarra
     return rows
 
 
-def _check_rows(shape: TensorShape, mode: int, rows) -> np.ndarray:
-    shape._check_mode(mode)
+def _check_rows(dims, mode: int, rows) -> np.ndarray:
+    """Fiber rows as an int64 array; IndexError unless all lie in [0, J_mode)."""
+    if not 0 <= mode < len(dims):
+        raise IndexError(f"mode {mode} out of range for order-{len(dims)} tensor")
     rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-    j_n = shape.fiber_count(mode)
+    j_n = math.prod(dims) // dims[mode]
     if rows.size and (rows.min() < 0 or rows.max() >= j_n):
         raise IndexError(f"fiber row out of range [0, {j_n}) for mode {mode}")
     return rows
 
 
-def _fiber_digits(shape: TensorShape, mode: int, rows: np.ndarray):
-    """Per-mode index arrays (modes != mode, increasing) for a batch of rows."""
+def _digits(moduli, rows: np.ndarray) -> list:
+    """Per-mode indices of in-range fiber rows: the digits of repeated division
+    by the remaining mode sizes (the smallest remaining mode varies fastest)."""
     digits = []
-    r = rows.copy()
-    for m, d in enumerate(shape.dims):
-        if m == mode:
-            continue
+    r = rows
+    for d in moduli:
         digits.append(r % d)
-        r //= d
+        r = r // d
     return digits
+
+
+def _khatri_rao(factors, others, digits) -> np.ndarray:
+    # The product starts from the first gathered rows rather than from ones:
+    # 1.0 * v == v exactly, so the values are those of the ones-based product.
+    out = factors[others[0]].take(digits[0], axis=0)
+    for m, idx in zip(others[1:], digits[1:]):
+        out *= factors[m].take(idx, axis=0)
+    return out
+
+
+class FiberPlan:
+    """Fiber reads along one mode of one tensor, set up once per run.
+
+    Holds the sizes of the other modes, which split a fiber row into its
+    multi-index, and for dense data a view of the values with `mode` moved
+    last (a view: no per-mode copy). The methods trust their rows to lie in
+    [0, J_mode), as a run's own draws do, and skip the checks that
+    :func:`khatri_rao_rows` and :func:`data_fibers` make.
+    """
+
+    def __init__(self, tensor, mode: int):
+        tensor.shape._check_mode(mode)
+        self.mode = mode
+        self.others = tuple(m for m in range(tensor.shape.order) if m != mode)
+        self.moduli = tuple(tensor.shape.dims[m] for m in self.others)
+        self.tensor = tensor
+        self.moved = (tensor.values.transpose(self.others + (mode,))
+                      if isinstance(tensor, DenseTensor) else None)
+
+    def digits(self, rows: np.ndarray) -> list:
+        return _digits(self.moduli, rows)
+
+    def khatri_rao(self, factors, digits) -> np.ndarray:
+        """Rows of the Khatri-Rao product of the other factors, (B, R)."""
+        return _khatri_rao(factors, self.others, digits)
+
+    def fibers(self, rows: np.ndarray, digits) -> np.ndarray:
+        """Rows of the data unfolding, (B, I_mode)."""
+        if self.moved is None:
+            return self.tensor._gather(self.mode, rows)
+        return self.moved[tuple(digits)]
 
 
 def khatri_rao_rows(factors, mode: int, rows) -> np.ndarray:
@@ -286,18 +344,10 @@ def khatri_rao_rows(factors, mode: int, rows) -> np.ndarray:
     A_m[i_m, :] at the fiber's multi-index; never materializes the full product.
     """
     factors = list(factors)
-    shape = TensorShape(tuple(a.shape[0] for a in factors))
-    rows = _check_rows(shape, mode, rows)
-    rank = factors[0].shape[1]
-    out = np.ones((rows.size, rank))
-    r = rows.copy()
-    for m, a in enumerate(factors):
-        if m == mode:
-            continue
-        d = shape.dims[m]
-        out *= a[r % d, :]
-        r //= d
-    return out
+    dims = [a.shape[0] for a in factors]
+    rows = _check_rows(dims, mode, rows)
+    others = [m for m in range(len(dims)) if m != mode]
+    return _khatri_rao(factors, others, _digits([dims[m] for m in others], rows))
 
 
 def model_fibers(model: KruskalModel, mode: int, rows) -> np.ndarray:
@@ -308,12 +358,7 @@ def model_fibers(model: KruskalModel, mode: int, rows) -> np.ndarray:
 
 def data_fibers(tensor, mode: int, rows) -> np.ndarray:
     """Rows X_(mode)[rows, :] of the data unfolding, (B, I_mode); sparse absent = 0."""
-    if isinstance(tensor, SparseTensorCOO):
-        return tensor.fiber_rows(mode, rows)
-    rows = _check_rows(tensor.shape, mode, rows)
-    digits = _fiber_digits(tensor.shape, mode, rows)
-    moved = np.moveaxis(tensor.values, mode, -1)
-    return moved[tuple(digits)]
+    return tensor.fiber_rows(mode, rows)
 
 
 def unfold(tensor: DenseTensor, mode: int) -> np.ndarray:

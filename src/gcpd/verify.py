@@ -4,7 +4,8 @@ prox step, estimator unbiasedness, Khatri-Rao row products, and MSE matching.
 Every check pins its tolerance here. The oracles are deliberately independent
 of the fast paths they test: finite differences of the objective, a bounded
 scalar minimizer for the prox subproblem, brute-force Khatri-Rao
-materialization, and exhaustive permutation matching.
+materialization, exhaustive permutation matching, and a per-fiber loop for
+sparse fiber reads.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import numpy as np
 
 from .bregman import GeneratorSpec, RegularizerSpec, mirror_prox_step
 from .estimators import batch_gradient, full_gradient
-from .losses import KINDS, LossSpec, loss_deriv, objective
+from .losses import KINDS, LossSpec, objective
 from .metrics import _cost_matrix, match_columns, mse
-from .tensors import DenseTensor, KruskalModel, khatri_rao_rows
+from .tensors import (DenseTensor, KruskalModel, SparseTensorCOO, data_fibers,
+                      khatri_rao_rows)
 
 
 @dataclass(frozen=True)
@@ -68,31 +70,36 @@ def _planted_instance(kind: str, shape, rank: int, seed: int):
     return DenseTensor(x), model
 
 
+def fiber_sum_gradient(spec: LossSpec, tensor, factors, mode: int, deriv) -> np.ndarray:
+    """Exact block gradient (1/J_n) sum_j D(j, :)^T H(j, :) / I_n with the loss
+    derivative passed in explicitly; the arithmetic of `full_gradient`."""
+    rows = np.arange(tensor.shape.fiber_count(mode))
+    kr = khatri_rao_rows(factors, mode, rows)
+    d = deriv(spec, data_fibers(tensor, mode, rows), kr @ factors[mode].T)
+    return d.T @ kr / (factors[mode].shape[0] * rows.size)
+
+
 def check_gradient_fd(kinds=KINDS, shape=(4, 3, 4), rank: int = 2, seed: int = 11,
                       tol: float = 1e-5, deriv_fn=None) -> CheckResult:
     """full_gradient vs central finite differences of the objective.
 
     Per-entry error is measured relative to the gradient's max magnitude.
-    `deriv_fn` swaps the loss derivative (used by mutation tests).
+    `deriv_fn(spec, x, m)`, when given, replaces the loss derivative: the
+    gradient under test is then :func:`fiber_sum_gradient` with it (used by
+    mutation tests).
     """
-    from . import estimators as est
     worst = 0.0
-    patched = deriv_fn is not None
-    if patched:
-        # The estimator module binds loss_deriv at import time; patch it there.
-        est.loss_deriv = deriv_fn
-    try:
-        for kind in kinds:
-            spec = LossSpec(kind)
-            tensor, model = _planted_instance(kind, shape, rank, seed)
-            for mode in range(len(shape)):
-                g = est.full_gradient(tensor, model.factors, spec, mode)
-                fd = fd_block_gradient(spec, tensor, model, mode)
-                scale = max(float(np.max(np.abs(g))), 1e-6)
-                worst = max(worst, float(np.max(np.abs(fd - g))) / scale)
-    finally:
-        if patched:
-            est.loss_deriv = loss_deriv
+    for kind in kinds:
+        spec = LossSpec(kind)
+        tensor, model = _planted_instance(kind, shape, rank, seed)
+        for mode in range(len(shape)):
+            if deriv_fn is None:
+                g = full_gradient(tensor, model.factors, spec, mode)
+            else:
+                g = fiber_sum_gradient(spec, tensor, model.factors, mode, deriv_fn)
+            fd = fd_block_gradient(spec, tensor, model, mode)
+            scale = max(float(np.max(np.abs(g))), 1e-6)
+            worst = max(worst, float(np.max(np.abs(fd - g))) / scale)
     return CheckResult("gradient-finite-difference", worst <= tol, worst, tol,
                        f"kinds={','.join(kinds)} shape={shape}")
 
@@ -194,6 +201,19 @@ def check_khatri_rao(seed: int = 7) -> CheckResult:
             worst = max(worst, float(np.max(np.abs(rows - mat))))
     return CheckResult("khatri-rao-materialization", worst == 0.0, worst, 0.0,
                        "exact equality on small shapes")
+
+
+def fiber_rows_loop(tensor: SparseTensorCOO, mode: int, rows) -> np.ndarray:
+    """Sparse unfolding rows read one fiber at a time from the per-mode fiber
+    index (oracle for the vectorized `SparseTensorCOO.fiber_rows`)."""
+    rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+    out = np.zeros((rows.size, tensor.shape.dims[mode]))
+    order = tensor._fiber_order[mode]
+    starts = tensor._fiber_starts[mode]
+    for b, j in enumerate(rows):
+        sel = order[starts[j]:starts[j + 1]]
+        out[b, tensor.indices[sel, mode]] = tensor.values[sel]
+    return out
 
 
 def check_mse_matching(pairs: int = 50, seed: int = 13) -> CheckResult:

@@ -24,8 +24,7 @@ from gcpd.estimators import (EstimatorState, GradientRequest, batch_gradient,
                              full_gradient, saga_gradient, sgd_gradient)
 from gcpd.losses import LossSpec, objective
 from gcpd.metrics import _cost_matrix, match_columns, mse
-from gcpd.solver import (SolverConfig, gaussian_block_curvature, inertial_step,
-                         plain_step, run)
+from gcpd.solver import SolverConfig, gaussian_block_curvature, run
 from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO
 from gcpd.verify import check_prox_oracle, fd_block_gradient
 
@@ -196,14 +195,14 @@ class TestCriterion6InertiaOrdering:
         threshold = objective(LossSpec("gamma"), tensor, truth).value + 0.01
         budget = 12000
         medians = {}
-        for label, estimator, step, c in (("inertial-saga", "saga", inertial_step, (0.6, 0.8)),
-                                          ("plain-sgd", "sgd", plain_step, (0.0, 0.0))):
+        for label, estimator, c in (("inertial-saga", "saga", (0.6, 0.8)),
+                                    ("plain-sgd", "sgd", (0.0, 0.0))):
             crossings = []
             for seed in (101, 102, 103, 104, 105):
                 cfg = section5_config("gamma", max_iters=budget, seed=seed,
                                       estimator=estimator, c1=c[0], c2=c[1],
                                       eval_every=100)
-                trace, _ = run(cfg, tensor, step=step)
+                trace, _ = run(cfg, tensor)
                 hit = next((r.iteration for r in trace.records
                             if r.nre <= threshold), float("inf"))
                 crossings.append(hit)

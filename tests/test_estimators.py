@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gcpd.errors import ConfigError, StateError
+from gcpd.errors import ConfigError, LossDomainError, StateError
 from gcpd.estimators import (EstimatorState, GradientRequest, batch_gradient,
                              estimate_gradient, full_gradient, saga_gradient,
                              sarah_gradient, sgd_gradient, vr_diagnostics)
@@ -249,3 +249,22 @@ class TestDiagnostics:
         sarah_gradient(state, req)
         gamma, upsilon = vr_diagnostics(state, req)
         assert gamma <= 1e-28 and upsilon <= 1e-14
+
+
+class TestPublicEstimatorGuards:
+    @pytest.mark.parametrize("kind, call", [("saga", saga_gradient), ("sarah", sarah_gradient)])
+    def test_rows_out_of_range_rejected(self, kind, call):
+        tensor, model, spec = make_instance(seed=10)
+        state = EstimatorState(kind, tensor, model, spec, batch=3)
+        j_0 = tensor.shape.fiber_count(0)
+        for bad in ([-1, 0], [0, j_0]):
+            with pytest.raises(IndexError):
+                call(state, GradientRequest(list(model.factors), 0, np.array(bad), spec))
+
+    def test_negative_factors_rejected_under_nonnegative_loss(self):
+        tensor, model, spec = make_instance(seed=10)
+        state = EstimatorState("saga", tensor, model, spec, batch=3)
+        point = [a.copy() for a in model.factors]
+        point[1][0, 0] = -0.5
+        with pytest.raises(LossDomainError):
+            saga_gradient(state, GradientRequest(point, 0, np.array([0, 1]), spec))

@@ -1,0 +1,121 @@
+"""Golden traces: solver runs must reproduce recorded results bit for bit.
+
+Every estimator (full, sgd, saga, sarah) runs on a dense and a sparse input
+under both geometries (negative-entropy with a poisson loss, squared-euclidean
+with a gaussian loss), SAGA runs once per remaining loss kind, and a few runs
+exercise the optional solver branches. The objective trace, the stepsize history and the bytes of the
+final factors must equal the values in ``golden_traces.json`` exactly.
+
+Regenerate the file only for a change that is meant to alter the arithmetic:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gcpd.bregman import GeneratorSpec, RegularizerSpec
+from gcpd.losses import LossSpec
+from gcpd.solver import SolverConfig, run
+from gcpd.tensors import DenseTensor, SparseTensorCOO
+
+GOLDEN = Path(__file__).with_name("golden_traces.json")
+DIMS = (7, 5, 6)
+
+
+def _instance(kind: str, storage: str):
+    rng = np.random.default_rng(2024)
+    if kind == "gaussian":
+        values = rng.standard_normal(DIMS)
+    elif kind == "gamma":
+        values = rng.gamma(1.0, 0.5, size=DIMS)
+    elif kind.startswith("poisson"):
+        values = rng.poisson(1.2, size=DIMS).astype(float)
+    else:  # bernoulli kinds
+        values = (rng.random(DIMS) < 0.6).astype(float)
+    values[rng.random(DIMS) < 0.4] = 0.0
+    if storage == "dense":
+        return DenseTensor(values)
+    idx = np.argwhere(values != 0)
+    return SparseTensorCOO(DIMS, idx, values[tuple(idx.T)])
+
+
+def _config(kind: str, estimator: str, storage: str) -> SolverConfig:
+    if LossSpec(kind).nonnegative:
+        gen, reg = GeneratorSpec("negative-entropy"), RegularizerSpec("nonnegative-indicator")
+    else:
+        gen, reg = GeneratorSpec("squared-euclidean"), RegularizerSpec("zero")
+    return SolverConfig(rank=2, loss=LossSpec(kind), generator=gen, regularizer=reg,
+                        estimator=estimator, eta=0.2, max_iters=60, eval_every=10,
+                        eval_samples=150 if storage == "sparse" else None,
+                        seed=5, record_timing=False)
+
+
+def _cases() -> dict:
+    """name -> (loss kind, storage, config)."""
+    cases = {}
+    for estimator in ("full", "sgd", "saga", "sarah"):
+        for storage in ("dense", "sparse"):
+            for geometry, kind in (("entropy", "poisson-identity"),
+                                   ("euclidean", "gaussian")):
+                cases[f"{estimator}-{storage}-{geometry}"] = (
+                    kind, storage, _config(kind, estimator, storage))
+    # The other loss kinds, each on the default estimator.
+    for kind in ("gamma", "bernoulli-odds", "poisson-log", "bernoulli-logit"):
+        cases[f"saga-dense-{kind}"] = (kind, "dense", _config(kind, "saga", "dense"))
+    base = _config("poisson-identity", "saga", "dense")
+    cases["saga-dense-entropy-backtrack"] = ("poisson-identity", "dense", dataclasses.replace(
+        base, extrapolation_check="backtrack", l_lower=0.5, delta=0.3, eps_aux=0.25))
+    cases["sarah-dense-euclidean-decreasing-cyclic"] = (
+        "gaussian", "dense", dataclasses.replace(
+            _config("gaussian", "sarah", "dense"), stepsize_rule="decreasing-bound",
+            l_bar=4.0, gamma_bar=0.1, delta=0.5, eps_aux=0.1, m2=0.1,
+            block_order="cyclic"))
+    cases["sgd-dense-euclidean-l1-plain"] = ("gaussian", "dense", dataclasses.replace(
+        _config("gaussian", "sgd", "dense"), c1=0.0, c2=0.0,
+        regularizer=RegularizerSpec("l1", weight=0.05), max_step=0.05))
+    cases["saga-dense-entropy-lyapunov"] = ("poisson-identity", "dense", dataclasses.replace(
+        base, lyapunov=True, c1=0.6, c2=0.6))
+    return cases
+
+
+def _fingerprint(kind: str, storage: str, config: SolverConfig) -> dict:
+    trace, model = run(config, _instance(kind, storage))
+    digest = hashlib.sha256()
+    for a in model.factors:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return {
+        "trace": [[r.iteration, r.nre, r.lyapunov] for r in trace.records],
+        "eta_history": trace.eta_history,
+        "factors_sha256": digest.hexdigest(),
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(_cases())
+
+
+@pytest.mark.parametrize("name", sorted(_cases()))
+def test_run_reproduces_golden_trace(name, golden):
+    kind, storage, config = _cases()[name]
+    got = _fingerprint(kind, storage, config)
+    want = golden[name]
+    assert got["trace"] == want["trace"]
+    assert got["eta_history"] == want["eta_history"]
+    assert got["factors_sha256"] == want["factors_sha256"]
+
+
+if __name__ == "__main__":
+    out = {name: _fingerprint(*case) for name, case in _cases().items()}
+    GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(out)} golden traces to {GOLDEN}")

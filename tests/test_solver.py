@@ -1,16 +1,19 @@
 """Solver loop: schedules, guards, stepsizes, stopping, determinism, descent."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from gcpd.bregman import GeneratorSpec, RegularizerSpec, bregman_div
 from gcpd.data import SyntheticSpec, generate
-from gcpd.errors import ConfigError, DivergenceError
+from gcpd.errors import ConfigError, DataError, DivergenceError, LossDomainError
 from gcpd.losses import LossSpec
 from gcpd.solver import (SolverConfig, SolverRunState, extrapolation_guard,
                          gaussian_block_curvature, inertial_coefficients,
-                         inertial_step, initial_factors, plain_step, run)
-from gcpd.tensors import DenseTensor, KruskalModel
+                         initial_factors, run, step)
+from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO
 
 
 def gaussian_config(**kw):
@@ -91,7 +94,7 @@ class TestStepMechanics:
         state = SolverRunState(cfg, tensor, initial_factors(
             cfg, tensor.shape, np.random.default_rng(1)))
         before = [a.copy() for a in state.factors]
-        mode = inertial_step(state, cfg)
+        mode = step(state, cfg)
         changed = [n for n in range(3)
                    if not np.array_equal(before[n], state.factors[n])]
         assert changed == [mode]
@@ -103,13 +106,14 @@ class TestStepMechanics:
             cfg, tensor.shape, np.random.default_rng(2)))
         snapshots = [list(state.factors)]
         for _ in range(4):
-            inertial_step(state, cfg)
+            step(state, cfg)
             snapshots.append(list(state.factors))
         for n in range(3):
             assert np.array_equal(state.prev[n], snapshots[-2][n])
             assert np.array_equal(state.prev2[n], snapshots[-3][n])
 
     def test_plain_equals_inertial_with_zero_coefficients(self):
+        # "Plain" is c1 = c2 = 0: the step must not depend on A^{k-1} at all.
         tensor, _ = small_gaussian_instance(seed=3)
         cfg = gaussian_config(c1=0.0, c2=0.0, estimator="sgd", batch=3,
                               max_iters=40).resolved(tensor.shape)
@@ -117,10 +121,18 @@ class TestStepMechanics:
         s1 = SolverRunState(cfg, tensor, [a.copy() for a in init])
         s2 = SolverRunState(cfg, tensor, [a.copy() for a in init])
         for _ in range(40):
-            inertial_step(s1, cfg)
-            plain_step(s2, cfg)
+            step(s1, cfg)
+            s2.prev = list(s2.factors)   # discard the momentum direction
+            step(s2, cfg)
+            assert s1.last_alpha == s1.last_beta == 0.0
         for a, b in zip(s1.factors, s2.factors):
             assert np.array_equal(a, b)
+
+    def test_manifest_records_the_coefficients_that_ran(self):
+        tensor, _ = small_gaussian_instance(seed=3)
+        trace, _ = run(gaussian_config(c1=0.0, c2=0.0, max_iters=5), tensor)
+        assert (trace.manifest["config"]["c1"], trace.manifest["config"]["c2"]) == (0.0, 0.0)
+        assert "step" not in inspect.signature(run).parameters
 
     def test_projected_gradient_equivalence(self):
         # Full batch, no inertia, euclidean + nonneg: one step is exactly
@@ -130,7 +142,7 @@ class TestStepMechanics:
         init = initial_factors(cfg, tensor.shape, np.random.default_rng(4))
         state = SolverRunState(cfg, tensor, [a.copy() for a in init])
         from gcpd.estimators import full_gradient
-        mode = inertial_step(state, cfg)
+        mode = step(state, cfg)
         expected = np.maximum(
             init[mode] - 0.3 * full_gradient(tensor, init, cfg.loss, mode), 0.0)
         assert np.allclose(state.factors[mode], expected, rtol=0, atol=1e-15)
@@ -142,7 +154,7 @@ class TestStepMechanics:
         state = SolverRunState(cfg, tensor, initial_factors(
             cfg, tensor.shape, np.random.default_rng(5)))
         for _ in range(150):
-            inertial_step(state, cfg)
+            step(state, cfg)
             assert min(a.min() for a in state.factors) >= cfg.generator.floor
 
 
@@ -292,3 +304,62 @@ class TestRun:
         trace, model = run(cfg, sp)
         assert len(trace.records) >= 3
         assert all(np.isfinite(r.nre) for r in trace.records)
+
+
+class TestRunBoundaryGuards:
+    def test_off_domain_data_rejected_without_prior_check(self):
+        # One non-integer count in a sparse tensor: a small sampled objective
+        # would rarely see it, so only the run's own check can catch it.
+        dims = (30, 20, 20)
+        idx = [[0, 0, 0], [5, 3, 2], [29, 19, 19]]
+        tensor = SparseTensorCOO(dims, idx, [1.0, 2.5, 3.0])
+        cfg = SolverConfig(rank=2, loss=LossSpec("poisson-identity"),
+                           generator=GeneratorSpec("negative-entropy"),
+                           estimator="sgd", max_iters=0, eval_samples=10)
+        with pytest.raises(LossDomainError, match="not a nonnegative integer"):
+            run(cfg, tensor)
+
+    def test_negative_initial_factors_rejected(self):
+        tensor, _ = small_gaussian_instance(seed=4)
+        tensor = DenseTensor(np.abs(tensor.values))
+        init = [np.full((d, 2), 0.3) for d in tensor.dims]
+        init[1][2, 0] = -0.1
+        with pytest.raises(LossDomainError, match="initial factor"):
+            run(gamma_config(max_iters=5), tensor, initial=init)
+
+    def test_non_finite_initial_factors_rejected(self):
+        tensor, _ = small_gaussian_instance(seed=4)
+        init = [np.full((d, 2), 0.3) for d in tensor.dims]
+        init[2][0, 1] = np.nan
+        with pytest.raises(DataError):
+            run(gaussian_config(max_iters=5), tensor, initial=init)
+
+    @pytest.mark.parametrize("dims, rank", [((6, 5, 3), 2), ((6, 5, 4), 3)])
+    def test_initial_factors_must_match_tensor_and_rank(self, dims, rank):
+        tensor, _ = small_gaussian_instance(seed=4)
+        init = [np.full((d, rank), 0.3) for d in dims]
+        with pytest.raises(DataError, match="initial factors"):
+            run(gaussian_config(max_iters=5), tensor, initial=init)
+
+    def test_negative_initial_factors_allowed_for_unconstrained_runs(self):
+        tensor, _ = small_gaussian_instance(seed=4)
+        cfg = gaussian_config(regularizer=RegularizerSpec("zero"), max_iters=5)
+        init = [np.full((d, 2), -0.3) for d in tensor.dims]
+        trace, _ = run(cfg, tensor, initial=init)
+        assert trace.records[-1].iteration == 5
+
+
+class TestObservationDoesNotPerturb:
+    def test_diagnostics_keep_the_sampled_trace(self):
+        tensor, _ = generate(SyntheticSpec(shape=(8, 7, 6), rank=2,
+                                           distribution="gamma", seed=12))
+        cfg = gamma_config(eval_samples=60, eval_every=5, tol=5e-2, max_iters=400,
+                           record_timing=False, seed=3)
+        plain, _ = run(cfg, tensor)
+        observed, _ = run(dataclasses.replace(cfg, diagnostics=True), tensor)
+        assert observed.records[-1].gamma is not None
+        assert [(r.iteration, r.nre) for r in observed.records] == \
+            [(r.iteration, r.nre) for r in plain.records]
+        assert observed.eta_history == plain.eta_history
+        # The tolerance stop fired: the stopping iteration is part of the trace.
+        assert plain.records[-1].iteration < cfg.max_iters

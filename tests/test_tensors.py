@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcpd.errors import DataError
-from gcpd.tensors import (DenseTensor, KruskalModel, SparseTensorCOO, TensorShape,
-                          data_fibers, fiber_to_multi_index, khatri_rao_rows,
-                          model_fibers, multi_index_to_fiber, unfold)
+from gcpd.tensors import (DenseTensor, FiberPlan, KruskalModel, SparseTensorCOO,
+                          TensorShape, data_fibers, fiber_to_multi_index,
+                          khatri_rao_rows, model_fibers, multi_index_to_fiber, unfold)
+from gcpd.verify import fiber_rows_loop
 
 
 def brute_force_fibers(dims, mode):
@@ -219,3 +222,71 @@ class TestSparseValidation:
         idx = [[i, j] for i in range(2) for j in range(2)] + [[0, 1]]
         with pytest.raises(DataError):
             SparseTensorCOO((2, 2), idx, np.ones(5))
+
+
+class TestVectorizedSparseFibers:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_per_fiber_loop(self, data):
+        dims = tuple(data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=4)))
+        shape = TensorShape(dims)
+        total = shape.total
+        # Few stored entries leave many fibers empty.
+        nnz = data.draw(st.integers(0, min(total, 12)))
+        linear = data.draw(st.lists(st.integers(0, total - 1), min_size=nnz,
+                                    max_size=nnz, unique=True))
+        idx = np.array(np.unravel_index(np.array(linear, dtype=np.int64), dims,
+                                        order="F"), dtype=np.int64).T.reshape(-1, len(dims))
+        values = np.arange(1.0, nnz + 1.0)
+        tensor = SparseTensorCOO(dims, idx, values)
+        mode = data.draw(st.integers(0, len(dims) - 1))
+        j_n = shape.fiber_count(mode)
+        rows = data.draw(st.lists(st.integers(0, j_n - 1), max_size=8))
+        got = tensor.fiber_rows(mode, rows)
+        assert np.array_equal(got, fiber_rows_loop(tensor, mode, rows))
+        assert got.shape == (len(rows), dims[mode])
+
+
+class TestRowRangeGuards:
+    @pytest.mark.parametrize("bad", [[-1], [12], [0, 12]])
+    def test_public_fiber_reads_reject_rows_out_of_range(self, bad):
+        dims = (2, 3, 4)            # J_1 = 8, J_0 = 12
+        factors = [np.ones((d, 2)) for d in dims]
+        dense = DenseTensor(np.ones(dims))
+        sparse = SparseTensorCOO(dims, [[0, 0, 0]], [1.0])
+        with pytest.raises(IndexError):
+            khatri_rao_rows(factors, 0, bad)
+        for tensor in (dense, sparse):
+            with pytest.raises(IndexError):
+                data_fibers(tensor, 0, bad)
+        with pytest.raises(IndexError):
+            sparse.fiber_rows(0, bad)
+
+    def test_mode_out_of_range(self):
+        with pytest.raises(IndexError):
+            khatri_rao_rows([np.ones((2, 1)), np.ones((3, 1))], 2, [0])
+        with pytest.raises(IndexError):
+            data_fibers(DenseTensor(np.ones((2, 3))), -1, [0])
+
+
+class TestFiberPlan:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_plan_reads_equal_public_reads(self, sparse):
+        rng = np.random.default_rng(5)
+        dims = (4, 3, 5, 2)
+        values = rng.random(dims) * (rng.random(dims) < 0.5)
+        dense = DenseTensor(values)
+        idx = np.argwhere(values != 0)
+        tensor = SparseTensorCOO(dims, idx, values[tuple(idx.T)]) if sparse else dense
+        factors = [rng.random((d, 3)) for d in dims]
+        for mode in range(len(dims)):
+            plan = FiberPlan(tensor, mode)
+            rows = np.sort(rng.choice(tensor.shape.fiber_count(mode), 5, replace=False))
+            digits = plan.digits(rows)
+            assert np.array_equal(plan.fibers(rows, digits), data_fibers(tensor, mode, rows))
+            assert np.array_equal(plan.khatri_rao(factors, digits),
+                                  khatri_rao_rows(factors, mode, rows))
+
+    def test_dense_plan_is_a_view(self):
+        tensor = DenseTensor(np.arange(24.0).reshape(2, 3, 4))
+        assert np.shares_memory(FiberPlan(tensor, 1).moved, tensor.values)
