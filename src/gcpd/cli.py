@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 A line-oriented key=value config file (--config) supplies defaults for any
-flag; explicit flags win. Every output embeds the fully resolved run manifest,
+flag; explicit flags win. A flag left unset takes the default of the dataclass
+field it fills (`SolverConfig`, `LossSpec`, `RegularizerSpec`,
+`SyntheticSpec`). Every output embeds the fully resolved run manifest,
 and `decompose --manifest saved.json` replays a run from one.
 """
 
@@ -180,12 +182,19 @@ _SOLVER_CASTS = {
 }
 
 
+def _given(args, **fields) -> dict:
+    """Keyword arguments {field: flag value} for the flags that were set, so
+    every unset one keeps the default its dataclass field declares."""
+    return {field: getattr(args, flag) for field, flag in fields.items()
+            if getattr(args, flag) is not None}
+
+
 def _solver_config_from_args(args) -> SolverConfig:
     if args.loss is None:
         raise UsageError("--loss is required")
     if args.rank is None:
         raise UsageError("--rank is required")
-    loss = LossSpec(args.loss, epsilon=args.epsilon if args.epsilon is not None else 1e-9)
+    loss = LossSpec(args.loss, **_given(args, epsilon="epsilon"))
     gen_kind = args.generator
     if gen_kind is None:
         gen_kind = "negative-entropy" if loss.nonnegative else "squared-euclidean"
@@ -193,31 +202,26 @@ def _solver_config_from_args(args) -> SolverConfig:
     if reg_kind is None:
         reg_kind = "nonnegative-indicator" if loss.nonnegative else "zero"
     reg = RegularizerSpec(reg_kind,
-                          weight=args.reg_weight if args.reg_weight is not None else 0.0,
                           nonnegative=(reg_kind in ("squared-l2", "l1")
-                                       and loss.nonnegative))
+                                       and loss.nonnegative),
+                          **_given(args, weight="reg_weight"))
     eta = args.eta if args.eta is not None else _DEFAULT_ETA[loss.kind]
     return SolverConfig(
         rank=args.rank,
         loss=loss,
         generator=GeneratorSpec(gen_kind),
         regularizer=reg,
-        estimator=args.estimator if args.estimator is not None else "saga",
         batch=args.batch,
         sarah_p=args.p,
         eta=eta,
-        c1=args.c1 if args.c1 is not None else 0.6,
-        c2=args.c2 if args.c2 is not None else 0.8,
-        max_iters=args.iters if args.iters is not None else 5000,
-        tol=args.tol if args.tol is not None else 1e-10,
         eval_every=args.eval_every,
         eval_samples=args.eval_samples,
-        seed=args.seed if args.seed is not None else 0,
-        init_max=args.init_max if args.init_max is not None else 0.5,
         max_step=args.max_step,
         diagnostics=bool(args.diagnostics),
         lyapunov=bool(args.lyapunov),
         record_timing=not bool(args.no_timing),
+        **_given(args, estimator="estimator", c1="c1", c2="c2", max_iters="iters",
+                 tol="tol", seed="seed", init_max="init_max"),
     )
 
 
@@ -240,9 +244,7 @@ def cmd_synthesize(args) -> int:
             raise UsageError(f"--{flag} is required")
     spec = gdata.SyntheticSpec(
         shape=args.shape, rank=args.rank, distribution=args.dist,
-        a_max=args.amax if args.amax is not None else 0.5,
-        noise_sigma=args.sigma if args.sigma is not None else 0.1,
-        seed=args.seed if args.seed is not None else 0)
+        **_given(args, a_max="amax", noise_sigma="sigma", seed="seed"))
     tensor, model = gdata.generate(spec)
     manifest = {
         "command": "synthesize",

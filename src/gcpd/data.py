@@ -1,10 +1,26 @@
 """Planted-model synthetic generators, .tns sparse-text ingestion, and trace files.
 
-The .tns text format: optional '#'-prefixed comment lines, then one entry per
-line as N whitespace-separated 1-based integer indices followed by one real
-value. Files written here carry a "# shape: I_1 ... I_N" comment so reads
-recover the declared shape even when trailing slices are empty; reading an
-external file without it infers the shape from the largest index per mode.
+The .tns text format, exactly as `read_tns` accepts it:
+
+* Lines end in LF, CRLF or CR. Whitespace is any character `str.isspace`
+  accepts; empty and whitespace-only lines are skipped.
+* A comment line has '#' as its first non-whitespace character. A '#'
+  anywhere else, such as a trailing comment after an entry, is an error.
+* The first comment line of the form "# shape: I_1 ... I_N" (one or more
+  '#', then sizes as integers) declares the mode sizes, unless `shape=` is
+  given; later ones are plain comments. A malformed first one is an error.
+* An entry line is N >= 2 indices and one real value, separated by
+  whitespace. An index is an ASCII decimal integer (optional sign) within
+  int64; the value is an ASCII decimal or exponent-notation real, or inf/nan
+  (which the tensor then rejects), with no '_' digit separators. Every entry
+  line has the field count of the first one.
+* Indices are 1-based, and every index on a line below the declared shape
+  lies within it. The declared shape has the entries' number of modes.
+  Without a declared shape, mode sizes are the largest index per mode; a
+  file with neither a shape nor entries is rejected.
+
+Files written here carry the shape header, so reads recover the declared
+shape even when trailing slices are empty.
 
 Trace CSV columns (fixed): iteration, seconds, nre, mse_mean,
 mse_mode_1..mse_mode_N, lyapunov, gamma_k. Empty cells mean "not recorded".
@@ -14,7 +30,10 @@ The JSON format mirrors the record structure and embeds the run manifest.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +44,9 @@ from .solver import IterationTrace, TraceRecord
 from .tensors import DenseTensor, KruskalModel, SparseTensorCOO, TensorShape
 
 DISTRIBUTIONS = ("gamma", "poisson", "bernoulli-odds", "gaussian")
+
+_INDEX_TOKEN = re.compile(r"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -116,61 +138,159 @@ def write_tns(tensor, path, manifest: dict | None = None):
 
 
 def read_tns(path, shape=None) -> SparseTensorCOO:
-    """Stream-parse a .tns file; indices are 1-based on disk.
+    """Parse a .tns file in one pass over its entry lines; indices are 1-based
+    on disk.
 
-    `shape` (or a '# shape:' header) declares mode sizes; otherwise they are
-    inferred as the largest index seen per mode.
+    `shape` (or the first '# shape:' header) declares mode sizes; otherwise
+    they are inferred as the largest index seen per mode. Every entry line is
+    parsed by one `np.loadtxt` call and the block is checked as arrays; only
+    when a check fails is the text scanned again to name the first faulty
+    line. `verify.read_tns_loop` is the per-line reader this one must match.
     """
     path = Path(path)
+    text = path.read_text()
     declared = tuple(int(d) for d in shape) if shape is not None else None
-    indices = []
-    values = []
-    order = None
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                body = stripped.lstrip("#").strip()
-                if body.startswith("shape:") and declared is None:
-                    try:
-                        declared = tuple(int(t) for t in body[len("shape:"):].split())
-                    except ValueError:
-                        raise ParseError("malformed shape header", path, lineno)
-                continue
-            parts = stripped.split()
-            if order is None:
-                if len(parts) < 3:
-                    raise ParseError(
-                        f"need at least 2 indices and a value, got {len(parts)} fields",
-                        path, lineno)
-                order = len(parts) - 1
-            if len(parts) != order + 1:
-                raise ParseError(
-                    f"expected {order + 1} fields, got {len(parts)}", path, lineno)
-            try:
-                idx = [int(p) for p in parts[:-1]]
-                val = float(parts[-1])
-            except ValueError:
-                raise ParseError(f"malformed entry line {stripped!r}", path, lineno)
-            if any(i < 1 for i in idx):
-                raise ParseError(
-                    f"indices are 1-based; got {idx}", path, lineno)
-            if declared is not None and any(i > d for i, d in zip(idx, declared)):
-                raise ParseError(
-                    f"index {idx} outside declared shape {declared}", path, lineno)
-            indices.append([i - 1 for i in idx])
-            values.append(val)
-    if order is None and declared is None:
-        raise ParseError("file declares no shape and has no entries", path)
+    declared, header_line, fault = _scan_comment_lines(text, declared, path)
+    # Entries on lines after this one must lie within the declared shape.
+    bounded_from = 0 if shape is not None else header_line
+    # Entries at or after the first fault never count: the fault is raised first.
+    body = text if fault is None else text[:fault[0]]
+    first = next(_entry_lines(body), None)
+    if first is None:
+        if fault is not None:
+            raise fault[1]
+        if declared is None:
+            raise ParseError("file declares no shape and has no entries", path)
+        return SparseTensorCOO(declared, np.empty((0, len(declared)), np.int64),
+                               np.empty(0))
+    first_line, first_offset, first_text = first
+    n_fields = len(first_text.split())
+    if n_fields < 3:
+        raise ParseError(
+            f"need at least 2 indices and a value, got {n_fields} fields",
+            path, first_line)
+    order = n_fields - 1
+    block, malformed = _load_entries(body, order, first_offset, path)
+    fault = malformed or fault
+    idx = block["i"]
+    bad = np.any(idx < 1, axis=1)
+    if bounded_from is not None:
+        k = min(order, len(declared))
+        outside = np.any(idx[:, :k] > np.array(declared[:k], dtype=np.int64), axis=1)
+        if bounded_from > first_line:
+            # A header below some entries bounds only the entries after it.
+            outside[:_rows_before(body, bounded_from)] = False
+        bad |= outside
+    if bad.any():
+        row = int(np.argmax(bad))
+        line = next(itertools.islice(_entry_lines(body), row, None))[0]
+        got = idx[row].tolist()
+        if min(got) < 1:
+            raise ParseError(f"indices are 1-based; got {got}", path, line)
+        raise ParseError(f"index {got} outside declared shape {declared}", path, line)
+    if fault is not None:
+        raise fault[1]
     if declared is None:
-        declared = tuple(int(np.max([i[n] for i in indices]) + 1) for n in range(order))
-    if order is not None and len(declared) != order:
+        declared = tuple(int(m) for m in idx.max(axis=0))
+    if len(declared) != order:
         raise ParseError(
             f"entries have {order} indices but shape has {len(declared)} modes", path)
-    indices = np.array(indices, dtype=np.int64).reshape(len(values), len(declared))
-    return SparseTensorCOO(declared, indices, np.array(values))
+    return SparseTensorCOO(declared, idx - 1, block["v"])
+
+
+def _entry_lines(text):
+    """(line number, offset, stripped text) of each entry line, lazily."""
+    offset = 0
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, offset, stripped
+        offset += len(line)
+
+
+def _rows_before(text, lineno: int) -> int:
+    """Number of entry lines above line `lineno`."""
+    return sum(1 for _ in itertools.takewhile(lambda e: e[0] < lineno,
+                                              _entry_lines(text)))
+
+
+def _scan_comment_lines(text, declared, path):
+    """(declared shape, its header line or None, first fault or None).
+
+    Visits only the lines holding a '#'. The first '# shape:' header sets the
+    shape unless one is already declared. A fault is (offset of its line,
+    ParseError): a malformed first shape header, or a '#' after data.
+    """
+    header_line = None
+    lineno, counted = 1, 0
+    pos = text.find("#")
+    while pos >= 0:
+        start = text.rfind("\n", 0, pos) + 1
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        lineno += text.count("\n", counted, start)
+        counted = start
+        line = text[start:end].strip()
+        if not line.startswith("#"):
+            return declared, header_line, (start, ParseError(
+                "'#' after data on an entry line; comments must start their line",
+                path, lineno))
+        body = line.lstrip("#").strip()
+        if body.startswith("shape:") and declared is None:
+            try:
+                declared = tuple(int(t) for t in body[len("shape:"):].split())
+            except ValueError:
+                return declared, header_line, (start, ParseError(
+                    "malformed shape header", path, lineno))
+            header_line = lineno
+        pos = text.find("#", end)
+    return declared, header_line, None
+
+
+def _load_entries(text, order: int, first_offset: int, path):
+    """(block, fault): the structured (index, value) rows of the entry lines
+    of `text` before the first malformed one, parsed in one C-level pass, and
+    that line's fault (None when every line is well formed)."""
+    dtype = [("i", np.int64, (order,)), ("v", np.float64)]
+    try:
+        return np.loadtxt(io.StringIO(text), dtype=dtype, comments="#", ndmin=1), None
+    except ValueError as exc:
+        fault = _first_malformed_line(text, order, path)
+        if fault is None:
+            raise ParseError(f"malformed entry lines ({exc})", path) from exc
+    if fault[0] == first_offset:
+        return np.empty(0, dtype=dtype), fault
+    return np.loadtxt(io.StringIO(text[:fault[0]]), dtype=dtype, comments="#",
+                      ndmin=1), fault
+
+
+def _first_malformed_line(text, order: int, path):
+    """(offset, ParseError) of the first entry line that is not `order` ASCII
+    decimal int64 indices and one real value, or None."""
+    for lineno, offset, stripped in _entry_lines(text):
+        fields = stripped.split()
+        if len(fields) != order + 1:
+            return offset, ParseError(
+                f"expected {order + 1} fields, got {len(fields)}", path, lineno)
+        if not (all(map(_is_index, fields[:-1])) and _is_real(fields[-1])):
+            return offset, ParseError(
+                f"malformed entry line {stripped!r}", path, lineno)
+    return None
+
+
+def _is_index(token: str) -> bool:
+    return (_INDEX_TOKEN.fullmatch(token) is not None
+            and _INT64.min <= int(token) <= _INT64.max)
+
+
+def _is_real(token: str) -> bool:
+    if not token.isascii() or "_" in token:
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def write_factors(model: KruskalModel, prefix, manifest: dict | None = None) -> list[Path]:

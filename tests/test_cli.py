@@ -1,13 +1,17 @@
 """CLI surface: subcommands, exit codes, config files, manifests, verify."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gcpd.cli import main
-from gcpd.data import read_factors, read_tns, read_trace_csv
+from gcpd.bregman import RegularizerSpec
+from gcpd.cli import _build_parser, _solver_config_from_args, main
+from gcpd.data import SyntheticSpec, read_factors, read_tns, read_trace_csv
+from gcpd.losses import LossSpec
+from gcpd.solver import SolverConfig
 from gcpd.verify import check_gradient_fd
 
 
@@ -46,6 +50,14 @@ class TestSynthesize:
                 "--dist", "gamma", "--seed", "7", "--out", str(prefix))
         assert read_tns(str(prefix) + ".tns").nnz == 20 * 15 * 20
 
+    def test_flagless_spec_takes_dataclass_defaults(self, tmp_path, capsys):
+        run_cli("synthesize", "--shape", "3,2", "--rank", "1", "--dist", "gaussian",
+                "--out", str(tmp_path / "d"))
+        written = json.loads(capsys.readouterr().out)["synthetic"]
+        spec = SyntheticSpec(shape=(3, 2), rank=1, distribution="gaussian")
+        for f in dataclasses.fields(SyntheticSpec):
+            assert written[f.name] == json.loads(json.dumps(getattr(spec, f.name))), f.name
+
     def test_missing_dist_is_usage_error(self, tmp_path):
         code = run_cli("synthesize", "--shape", "5,4,3", "--rank", "2",
                        "--out", str(tmp_path / "x"))
@@ -63,6 +75,17 @@ class TestSynthesize:
 
 
 class TestDecompose:
+    def test_flagless_config_takes_dataclass_defaults(self):
+        args = _build_parser().parse_args(["decompose", "--loss", "gamma", "--rank", "2"])
+        config = _solver_config_from_args(args)
+        defaults = SolverConfig(rank=2, loss=LossSpec("gamma"))
+        per_loss = {"generator", "regularizer", "eta"}  # the CLI's per-loss choices
+        for f in dataclasses.fields(SolverConfig):
+            if f.name not in per_loss:
+                assert getattr(config, f.name) == getattr(defaults, f.name), f.name
+        assert config.loss.epsilon == LossSpec("gamma").epsilon
+        assert config.regularizer.weight == RegularizerSpec().weight
+
     def test_reduces_objective(self, gamma_files, tmp_path):
         trace_path = tmp_path / "trace.csv"
         code = run_cli("decompose", "--input", str(gamma_files) + ".tns",

@@ -2,16 +2,21 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcpd.data import (SyntheticSpec, generate, planted_factors, read_factors,
                        read_tns, read_trace_csv, sample_tensor, trace_header,
                        write_factors, write_tns, write_trace_csv, write_trace_json)
-from gcpd.errors import ConfigError, DataError, ParseError
+from gcpd.errors import ConfigError, DataError, GcpdError, ParseError
 from gcpd.solver import IterationTrace, TraceRecord
 from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO
+from gcpd.verify import read_tns_loop
 
 
 class TestGenerate:
@@ -130,6 +135,157 @@ class TestTnsFormat:
         t = read_tns(p)
         assert t.shape.dims == (2, 3, 4)
         assert t.nnz == 2
+
+
+# Fault kinds planted by `_tns_case`; each one makes both readers raise.
+FAULTS = ("field-count", "non-numeric", "fractional-index", "zero-index",
+          "beyond-shape", "malformed-header", "trailing-comment", "mode-count",
+          "empty")
+
+
+def _tns_case(data, fault=None):
+    """(text, shape argument) of a generated .tns file with `fault` planted.
+
+    Valid files mix comment and blank lines among the entries, CRLF endings,
+    leading, trailing and repeated whitespace, a missing final newline,
+    header-less and header-only files, and the `shape=` argument.
+    """
+    draw = data.draw
+    order = draw(st.integers(2, 4))
+    dims = draw(st.lists(st.integers(1 if fault is None else 2, 4),
+                         min_size=order, max_size=order))
+    total = math.prod(dims)
+    min_nnz = {"field-count": 2, "empty": 0}.get(fault, 1 if fault else 0)
+    nnz = 0 if fault == "empty" else draw(st.integers(min_nnz, min(total, 8)))
+    linear = draw(st.lists(st.integers(0, total - 1), min_size=nnz, max_size=nnz,
+                           unique=True))
+    entries = [[str(i + 1) for i in np.unravel_index(j, dims, order="F")]
+               + [draw(st.sampled_from(["1", "-2.5", "0.125", "3e-7", "1E3", "+4.",
+                                        ".5", repr(draw(st.floats(-1e6, 1e6)))]))]
+               for j in linear]
+    header_dims = list(dims)
+    header = (draw(st.booleans()) if fault is None
+              else fault in ("beyond-shape", "malformed-header", "mode-count"))
+    # `shape=` overrides every header, so it is left out where it would mask
+    # the planted fault.
+    masks = fault in ("malformed-header", "mode-count", "empty")
+    shape_arg = tuple(dims) if not masks and draw(st.booleans()) else None
+    row = draw(st.integers(1 if fault == "field-count" else 0, max(nnz - 1, 0)))
+    if fault == "field-count":
+        entries[row] = entries[row][1:] if draw(st.booleans()) else ["1"] + entries[row]
+    elif fault == "non-numeric":
+        col = draw(st.integers(0, order))
+        entries[row][col] = draw(st.sampled_from(["x", "1a", "--1", "1e", "0x1", "nan?"]))
+    elif fault == "fractional-index":
+        entries[row][draw(st.integers(0, order - 1))] = draw(
+            st.sampled_from(["1.5", "2.0", "1e0"]))
+    elif fault == "zero-index":
+        entries[row][draw(st.integers(0, order - 1))] = "0"
+    elif fault == "beyond-shape":
+        col = draw(st.integers(0, order - 1))
+        entries[row][col] = str(dims[col] + draw(st.integers(1, 3)))
+    elif fault == "mode-count":
+        header_dims = header_dims[:-1] if draw(st.booleans()) else header_dims + [2]
+    ws = st.sampled_from([" ", "  ", "\t", " \t "])
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    lines = [draw(pad) + draw(ws).join(e) + draw(pad) for e in entries]
+    if fault == "trailing-comment":
+        lines[row] += draw(st.sampled_from([" # note", "#", "\t# shape: 9 9"]))
+    fillers = draw(st.lists(st.sampled_from(
+        ["", "   ", "\t", "# a comment", "  # indented", "#", "# manifest: {\"a\": 1}"]),
+        max_size=4))
+    for filler in fillers:
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    if header:
+        sep = draw(st.sampled_from(["# shape: ", "#shape:", "##  shape:  "]))
+        text = sep + " ".join(map(str, header_dims))
+        if fault == "malformed-header":
+            text = sep + draw(st.sampled_from(["2 x 3", "2.5 3", "3,4", "1 2 three"]))
+        # On top, as write_tns puts it; in a valid file sometimes below the
+        # entries, where it bounds only the entries after it.
+        at = 0 if fault else draw(st.sampled_from([0, 0, len(lines)]))
+        lines.insert(at, text)
+        if at == 0 and draw(st.booleans()):
+            # The first header wins; later ones, even malformed, are comments.
+            lines.insert(draw(st.integers(1, len(lines))),
+                         draw(st.sampled_from(["# shape: 9 9 9 9 9", "# shape: x"])))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join(lines) + (ending if draw(st.booleans()) else "")
+    return text, shape_arg
+
+
+def _outcome(reader, path, shape):
+    """What a reader makes of a file: the tensor bytes, or the error raised
+    (a ParseError by its line, other errors by message)."""
+    try:
+        t = reader(path, shape=shape)
+    except ParseError as exc:
+        return ("ParseError", exc.line)
+    except GcpdError as exc:
+        return (type(exc).__name__, str(exc))
+    return ("tensor", t.dims, t.indices.tobytes(), t.values.tobytes())
+
+
+def _both_readers(text, shape):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.tns"
+        path.write_bytes(text.encode())
+        return _outcome(read_tns, path, shape), _outcome(read_tns_loop, path, shape)
+
+
+class TestVectorizedTnsReader:
+    """`read_tns` against the per-line oracle `verify.read_tns_loop`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_valid_files_match_per_line_reader(self, data):
+        got, want = _both_readers(*_tns_case(data))
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(FAULTS))
+    def test_faulty_files_fail_on_the_same_line(self, data, fault):
+        got, want = _both_readers(*_tns_case(data, fault))
+        assert want[0] == "ParseError"
+        assert got == want
+
+    @pytest.mark.parametrize("text,line", [
+        ("1 1 1 1.0 # trailing\n", 1),
+        ("# shape: 2 2 2\n1 1 1 1.0\n1 1 2 2.0#c\n", 3),
+        ("1 1 1 1.0\n\n1 1 2 x\n1 1 0 1.0\n", 3),
+        ("1 1 0 1.0\n1 1 x 1.0\n", 1),
+        ("# shape: 2 2\n1 1 1 1.0\n", None),
+        ("", None),
+        ("\n# only a comment\n", None),
+        ("1 2\n", 1),
+        ("1 1 1 1_0\n", 1),
+        ("# shape: 2 2 2\n1 1 99999999999999999999 1.0\n", 2),
+    ])
+    def test_fault_lines(self, tmp_path, text, line):
+        p = tmp_path / "f.tns"
+        p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_tns(p)
+        assert err.value.line == line
+
+    def test_header_below_entries_bounds_only_later_entries(self, tmp_path):
+        p = tmp_path / "late.tns"
+        p.write_text("3 1 1.0\n# shape: 2 2\n1 3 1.0\n")
+        with pytest.raises(ParseError) as err:
+            read_tns(p)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("shape,distribution", [
+        ((60, 50, 40), "gamma"), ((256, 200, 100), "poisson"),
+        ((80, 60, 50), "bernoulli-odds")])
+    def test_benchmark_shaped_files(self, tmp_path, shape, distribution):
+        tensor, _ = generate(SyntheticSpec(shape=shape, rank=3,
+                                           distribution=distribution, seed=7))
+        path = tmp_path / "bench.tns"
+        write_tns(tensor, path)
+        got = _outcome(read_tns, path, None)
+        assert got[0] == "tensor" and got[1] == shape
+        assert got == _outcome(read_tns_loop, path, None)
 
 
 class TestFactorFiles:
