@@ -7,13 +7,12 @@ from .bregman import (GeneratorSpec, RegularizerSpec, bregman_div, generator_gra
 from .data import SyntheticSpec, generate, read_tns, write_tns
 from .errors import (ConfigError, DataError, DivergenceError, GcpdError,
                      LossDomainError, ParseError, StateError)
-from .estimators import (EstimatorState, GradientRequest, batch_gradient,
+from .estimators import (EstimatorState, batch_gradient, checked_gradient,
                          estimate_gradient, full_gradient, vr_diagnostics)
 from .losses import LossSpec, link_inverse, loss_deriv, loss_value, objective
-from .metrics import LyapunovRecord, MseReport, lyapunov, model_mse, mse, nre
+from .metrics import LyapunovRecord, MseReport, lyapunov, model_mse, mse
 from .solver import IterationTrace, SolverConfig, TraceRecord, run, step
 from .tensors import (DenseTensor, KruskalModel, SparseTensorCOO, TensorShape,
-                      data_fibers, fiber_to_multi_index, khatri_rao_rows,
-                      model_fibers, multi_index_to_fiber, unfold)
+                      data_fibers, khatri_rao_rows)
 
 __version__ = "0.1.0"

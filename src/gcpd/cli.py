@@ -22,7 +22,7 @@ from . import verify as gverify
 from .bregman import GeneratorSpec, RegularizerSpec
 from .errors import ConfigError, DataError, DivergenceError, GcpdError
 from .losses import KINDS as LOSS_KINDS
-from .losses import LossSpec, check_data_domain
+from .losses import LossSpec
 from .solver import SolverConfig, run
 
 _DENSIFY_LIMIT = 1 << 22
@@ -259,17 +259,6 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
-def _run_decompose(config: SolverConfig, input_path, shape, truth_path):
-    tensor = _load_tensor(input_path, shape)
-    config = config.resolved(tensor.shape)
-    check_data_domain(config.loss, tensor.values)
-    truth = None
-    if truth_path:
-        truth = gdata.read_factors(truth_path, order=tensor.shape.order)
-    trace, model = run(config, tensor, truth=truth)
-    return tensor, config, trace, model
-
-
 def cmd_decompose(args) -> int:
     if args.manifest:
         saved = json.loads(Path(args.manifest).read_text())
@@ -293,20 +282,19 @@ def cmd_decompose(args) -> int:
         trace_format = args.trace_format or "csv"
         model_out = args.model_out
 
-    tensor, config, trace, model = _run_decompose(config, input_path, shape, truth_path)
-    manifest = {
+    tensor = _load_tensor(input_path, shape)
+    truth = (gdata.read_factors(truth_path, order=tensor.shape.order)
+             if truth_path else None)
+    trace, model = run(config, tensor, truth=truth)
+    manifest = trace.manifest
+    manifest.update({
         "command": "decompose",
-        "config": config.to_dict(),
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
         "input": {"path": str(input_path), "shape": list(tensor.shape.dims)},
         "truth": str(truth_path) if truth_path else None,
         "outputs": {"trace": str(trace_path) if trace_path else None,
                     "trace_format": trace_format,
                     "model": str(model_out) if model_out else None},
-        "extrapolation_check": config.extrapolation_check,
-    }
-    trace.manifest = manifest
+    })
     if trace_path:
         gdata.write_trace(trace, trace_path, tensor.shape.order, fmt=trace_format)
     if model_out:

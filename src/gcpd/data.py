@@ -14,8 +14,10 @@ The .tns text format, exactly as `read_tns` accepts it:
   int64; the value is an ASCII decimal or exponent-notation real, or inf/nan
   (which the tensor then rejects), with no '_' digit separators. Every entry
   line has the field count of the first one.
-* Indices are 1-based, and every index on a line below the declared shape
-  lies within it. The declared shape has the entries' number of modes.
+* Indices are 1-based, and every index lies within the declared shape. An
+  entry above a late shape header is checked against it only after every
+  other check has passed. The declared shape has the entries' number of
+  modes.
   Without a declared shape, mode sizes are the largest index per mode; a
   file with neither a shape nor entries is rejected.
 
@@ -174,16 +176,18 @@ def read_tns(path, shape=None) -> SparseTensorCOO:
     fault = malformed or fault
     idx = block["i"]
     bad = np.any(idx < 1, axis=1)
+    above = np.zeros(0, dtype=bool)   # outside the shape, above its late header
     if bounded_from is not None:
         k = min(order, len(declared))
         outside = np.any(idx[:, :k] > np.array(declared[:k], dtype=np.int64), axis=1)
         if bounded_from > first_line:
             # A header below some entries bounds only the entries after it.
-            outside[:_rows_before(body, bounded_from)] = False
+            above = outside[:_rows_before(body, bounded_from)].copy()
+            outside[:above.size] = False
         bad |= outside
     if bad.any():
         row = int(np.argmax(bad))
-        line = next(itertools.islice(_entry_lines(body), row, None))[0]
+        line = _entry_line(body, row)
         got = idx[row].tolist()
         if min(got) < 1:
             raise ParseError(f"indices are 1-based; got {got}", path, line)
@@ -195,6 +199,11 @@ def read_tns(path, shape=None) -> SparseTensorCOO:
     if len(declared) != order:
         raise ParseError(
             f"entries have {order} indices but shape has {len(declared)} modes", path)
+    if above.any():
+        # ... yet the tensor must still hold every entry.
+        row = int(np.argmax(above))
+        raise ParseError(f"index {idx[row].tolist()} outside the shape {declared} "
+                         "declared below it", path, _entry_line(body, row))
     return SparseTensorCOO(declared, idx - 1, block["v"])
 
 
@@ -206,6 +215,11 @@ def _entry_lines(text):
         if stripped and not stripped.startswith("#"):
             yield lineno, offset, stripped
         offset += len(line)
+
+
+def _entry_line(text, row: int) -> int:
+    """Line number of the entry line with 0-based position `row`."""
+    return next(itertools.islice(_entry_lines(text), row, None))[0]
 
 
 def _rows_before(text, lineno: int) -> int:

@@ -32,7 +32,7 @@ class ParseError(DataError):
 
 
 class StateError(GcpdError, RuntimeError):
-    """Estimator or solver state used out of contract (missing snapshot, shape drift)."""
+    """Estimator or solver state used out of contract (factors that do not match it)."""
 
 
 class DivergenceError(GcpdError, RuntimeError):

@@ -16,15 +16,20 @@ estimate is exact. SARAH keeps a per-mode running estimate and restarts from
 the full gradient with probability 1/p. Tables for inactive modes go stale
 when another block moves; no eager refresh is done.
 
-The public gradient functions check their inputs through the checked tensor
-and loss functions. SAGA and SARAH steps instead read fibers through the
-per-mode `FiberPlan`s of their state, after their own checked full pass.
+Every kind is one oracle, asked for one way: `estimate_gradient(state,
+factors, mode, rows)` gives the state's estimate of the mode-`mode` block
+gradient at `factors` over the fiber rows `rows`, and reads the loss from the
+state. It trusts its arguments, as the solver builds them; any other caller
+uses `checked_gradient`, which normalizes the rows, copies the factors and
+checks both against the state first. The `full` and `sgd` kinds go through
+the checked tensor and loss functions; SAGA and SARAH steps read fibers
+through the per-mode `FiberPlan`s of their state, after their own checked
+full pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,34 +38,6 @@ from .losses import LossSpec, deriv_kernel, loss_deriv
 from .tensors import FiberPlan, KruskalModel, data_fibers, khatri_rao_rows
 
 ESTIMATOR_KINDS = ("full", "sgd", "saga", "sarah")
-
-
-@dataclass(frozen=True)
-class GradientRequest:
-    """One stochastic-gradient evaluation: the factor snapshot has the active
-    block already replaced by the extrapolated gradient point."""
-
-    factors: list
-    mode: int
-    rows: np.ndarray
-    loss: LossSpec
-
-    def __post_init__(self):
-        rows = np.unique(np.asarray(self.rows, dtype=np.int64))
-        if rows.size == 0:
-            raise ConfigError("empty fiber set")
-        object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def presorted(cls, factors: list, mode: int, rows: np.ndarray,
-                  loss: LossSpec) -> "GradientRequest":
-        """A request over rows that are already a sorted, duplicate-free,
-        non-empty int64 array (the solver's own draws); skips normalization."""
-        req = object.__new__(cls)
-        for name, value in (("factors", factors), ("mode", mode), ("rows", rows),
-                            ("loss", loss)):
-            object.__setattr__(req, name, value)
-        return req
 
 
 def _stack(d: np.ndarray, kr: np.ndarray) -> np.ndarray:
@@ -147,30 +124,14 @@ class EstimatorState:
             self.estimates = [None] * self.order
             self.snapshots = [None] * self.order
 
-    def _check_block(self, req: GradientRequest):
-        """What the plan-based SAGA and SARAH steps trust about a request."""
-        n = req.mode
-        i_n = req.factors[n].shape[0]
-        if req.factors[n].shape[1] != self.rank:
-            raise StateError(
-                f"estimator state built for rank {self.rank}, "
-                f"got factor with {req.factors[n].shape[1]} columns")
-        if self.tables is not None and self.tables[n].shape[1:] != (i_n, self.rank):
-            raise StateError("saga table shape does not match the requested block")
-        if req.rows[0] < 0 or req.rows[-1] >= self.fiber_counts[n]:   # rows are sorted
-            raise IndexError(
-                f"fiber row out of range [0, {self.fiber_counts[n]}) for mode {n}")
-        if self.loss.nonnegative and min(a.min() for a in req.factors) < 0:
-            raise LossDomainError(f"{self.loss.kind}: factors must be nonnegative")
+
+def _full(state: EstimatorState, factors, n: int, rows) -> np.ndarray:
+    return full_gradient(state.tensor, factors, state.loss, n)
 
 
-def sgd_gradient(state: EstimatorState, req: GradientRequest) -> np.ndarray:
+def _sgd(state: EstimatorState, factors, n: int, rows) -> np.ndarray:
     """Plain fiber-sampled estimate; unbiased under uniform sampling."""
-    return batch_gradient(state.tensor, req.factors, req.loss, req.mode, req.rows)
-
-
-def _full(state: EstimatorState, req: GradientRequest) -> np.ndarray:
-    return full_gradient(state.tensor, req.factors, req.loss, req.mode)
+    return batch_gradient(state.tensor, factors, state.loss, n, rows)
 
 
 def _plan_terms(plan: FiberPlan, factors, x, digits, deriv):
@@ -181,14 +142,14 @@ def _plan_terms(plan: FiberPlan, factors, x, digits, deriv):
 
 # SAGA and SARAH steps run on the per-mode plans: each state has been through
 # a checked full pass over the data first (the SAGA table build, the first
-# SARAH restart), and the solver's rows are in range by construction.
+# SARAH restart), and the rows are in range (the solver's draws, or rows that
+# `checked_gradient` has checked).
 
-def _saga(state: EstimatorState, req: GradientRequest) -> np.ndarray:
-    n = req.mode
-    rows = req.rows
+def _saga(state: EstimatorState, factors, n: int, rows) -> np.ndarray:
+    """SAGA estimate; replaces the touched table entries and updates the average."""
     plan = state.plans[n]
     digits = plan.digits(rows)
-    current = _stack(*_plan_terms(plan, req.factors, plan.fibers(rows, digits), digits,
+    current = _stack(*_plan_terms(plan, factors, plan.fibers(rows, digits), digits,
                                   state.deriv))
     table = state.tables[n]
     diff = current - table.take(rows, axis=0)
@@ -203,86 +164,84 @@ def _saga(state: EstimatorState, req: GradientRequest) -> np.ndarray:
     return estimate
 
 
-def _sarah(state: EstimatorState, req: GradientRequest) -> np.ndarray:
-    n = req.mode
+def _sarah(state: EstimatorState, factors, n: int, rows) -> np.ndarray:
+    """SARAH recursive estimate with probability-1/p restarts."""
     restart = state.estimates[n] is None or state.rng.random() < 1.0 / state.p[n]
     if restart:
-        estimate = full_gradient(state.tensor, req.factors, req.loss, n)
+        estimate = full_gradient(state.tensor, factors, state.loss, n)
     else:
         plan = state.plans[n]
-        digits = plan.digits(req.rows)
-        x = plan.fibers(req.rows, digits)   # shared by both points
-        g_cur = _batch_mean(*_plan_terms(plan, req.factors, x, digits, state.deriv))
+        digits = plan.digits(rows)
+        x = plan.fibers(rows, digits)   # shared by both points
+        g_cur = _batch_mean(*_plan_terms(plan, factors, x, digits, state.deriv))
         g_prev = _batch_mean(*_plan_terms(plan, state.snapshots[n], x, digits, state.deriv))
         estimate = g_cur - g_prev + state.estimates[n]
     state.estimates[n] = estimate
-    # The solver never writes into a factor array, so the snapshot can share them.
-    state.snapshots[n] = list(req.factors)
+    # Neither the solver nor `checked_gradient` (which passes copies) lets a
+    # caller write into these arrays later, so the snapshot can share them.
+    state.snapshots[n] = list(factors)
     return estimate
 
 
-def saga_gradient(state: EstimatorState, req: GradientRequest) -> np.ndarray:
-    """SAGA estimate; replaces the touched table entries and updates the average."""
-    if state.tables is None:
-        raise StateError("saga_gradient called on a non-saga estimator state")
-    state._check_block(req)
-    return _saga(state, req)
+_ESTIMATES = {"full": _full, "sgd": _sgd, "saga": _saga, "sarah": _sarah}
 
 
-def sarah_gradient(state: EstimatorState, req: GradientRequest) -> np.ndarray:
-    """SARAH recursive estimate with probability-1/p restarts."""
-    if state.estimates is None:
-        raise StateError("sarah_gradient called on a non-sarah estimator state")
-    state._check_block(req)
-    if state.estimates[req.mode] is not None and state.snapshots[req.mode] is None:
-        raise StateError("sarah recursive branch without a previous snapshot")
-    estimate = _sarah(state, req)
-    # Callers may write into their arrays afterwards; keep a private snapshot.
-    state.snapshots[req.mode] = [a.copy() for a in req.factors]
-    return estimate
+def estimate_gradient(state: EstimatorState, factors, mode: int,
+                      rows: np.ndarray) -> np.ndarray:
+    """The state's estimate of the mode-`mode` block gradient at `factors`
+    (the active block already replaced by the extrapolated gradient point).
 
-
-_ESTIMATES = {"full": _full, "sgd": sgd_gradient, "saga": _saga, "sarah": _sarah}
-
-
-def estimate_gradient(state: EstimatorState, req: GradientRequest) -> np.ndarray:
-    """The state's estimate for one request.
-
-    Trusts the request to match the state it was built for (same rank and
-    block sizes), as the solver's requests do by construction;
-    :func:`saga_gradient` and :func:`sarah_gradient` check that first.
+    Trusts its arguments, as the solver builds them: factors of the state's
+    shape and rank, and `rows` a sorted, duplicate-free, non-empty int64 array
+    in [0, J_mode). :func:`checked_gradient` checks all of that first.
     """
-    return _ESTIMATES[state.kind](state, req)
+    return _ESTIMATES[state.kind](state, factors, mode, rows)
 
 
-def vr_diagnostics(state: EstimatorState, req: GradientRequest,
-                   exact: np.ndarray | None = None) -> tuple[float, float]:
-    """Realized (Gamma, Upsilon) variance-reduction diagnostics, Frobenius norms.
+def checked_gradient(state: EstimatorState, factors, mode: int, rows) -> np.ndarray:
+    """:func:`estimate_gradient` for any caller: rows are sorted and
+    de-duplicated, the factors are copied (a SARAH snapshot stays private),
+    and the arguments are checked against the state first."""
+    rows = np.unique(np.asarray(rows, dtype=np.int64))
+    if rows.size == 0:
+        raise ConfigError("empty fiber set")
+    factors = [np.array(a, dtype=float) for a in factors]
+    dims = state.tensor.shape.dims
+    if [a.shape for a in factors] != [(d, state.rank) for d in dims]:
+        raise StateError(
+            f"estimator state built for factors {dims} x rank {state.rank}, "
+            f"got {[a.shape for a in factors]}")
+    if not 0 <= mode < state.order:
+        raise IndexError(f"mode {mode} out of range for order-{state.order} tensor")
+    if rows[0] < 0 or rows[-1] >= state.fiber_counts[mode]:   # rows are sorted
+        raise IndexError(
+            f"fiber row out of range [0, {state.fiber_counts[mode]}) for mode {mode}")
+    if state.loss.nonnegative and min(a.min() for a in factors) < 0:
+        raise LossDomainError(f"{state.loss.kind}: factors must be nonnegative")
+    return estimate_gradient(state, factors, mode, rows)
 
-    SAGA measures table staleness against the request point over all fibers;
-    SARAH and SGD measure the current estimate against the exact gradient.
-    Desk scale only (SAGA walks the whole table).
+
+def vr_diagnostics(state: EstimatorState, factors, mode: int, rows) -> float:
+    """Realized variance-reduction diagnostic Gamma, a squared Frobenius norm.
+
+    SAGA measures table staleness at `factors` over all fibers; SARAH and SGD
+    measure the current estimate (SGD's over `rows`) against the exact
+    gradient. Desk scale only (SAGA walks the whole table).
     """
-    n = req.mode
     if state.kind == "full":
-        return 0.0, 0.0
+        return 0.0
     if state.kind == "saga":
-        j_n = state.fiber_counts[n]
-        current = fiber_gradient_stack(
-            state.tensor, req.factors, req.loss, n, np.arange(j_n))
-        diff = current - state.tables[n]
+        j_n = state.fiber_counts[mode]
+        current = fiber_gradient_stack(state.tensor, factors, state.loss, mode,
+                                       np.arange(j_n))
+        diff = current - state.tables[mode]
         sq = np.sum(diff * diff, axis=(1, 2))
-        b = state.batches[n]
-        gamma = float(np.sum(sq) / (b * j_n))
-        upsilon = float(np.sum(np.sqrt(sq)) / math.sqrt(b * j_n))
-        return gamma, upsilon
-    if exact is None:
-        exact = full_gradient(state.tensor, req.factors, req.loss, n)
+        return float(np.sum(sq) / (state.batches[mode] * j_n))
     if state.kind == "sarah":
-        if state.estimates[n] is None:
-            return 0.0, 0.0
-        err = state.estimates[n] - exact
+        if state.estimates[mode] is None:
+            return 0.0
+        estimate = state.estimates[mode]
     else:  # sgd
-        err = sgd_gradient(state, req) - exact
-    sq = float(np.sum(err * err))
-    return sq, math.sqrt(sq)
+        estimate = _sgd(state, factors, mode, rows)
+    err = estimate - full_gradient(state.tensor, factors, state.loss, mode)
+    return float(np.sum(err * err))

@@ -1,5 +1,5 @@
-"""Evaluation quantities: factor MSE with column matching, objective trace
-value, and the composite Lyapunov diagnostic.
+"""Evaluation quantities: factor MSE with column matching and the composite
+Lyapunov diagnostic.
 
 MSE between an estimated and a planted factor normalizes every column to unit
 2-norm, matches columns by a minimum-cost permutation (exhaustive for small
@@ -17,7 +17,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .bregman import GeneratorSpec, bregman_div
 from .errors import ConfigError, DataError
-from .losses import LossSpec, objective
 from .tensors import KruskalModel
 
 # Exhaustive matching is exact and cheap up to this rank.
@@ -123,11 +122,6 @@ def model_mse(estimate: KruskalModel, truth: KruskalModel,
         "shared_permutation": shared_perm,
         "shared_mean": float(shared_total / (estimate.rank * n_modes)),
     }
-
-
-def nre(spec: LossSpec, tensor, model: KruskalModel, **kwargs) -> float:
-    """Objective trace value; delegates to :func:`gcpd.losses.objective`."""
-    return objective(spec, tensor, model, **kwargs).value
 
 
 def lyapunov(gen: GeneratorSpec, current, previous, previous2, phi: float,

@@ -36,8 +36,7 @@ import numpy as np
 from .bregman import (GeneratorSpec, RegularizerSpec, bregman_div, mirror_prox_step,
                       regularizer_value)
 from .errors import ConfigError, DataError, DivergenceError, LossDomainError
-from .estimators import (ESTIMATOR_KINDS, EstimatorState, GradientRequest,
-                         estimate_gradient, vr_diagnostics)
+from .estimators import ESTIMATOR_KINDS, EstimatorState, estimate_gradient, vr_diagnostics
 from .losses import LossSpec, check_data_domain, objective
 from .metrics import lyapunov, model_mse
 from .tensors import KruskalModel, TensorShape
@@ -291,8 +290,7 @@ def step(state: SolverRunState, config: SolverConfig) -> int:
 
     request_factors = list(state.factors)
     request_factors[n] = gradient_point
-    grad = estimate_gradient(state.estimator, GradientRequest.presorted(
-        request_factors, n, rows, config.loss))
+    grad = estimate_gradient(state.estimator, request_factors, n, rows)
 
     if config.stepsize_rule == "constant":
         eta_k = config.eta
@@ -357,15 +355,13 @@ def _checked_initial(config: SolverConfig, shape: TensorShape, initial) -> list:
     return model.factors
 
 
-def _gamma_diagnostics(state: SolverRunState, config: SolverConfig) -> tuple:
+def _gamma_diagnostics(state: SolverRunState) -> tuple:
     gammas = []
     for n in range(state.tensor.shape.order):
         b = state.estimator.batches[n]
         j_n = state.tensor.shape.fiber_count(n)
         rows = np.sort(state.diag_rng.choice(j_n, size=b, replace=False))
-        req = GradientRequest(list(state.factors), n, rows, config.loss)
-        gamma, _ = vr_diagnostics(state.estimator, req)
-        gammas.append(gamma)
+        gammas.append(vr_diagnostics(state.estimator, state.factors, n, rows))
     return tuple(gammas)
 
 
@@ -380,7 +376,7 @@ def _evaluate(state: SolverRunState, config: SolverConfig, truth, t0) -> TraceRe
         rec.mse_mean = report["mean"]
         rec.mse_modes = tuple(r.value for r in report["per_mode"])
     if config.diagnostics:
-        rec.gamma_modes = _gamma_diagnostics(state, config)
+        rec.gamma_modes = _gamma_diagnostics(state)
         rec.gamma = float(sum(rec.gamma_modes))
     if config.lyapunov and state.k >= 1:
         phi = nre_val + sum(regularizer_value(r, a)
@@ -419,7 +415,6 @@ def run(config: SolverConfig, tensor, truth: KruskalModel | None = None,
         "config_hash": config.config_hash(),
         "seed": config.seed,
         "extrapolation_check": config.extrapolation_check,
-        "l_lower_is_surrogate": config.extrapolation_check == "backtrack",
     })
     t0 = time.perf_counter()
     first = _evaluate(state, config, truth, t0)
@@ -454,16 +449,3 @@ def run(config: SolverConfig, tensor, truth: KruskalModel | None = None,
                 break
     trace.eta_history = list(state.eta_history)
     return trace, KruskalModel(state.factors)
-
-
-def gaussian_block_curvature(model: KruskalModel, mode: int) -> float:
-    """Exact Lipschitz constant of the mode-`mode` block gradient under the
-    gaussian loss: lambda_max of the Hadamard product of the other factor
-    Gram matrices, divided by the entry count."""
-    g = np.ones((model.rank, model.rank))
-    for m, a in enumerate(model.factors):
-        if m == mode:
-            continue
-        g *= a.T @ a
-    lam = float(np.linalg.eigvalsh(g)[-1])
-    return lam / model.shape.total

@@ -227,40 +227,6 @@ class KruskalModel:
         return KruskalModel(factors)
 
 
-def fiber_to_multi_index(shape: TensorShape, mode: int, row: int) -> tuple[int, ...]:
-    """Multi-index over modes != mode for one fiber row (smallest mode fastest)."""
-    shape._check_mode(mode)
-    j_n = shape.fiber_count(mode)
-    row = int(row)
-    if not 0 <= row < j_n:
-        raise IndexError(f"fiber row {row} out of range [0, {j_n}) for mode {mode}")
-    out = []
-    r = row
-    for m, d in enumerate(shape.dims):
-        if m == mode:
-            continue
-        out.append(r % d)
-        r //= d
-    return tuple(out)
-
-
-def multi_index_to_fiber(shape: TensorShape, mode: int, multi) -> int:
-    """Inverse of :func:`fiber_to_multi_index`."""
-    shape._check_mode(mode)
-    multi = tuple(int(i) for i in multi)
-    others = [m for m in range(shape.order) if m != mode]
-    if len(multi) != len(others):
-        raise IndexError("multi-index length must be order - 1")
-    row = 0
-    stride = 1
-    for i, m in zip(multi, others):
-        if not 0 <= i < shape.dims[m]:
-            raise IndexError(f"index {i} out of range for mode {m}")
-        row += i * stride
-        stride *= shape.dims[m]
-    return row
-
-
 def multi_index_to_fiber_array(shape: TensorShape, mode: int, indices: np.ndarray) -> np.ndarray:
     """Vectorized fiber rows for (S, N) multi-indices (mode column ignored)."""
     rows = np.zeros(indices.shape[0], dtype=np.int64)
@@ -350,19 +316,6 @@ def khatri_rao_rows(factors, mode: int, rows) -> np.ndarray:
     return _khatri_rao(factors, others, _digits([dims[m] for m in others], rows))
 
 
-def model_fibers(model: KruskalModel, mode: int, rows) -> np.ndarray:
-    """Rows of the model's mode-n unfolding H_n A_n^T at the given fibers, (B, I_n)."""
-    kr = khatri_rao_rows(model.factors, mode, rows)
-    return kr @ model.factors[mode].T
-
-
 def data_fibers(tensor, mode: int, rows) -> np.ndarray:
     """Rows X_(mode)[rows, :] of the data unfolding, (B, I_mode); sparse absent = 0."""
     return tensor.fiber_rows(mode, rows)
-
-
-def unfold(tensor: DenseTensor, mode: int) -> np.ndarray:
-    """Full mode-n unfolding X_(n) of a dense tensor, shape (J_n, I_n)."""
-    tensor.shape._check_mode(mode)
-    i_n = tensor.dims[mode]
-    return np.reshape(np.moveaxis(tensor.values, mode, 0), (i_n, -1), order="F").T

@@ -5,7 +5,9 @@ Every check pins its tolerance here. The oracles are deliberately independent
 of the fast paths they test: finite differences of the objective, a bounded
 scalar minimizer for the prox subproblem, brute-force Khatri-Rao
 materialization, exhaustive permutation matching, a per-fiber loop for
-sparse fiber reads, and a per-line reader for .tns files.
+sparse fiber reads, and a per-line reader for .tns files. Scalar fiber-index
+conversions, the full dense unfolding and the exact gaussian block curvature
+are kept here as oracles for tests.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .errors import ParseError
 from .estimators import batch_gradient, full_gradient
 from .losses import KINDS, LossSpec, objective
 from .metrics import _cost_matrix, match_columns, mse
-from .tensors import (DenseTensor, KruskalModel, SparseTensorCOO, data_fibers,
-                      khatri_rao_rows)
+from .tensors import (DenseTensor, KruskalModel, SparseTensorCOO, TensorShape,
+                      data_fibers, khatri_rao_rows)
 
 
 @dataclass(frozen=True)
@@ -218,6 +220,60 @@ def fiber_rows_loop(tensor: SparseTensorCOO, mode: int, rows) -> np.ndarray:
     return out
 
 
+def fiber_to_multi_index(shape: TensorShape, mode: int, row: int) -> tuple[int, ...]:
+    """Multi-index over modes != mode for one fiber row (smallest mode fastest)."""
+    shape._check_mode(mode)
+    j_n = shape.fiber_count(mode)
+    row = int(row)
+    if not 0 <= row < j_n:
+        raise IndexError(f"fiber row {row} out of range [0, {j_n}) for mode {mode}")
+    out = []
+    r = row
+    for m, d in enumerate(shape.dims):
+        if m == mode:
+            continue
+        out.append(r % d)
+        r //= d
+    return tuple(out)
+
+
+def multi_index_to_fiber(shape: TensorShape, mode: int, multi) -> int:
+    """Inverse of :func:`fiber_to_multi_index`."""
+    shape._check_mode(mode)
+    multi = tuple(int(i) for i in multi)
+    others = [m for m in range(shape.order) if m != mode]
+    if len(multi) != len(others):
+        raise IndexError("multi-index length must be order - 1")
+    row = 0
+    stride = 1
+    for i, m in zip(multi, others):
+        if not 0 <= i < shape.dims[m]:
+            raise IndexError(f"index {i} out of range for mode {m}")
+        row += i * stride
+        stride *= shape.dims[m]
+    return row
+
+
+def unfold(tensor: DenseTensor, mode: int) -> np.ndarray:
+    """Full mode-n unfolding X_(n) of a dense tensor, shape (J_n, I_n)."""
+    tensor.shape._check_mode(mode)
+    i_n = tensor.dims[mode]
+    return np.reshape(np.moveaxis(tensor.values, mode, 0), (i_n, -1), order="F").T
+
+
+def gaussian_block_curvature(model: KruskalModel, mode: int) -> float:
+    """Exact Lipschitz constant of the mode-`mode` block gradient under the
+    gaussian loss: lambda_max of the Hadamard product of the other factor
+    Gram matrices, divided by the entry count."""
+    g = np.ones((model.rank, model.rank))
+    for m, a in enumerate(model.factors):
+        if m == mode:
+            continue
+        g *= a.T @ a
+    lam = float(np.linalg.eigvalsh(g)[-1])
+    return lam / model.shape.total
+
+
 def read_tns_loop(path, shape=None) -> SparseTensorCOO:
     """A .tns file parsed one line at a time in Python (oracle for the
     vectorized `data.read_tns`: same tensors, same `ParseError` lines)."""
@@ -225,6 +281,7 @@ def read_tns_loop(path, shape=None) -> SparseTensorCOO:
     declared = tuple(int(d) for d in shape) if shape is not None else None
     indices = []
     values = []
+    unbounded = []   # lines of the leading entries read before any shape
     order = None
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -257,7 +314,9 @@ def read_tns_loop(path, shape=None) -> SparseTensorCOO:
             if any(i < 1 for i in idx):
                 raise ParseError(
                     f"indices are 1-based; got {idx}", path, lineno)
-            if declared is not None and any(i > d for i, d in zip(idx, declared)):
+            if declared is None:
+                unbounded.append(lineno)
+            elif any(i > d for i, d in zip(idx, declared)):
                 raise ParseError(
                     f"index {idx} outside declared shape {declared}", path, lineno)
             indices.append([i - 1 for i in idx])
@@ -269,6 +328,11 @@ def read_tns_loop(path, shape=None) -> SparseTensorCOO:
     if order is not None and len(declared) != order:
         raise ParseError(
             f"entries have {order} indices but shape has {len(declared)} modes", path)
+    for lineno, idx in zip(unbounded, indices):
+        if any(i >= d for i, d in zip(idx, declared)):
+            raise ParseError(
+                f"index {[i + 1 for i in idx]} outside the shape {declared} "
+                "declared below it", path, lineno)
     indices = np.array(indices, dtype=np.int64).reshape(len(values), len(declared))
     return SparseTensorCOO(declared, indices, np.array(values))
 

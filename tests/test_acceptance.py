@@ -20,13 +20,13 @@ from gcpd.bregman import GeneratorSpec, RegularizerSpec
 from gcpd.cli import main as cli_main
 from gcpd.data import (SyntheticSpec, generate, read_tns, read_trace_csv,
                        write_tns, write_trace_csv, write_trace_json)
-from gcpd.estimators import (EstimatorState, GradientRequest, batch_gradient,
-                             full_gradient, saga_gradient, sgd_gradient)
+from gcpd.estimators import (EstimatorState, batch_gradient, checked_gradient,
+                             full_gradient)
 from gcpd.losses import LossSpec, objective
 from gcpd.metrics import _cost_matrix, match_columns, mse
-from gcpd.solver import SolverConfig, gaussian_block_curvature, run
+from gcpd.solver import SolverConfig, run
 from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO
-from gcpd.verify import check_prox_oracle, fd_block_gradient
+from gcpd.verify import check_prox_oracle, fd_block_gradient, gaussian_block_curvature
 
 FOUR_FAMILIES = ("gaussian", "gamma", "poisson-identity", "bernoulli-odds")
 
@@ -106,12 +106,11 @@ class TestCriterion3EstimatorExactness:
                 rows = np.arange(j_n)
                 full = full_gradient(tensor, model.factors, spec, mode)
                 sgd_state = EstimatorState("sgd", tensor, model, spec, batch=j_n)
-                req = GradientRequest(list(model.factors), mode, rows, spec)
                 worst_eq = max(worst_eq, float(np.max(np.abs(
-                    sgd_gradient(sgd_state, req) - full))))
+                    checked_gradient(sgd_state, model.factors, mode, rows) - full))))
                 saga_state = EstimatorState("saga", tensor, model, spec, batch=j_n)
                 worst_eq = max(worst_eq, float(np.max(np.abs(
-                    saga_gradient(saga_state, req) - full))))
+                    checked_gradient(saga_state, model.factors, mode, rows) - full))))
                 acc = np.zeros_like(full)
                 for j in range(j_n):
                     acc += batch_gradient(tensor, model.factors, spec, mode, [j])

@@ -140,7 +140,7 @@ class TestTnsFormat:
 # Fault kinds planted by `_tns_case`; each one makes both readers raise.
 FAULTS = ("field-count", "non-numeric", "fractional-index", "zero-index",
           "beyond-shape", "malformed-header", "trailing-comment", "mode-count",
-          "empty")
+          "empty", "beyond-late-header")
 
 
 def _tns_case(data, fault=None):
@@ -165,10 +165,11 @@ def _tns_case(data, fault=None):
                for j in linear]
     header_dims = list(dims)
     header = (draw(st.booleans()) if fault is None
-              else fault in ("beyond-shape", "malformed-header", "mode-count"))
+              else fault in ("beyond-shape", "malformed-header", "mode-count",
+                             "beyond-late-header"))
     # `shape=` overrides every header, so it is left out where it would mask
     # the planted fault.
-    masks = fault in ("malformed-header", "mode-count", "empty")
+    masks = fault in ("malformed-header", "mode-count", "empty", "beyond-late-header")
     shape_arg = tuple(dims) if not masks and draw(st.booleans()) else None
     row = draw(st.integers(1 if fault == "field-count" else 0, max(nnz - 1, 0)))
     if fault == "field-count":
@@ -181,7 +182,7 @@ def _tns_case(data, fault=None):
             st.sampled_from(["1.5", "2.0", "1e0"]))
     elif fault == "zero-index":
         entries[row][draw(st.integers(0, order - 1))] = "0"
-    elif fault == "beyond-shape":
+    elif fault in ("beyond-shape", "beyond-late-header"):
         col = draw(st.integers(0, order - 1))
         entries[row][col] = str(dims[col] + draw(st.integers(1, 3)))
     elif fault == "mode-count":
@@ -204,6 +205,11 @@ def _tns_case(data, fault=None):
         # On top, as write_tns puts it; in a valid file sometimes below the
         # entries, where it bounds only the entries after it.
         at = 0 if fault else draw(st.sampled_from([0, 0, len(lines)]))
+        if fault == "beyond-late-header":
+            # Anywhere below the faulty entry, which it then leaves unbounded.
+            entry_lines = [i for i, line in enumerate(lines)
+                           if line.strip() and not line.strip().startswith("#")]
+            at = draw(st.integers(entry_lines[row] + 1, len(lines)))
         lines.insert(at, text)
         if at == 0 and draw(st.booleans()):
             # The first header wins; later ones, even malformed, are comments.
@@ -260,6 +266,7 @@ class TestVectorizedTnsReader:
         ("1 2\n", 1),
         ("1 1 1 1_0\n", 1),
         ("# shape: 2 2 2\n1 1 99999999999999999999 1.0\n", 2),
+        ("3 1 1.0\n# shape: 2 2\n1 1 1.0\n", 1),
     ])
     def test_fault_lines(self, tmp_path, text, line):
         p = tmp_path / "f.tns"

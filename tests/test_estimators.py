@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gcpd.errors import ConfigError, LossDomainError, StateError
-from gcpd.estimators import (EstimatorState, GradientRequest, batch_gradient,
-                             estimate_gradient, full_gradient, saga_gradient,
-                             sarah_gradient, sgd_gradient, vr_diagnostics)
+from gcpd.estimators import (ESTIMATOR_KINDS, EstimatorState, batch_gradient,
+                             checked_gradient, estimate_gradient, full_gradient,
+                             vr_diagnostics)
 from gcpd.losses import LossSpec, objective
 from gcpd.tensors import DenseTensor, KruskalModel
 
@@ -62,9 +62,9 @@ class TestFullGradient:
         for mode in range(3):
             j_n = tensor.shape.fiber_count(mode)
             state = EstimatorState("sgd", tensor, model, spec, batch=j_n)
-            req = GradientRequest(list(model.factors), mode, np.arange(j_n), spec)
             full = full_gradient(tensor, model.factors, spec, mode)
-            assert np.max(np.abs(sgd_gradient(state, req) - full)) <= 1e-12
+            est = checked_gradient(state, model.factors, mode, np.arange(j_n))
+            assert np.max(np.abs(est - full)) <= 1e-12
 
 
 class TestSgd:
@@ -82,15 +82,15 @@ class TestSgd:
     def test_value_independent_of_row_order(self):
         tensor, model, spec = make_instance(seed=4)
         a = batch_gradient(tensor, model.factors, spec, 0, [0, 3, 5])
-        req = GradientRequest(list(model.factors), 0, np.array([5, 0, 3]), spec)
         state = EstimatorState("sgd", tensor, model, spec, batch=3)
-        b = sgd_gradient(state, req)
+        b = checked_gradient(state, model.factors, 0, np.array([5, 0, 3]))
         assert np.array_equal(a, b)
 
     def test_empty_fiber_set_rejected(self):
         tensor, model, spec = make_instance(seed=5)
+        state = EstimatorState("sgd", tensor, model, spec, batch=3)
         with pytest.raises(ConfigError):
-            GradientRequest(list(model.factors), 0, np.array([], dtype=int), spec)
+            checked_gradient(state, model.factors, 0, np.array([], dtype=int))
 
 
 class TestSaga:
@@ -101,7 +101,7 @@ class TestSaga:
         mode = 1
         rows = np.array([0, 4, 7])
         full = full_gradient(tensor, model.factors, spec, mode)
-        est = saga_gradient(state, GradientRequest(list(model.factors), mode, rows, spec))
+        est = checked_gradient(state, model.factors, mode, rows)
         assert np.max(np.abs(est - full)) <= 1e-12
 
     def test_all_fibers_telescopes_to_full(self):
@@ -114,7 +114,7 @@ class TestSaga:
             j_n = tensor.shape.fiber_count(mode)
             state.batches[mode] = j_n
             full = full_gradient(tensor, moved, spec, mode)
-            est = saga_gradient(state, GradientRequest(moved, mode, np.arange(j_n), spec))
+            est = checked_gradient(state, moved, mode, np.arange(j_n))
             assert np.max(np.abs(est - full)) <= 1e-12
 
     def test_cover_resyncs_estimator(self):
@@ -127,9 +127,9 @@ class TestSaga:
         # One full cover of the fibers at a fixed point.
         for start in range(0, j_n, 4):
             rows = np.arange(start, min(start + 4, j_n))
-            saga_gradient(state, GradientRequest(point, mode, rows, spec))
+            checked_gradient(state, point, mode, rows)
         full = full_gradient(tensor, point, spec, mode)
-        est = saga_gradient(state, GradientRequest(point, mode, np.arange(4), spec))
+        est = checked_gradient(state, point, mode, np.arange(4))
         assert np.max(np.abs(est - full)) <= 1e-10
 
     def test_average_drift_stays_small(self):
@@ -143,7 +143,7 @@ class TestSaga:
             rows = np.sort(rng.choice(j_n, size=3, replace=False))
             point = [a * (1 + 0.01 * rng.standard_normal(a.shape)) for a in point]
             point = [np.abs(a) + 1e-6 for a in point]
-            saga_gradient(state, GradientRequest(point, mode, rows, spec))
+            checked_gradient(state, point, mode, rows)
             drift = np.max(np.abs(state.table_avg[mode]
                                   - state.tables[mode].mean(axis=0)))
             assert drift <= 1e-10
@@ -153,7 +153,7 @@ class TestSaga:
         state = EstimatorState("saga", tensor, model, spec, batch=3)
         bad = [np.ones((d, 5)) for d in tensor.shape.dims]
         with pytest.raises(StateError):
-            saga_gradient(state, GradientRequest(bad, 0, np.array([0]), spec))
+            checked_gradient(state, bad, 0, np.array([0]))
 
 
 class TestSarah:
@@ -166,7 +166,7 @@ class TestSarah:
         for _ in range(5):
             point = [np.abs(a * (1 + 0.05 * rng.standard_normal(a.shape))) + 1e-6
                      for a in point]
-            est = sarah_gradient(state, GradientRequest(point, 0, np.array([0, 1]), spec))
+            est = checked_gradient(state, point, 0, np.array([0, 1]))
             full = full_gradient(tensor, point, spec, 0)
             assert np.max(np.abs(est - full)) <= 1e-12
 
@@ -176,8 +176,8 @@ class TestSarah:
         state = EstimatorState("sarah", tensor, model, spec, batch=3, p=10**9,
                                rng=np.random.default_rng(1))
         point = list(model.factors)
-        first = sarah_gradient(state, GradientRequest(point, 0, np.array([0, 1]), spec))
-        second = sarah_gradient(state, GradientRequest(point, 0, np.array([2, 3]), spec))
+        first = checked_gradient(state, point, 0, np.array([0, 1]))
+        second = checked_gradient(state, point, 0, np.array([2, 3]))
         assert np.array_equal(first, second)
 
     def test_error_decays_with_shrinking_movement(self):
@@ -193,7 +193,7 @@ class TestSarah:
                      for a in point]
             j_n = tensor.shape.fiber_count(0)
             rows = np.sort(rng.choice(j_n, size=4, replace=False))
-            est = sarah_gradient(state, GradientRequest(point, 0, rows, spec))
+            est = checked_gradient(state, point, 0, rows)
             full = full_gradient(tensor, point, spec, 0)
             errors.append(float(np.linalg.norm(est - full)))
         assert np.mean(errors[-30:]) < 0.1 * max(np.mean(errors[:30]), 1e-12) + 1e-12
@@ -220,8 +220,7 @@ class TestDispatchAndDeterminism:
                 rows = np.sort(rng.choice(j_n, size=3, replace=False))
                 point = [np.abs(a * (1 + 0.02 * rng.standard_normal(a.shape))) + 1e-9
                          for a in point]
-                seq.append(estimate_gradient(
-                    state, GradientRequest(point, mode, rows, spec)).copy())
+                seq.append(estimate_gradient(state, point, mode, rows).copy())
             outs.append(seq)
         for a, b in zip(*outs):
             assert np.array_equal(a, b)
@@ -231,40 +230,96 @@ class TestDiagnostics:
     def test_full_estimator_zero(self):
         tensor, model, spec = make_instance(seed=16)
         state = EstimatorState("full", tensor, model, spec, batch=2)
-        req = GradientRequest(list(model.factors), 0, np.array([0]), spec)
-        assert vr_diagnostics(state, req) == (0.0, 0.0)
+        assert vr_diagnostics(state, model.factors, 0, np.array([0])) == 0.0
 
     def test_saga_fresh_table_zero(self):
         tensor, model, spec = make_instance(seed=17)
         state = EstimatorState("saga", tensor, model, spec, batch=2)
-        req = GradientRequest(list(model.factors), 0, np.array([0]), spec)
-        gamma, upsilon = vr_diagnostics(state, req)
-        assert gamma == 0.0 and upsilon == 0.0
+        gamma = vr_diagnostics(state, model.factors, 0, np.array([0]))
+        assert gamma == 0.0
 
     def test_sarah_after_restart_zero(self):
         tensor, model, spec = make_instance(seed=18)
         state = EstimatorState("sarah", tensor, model, spec, batch=2, p=1,
                                rng=np.random.default_rng(0))
-        req = GradientRequest(list(model.factors), 0, np.array([0, 1]), spec)
-        sarah_gradient(state, req)
-        gamma, upsilon = vr_diagnostics(state, req)
-        assert gamma <= 1e-28 and upsilon <= 1e-14
+        rows = np.array([0, 1])
+        checked_gradient(state, model.factors, 0, rows)
+        gamma = vr_diagnostics(state, model.factors, 0, rows)
+        assert gamma <= 1e-28
 
 
 class TestPublicEstimatorGuards:
-    @pytest.mark.parametrize("kind, call", [("saga", saga_gradient), ("sarah", sarah_gradient)])
-    def test_rows_out_of_range_rejected(self, kind, call):
+    """`checked_gradient` normalizes the rows and checks every argument
+    against the state, for every estimator kind."""
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_rows_out_of_range_rejected(self, kind):
         tensor, model, spec = make_instance(seed=10)
         state = EstimatorState(kind, tensor, model, spec, batch=3)
         j_0 = tensor.shape.fiber_count(0)
         for bad in ([-1, 0], [0, j_0]):
             with pytest.raises(IndexError):
-                call(state, GradientRequest(list(model.factors), 0, np.array(bad), spec))
+                checked_gradient(state, model.factors, 0, np.array(bad))
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_empty_fiber_set_rejected(self, kind):
+        tensor, model, spec = make_instance(seed=10)
+        state = EstimatorState(kind, tensor, model, spec, batch=3)
+        with pytest.raises(ConfigError):
+            checked_gradient(state, model.factors, 0, [])
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_mode_out_of_range_rejected(self, kind):
+        tensor, model, spec = make_instance(seed=10)
+        state = EstimatorState(kind, tensor, model, spec, batch=3)
+        for mode in (-1, 3):
+            with pytest.raises(IndexError):
+                checked_gradient(state, model.factors, mode, [0])
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_factor_shape_and_rank_checked(self, kind):
+        tensor, model, spec = make_instance(seed=10)
+        state = EstimatorState(kind, tensor, model, spec, batch=3)
+        taller = list(model.factors)
+        taller[2] = np.ones((5, 2))
+        wider = [np.ones((d, 3)) for d in tensor.shape.dims]
+        for bad in (taller, wider, model.factors[:2]):
+            with pytest.raises(StateError):
+                checked_gradient(state, bad, 0, [0])
 
     def test_negative_factors_rejected_under_nonnegative_loss(self):
         tensor, model, spec = make_instance(seed=10)
-        state = EstimatorState("saga", tensor, model, spec, batch=3)
-        point = [a.copy() for a in model.factors]
-        point[1][0, 0] = -0.5
-        with pytest.raises(LossDomainError):
-            saga_gradient(state, GradientRequest(point, 0, np.array([0, 1]), spec))
+        for kind in ("saga", "sarah", "sgd", "full"):
+            state = EstimatorState(kind, tensor, model, spec, batch=3)
+            point = [a.copy() for a in model.factors]
+            point[1][0, 0] = -0.5
+            with pytest.raises(LossDomainError):
+                checked_gradient(state, point, 0, np.array([0, 1]))
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_unsorted_duplicate_rows_give_the_sorted_unique_estimate(self, kind):
+        tensor, model, spec = make_instance(seed=19)
+        moved = [a * 1.1 for a in model.factors]
+        estimates = []
+        for rows in ([5, 0, 3, 0, 5], [0, 3, 5]):
+            # p so large that SARAH's second call takes the recursive branch.
+            state = EstimatorState(kind, tensor, model, spec, batch=3, p=10**9,
+                                   rng=np.random.default_rng(0))
+            checked_gradient(state, model.factors, 1, [0])
+            estimates.append(checked_gradient(state, moved, 1, rows))
+        assert np.array_equal(*estimates)
+
+    def test_sarah_snapshot_survives_caller_writes(self):
+        tensor, model, spec = make_instance(seed=20)
+        moved = [a * 1.1 for a in model.factors]
+        estimates = []
+        for write in (False, True):
+            state = EstimatorState("sarah", tensor, model, spec, batch=3, p=10**9,
+                                   rng=np.random.default_rng(0))
+            point = [a.copy() for a in model.factors]
+            checked_gradient(state, point, 0, [0, 1])
+            if write:
+                for a in point:
+                    a *= 2.0
+            estimates.append(checked_gradient(state, moved, 0, [2, 3]))
+        assert np.array_equal(*estimates)

@@ -6,8 +6,7 @@ import pytest
 from gcpd.bregman import GeneratorSpec
 from gcpd.errors import ConfigError, DataError
 from gcpd.losses import LossSpec, objective
-from gcpd.metrics import (_cost_matrix, lyapunov, match_columns, model_mse,
-                          mse, nre)
+from gcpd.metrics import _cost_matrix, lyapunov, match_columns, model_mse, mse
 from gcpd.tensors import DenseTensor, KruskalModel
 
 
@@ -90,18 +89,11 @@ class TestModelMse:
 
 
 class TestNre:
-    def test_delegates_to_objective(self):
-        rng = np.random.default_rng(7)
-        model = KruskalModel([rng.random((3, 2)) + 0.1 for _ in range(3)])
-        tensor = DenseTensor(rng.random((3, 3, 3)))
-        spec = LossSpec("gaussian")
-        assert nre(spec, tensor, model) == objective(spec, tensor, model).value
-
     def test_exact_fit_zero(self):
         rng = np.random.default_rng(8)
         model = KruskalModel([rng.random((3, 2)) for _ in range(3)])
         tensor = DenseTensor(model.to_dense().values)
-        assert nre(LossSpec("gaussian"), tensor, model) == 0.0
+        assert objective(LossSpec("gaussian"), tensor, model).value == 0.0
 
     def test_sampled_within_three_standard_errors(self):
         rng = np.random.default_rng(9)

@@ -11,9 +11,9 @@ from gcpd.data import SyntheticSpec, generate
 from gcpd.errors import ConfigError, DataError, DivergenceError, LossDomainError
 from gcpd.losses import LossSpec
 from gcpd.solver import (SolverConfig, SolverRunState, extrapolation_guard,
-                         gaussian_block_curvature, inertial_coefficients,
-                         initial_factors, run, step)
+                         inertial_coefficients, initial_factors, run, step)
 from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO
+from gcpd.verify import gaussian_block_curvature
 
 
 def gaussian_config(**kw):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from gcpd.errors import DataError
 from gcpd.tensors import (DenseTensor, FiberPlan, KruskalModel, SparseTensorCOO,
-                          TensorShape, data_fibers, fiber_to_multi_index,
-                          khatri_rao_rows, model_fibers, multi_index_to_fiber, unfold)
-from gcpd.verify import fiber_rows_loop
+                          TensorShape, data_fibers, khatri_rao_rows)
+from gcpd.verify import (fiber_rows_loop, fiber_to_multi_index, multi_index_to_fiber,
+                         unfold)
 
 
 def brute_force_fibers(dims, mode):
@@ -151,7 +151,7 @@ class TestKruskalModel:
 class TestModelFibers:
     def test_all_ones_row_value_is_rank(self):
         model = KruskalModel([np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3))])
-        rows = model_fibers(model, 0, [0])
+        rows = khatri_rao_rows(model.factors, 0, [0]) @ model.factors[0].T
         assert np.array_equal(rows, np.full((1, 2), 3.0))
 
     def test_entries_match_model_entry(self):
@@ -160,7 +160,8 @@ class TestModelFibers:
         shape = model.shape
         for mode in range(3):
             j_n = shape.fiber_count(mode)
-            rows = model_fibers(model, mode, np.arange(j_n))
+            rows = (khatri_rao_rows(model.factors, mode, np.arange(j_n))
+                    @ model.factors[mode].T)
             for j in range(j_n):
                 multi = list(fiber_to_multi_index(shape, mode, j))
                 for i in range(shape.dims[mode]):
@@ -173,7 +174,8 @@ class TestModelFibers:
         dense = model.to_dense()
         for mode in range(3):
             j_n = model.shape.fiber_count(mode)
-            stacked = model_fibers(model, mode, np.arange(j_n))
+            stacked = (khatri_rao_rows(model.factors, mode, np.arange(j_n))
+                       @ model.factors[mode].T)
             assert np.max(np.abs(stacked - unfold(dense, mode))) <= 1e-12
 
 
