@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 A line-oriented key=value config file (--config) supplies defaults for any
-flag; explicit flags win. A flag left unset takes the default of the dataclass
+flag of its command; explicit flags win, and a key no flag of the command
+sets is a usage error. A flag left unset takes the default of the dataclass
 field it fills (`SolverConfig`, `LossSpec`, `RegularizerSpec`,
 `SyntheticSpec`). Every output embeds the fully resolved run manifest,
 and `decompose --manifest saved.json` replays a run from one.
@@ -64,14 +65,22 @@ def _read_config_file(path) -> dict:
     return out
 
 
-def _fill(args, config_values: dict, casts: dict):
-    """Apply config-file values where flags were not given; flags win."""
+def _fill(args, config_values: dict):
+    """Apply config-file values where flags were not given; flags win. A key
+    is the `dest` of one of the command's own flags, cast as that flag
+    casts its value."""
     for key, value in config_values.items():
-        if key not in casts:
-            raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None:
-            cast = casts[key]
-            setattr(args, key, cast(value))
+        flag = args.config_flags.get(key)
+        if flag is None:
+            raise UsageError(f"unknown config key {key!r} for {args.command}")
+        if getattr(args, key) is None:
+            try:
+                value = _bool(value) if flag.nargs == 0 else flag.type(value)
+            except ValueError:
+                raise UsageError(f"bad value {value!r} for config key {key!r}") from None
+            if flag.choices is not None and value not in flag.choices:
+                raise UsageError(f"config key {key!r} must be one of {flag.choices}")
+            setattr(args, key, value)
 
 
 def _bool(text) -> bool:
@@ -124,6 +133,9 @@ def _build_parser() -> _Parser:
 
     ver = sub.add_parser("verify", help="run the oracle check suites")
     ver.add_argument("--quick", action="store_true")
+    for p in (syn, dec, cmp_):
+        p.set_defaults(config_flags={a.dest: a for a in p._actions if a.option_strings
+                                     and a.dest not in ("help", "config")})
     return parser
 
 
@@ -168,18 +180,6 @@ def _add_solver_flags(p, include_outputs=True):
         p.add_argument("--trace-format", type=str, default=None,
                        choices=["csv", "json"], dest="trace_format")
         p.add_argument("--model-out", type=str, default=None, dest="model_out")
-
-
-_SOLVER_CASTS = {
-    "input": str, "shape": _shape, "loss": str, "epsilon": float, "generator": str,
-    "regularizer": str, "reg_weight": float, "estimator": str, "rank": int,
-    "eta": float, "c1": float, "c2": float, "iters": int, "tol": float, "seed": int,
-    "batch": int, "p": int, "eval_every": int, "eval_samples": int,
-    "init_max": float, "max_step": float, "truth": str, "diagnostics": _bool,
-    "lyapunov": _bool, "no_timing": _bool, "trace": str, "trace_format": str,
-    "model_out": str, "methods": str, "seeds": int, "threshold": float,
-    "metric": str, "out": str, "dist": str, "amax": float, "sigma": float,
-}
 
 
 def _given(args, **fields) -> dict:
@@ -236,9 +236,6 @@ def _load_tensor(path, shape):
 
 
 def cmd_synthesize(args) -> int:
-    if args.config:
-        _fill(args, _read_config_file(args.config), _SOLVER_CASTS | {"shape": _shape,
-              "rank": int, "seed": int, "out": str})
     for flag in ("shape", "rank", "dist", "out"):
         if getattr(args, flag) is None:
             raise UsageError(f"--{flag} is required")
@@ -272,8 +269,6 @@ def cmd_decompose(args) -> int:
         trace_format = args.trace_format or saved["outputs"].get("trace_format", "csv")
         model_out = args.model_out or saved["outputs"].get("model")
     else:
-        if args.config:
-            _fill(args, _read_config_file(args.config), _SOLVER_CASTS)
         config = _solver_config_from_args(args)
         input_path = args.input
         shape = args.shape
@@ -335,8 +330,6 @@ def iterations_to_threshold(trace, threshold: float, metric: str = "nre"):
 
 
 def cmd_compare(args) -> int:
-    if args.config:
-        _fill(args, _read_config_file(args.config), _SOLVER_CASTS)
     if args.methods is None:
         raise UsageError("--methods is required")
     if args.threshold is None:
@@ -402,6 +395,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            _fill(args, _read_config_file(args.config))
         if args.command == "synthesize":
             return cmd_synthesize(args)
         if args.command == "decompose":

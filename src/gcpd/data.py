@@ -21,6 +21,12 @@ The .tns text format, exactly as `read_tns` accepts it:
   Without a declared shape, mode sizes are the largest index per mode; a
   file with neither a shape nor entries is rejected.
 
+`read_tns` reads a file once and parses it in one of two ways. A
+well-formed text becomes a tensor in one `np.loadtxt` pass checked as arrays.
+Any doubt sends the same text to the per-line reader, the one authority on
+faults, which raises a `ParseError` naming the first faulty line. Only faulty
+files pay for the second, line-by-line parse.
+
 Files written here carry the shape header, so reads recover the declared
 shape even when trailing slices are empty.
 
@@ -33,7 +39,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -119,11 +124,7 @@ def write_tns(tensor, path, manifest: dict | None = None):
         dims = tensor.dims
         flat = tensor.values.ravel(order="F")
         nz = np.flatnonzero(flat)
-        indices = np.empty((nz.size, len(dims)), dtype=np.int64)
-        r = nz.copy()
-        for n, d in enumerate(dims):
-            indices[:, n] = r % d
-            r //= d
+        indices = np.column_stack(np.unravel_index(nz, dims, order="F"))
         values = flat[nz]
     elif isinstance(tensor, SparseTensorCOO):
         dims = tensor.dims
@@ -140,156 +141,133 @@ def write_tns(tensor, path, manifest: dict | None = None):
 
 
 def read_tns(path, shape=None) -> SparseTensorCOO:
-    """Parse a .tns file in one pass over its entry lines; indices are 1-based
-    on disk.
+    """Parse a .tns file; indices are 1-based on disk.
 
     `shape` (or the first '# shape:' header) declares mode sizes; otherwise
-    they are inferred as the largest index seen per mode. Every entry line is
-    parsed by one `np.loadtxt` call and the block is checked as arrays; only
-    when a check fails is the text scanned again to name the first faulty
-    line. `verify.read_tns_loop` is the per-line reader this one must match.
+    they are inferred as the largest index seen per mode. The file is read
+    once. A well-formed text becomes a tensor in one `np.loadtxt` pass; at
+    any doubt the same text goes to the per-line reader, which alone decides
+    which line is at fault and raises the `ParseError`. So a faulty file is
+    parsed again line by line up to its fault, and a valid one never is.
     """
     path = Path(path)
     text = path.read_text()
     declared = tuple(int(d) for d in shape) if shape is not None else None
-    declared, header_line, fault = _scan_comment_lines(text, declared, path)
-    # Entries on lines after this one must lie within the declared shape.
-    bounded_from = 0 if shape is not None else header_line
-    # Entries at or after the first fault never count: the fault is raised first.
-    body = text if fault is None else text[:fault[0]]
-    first = next(_entry_lines(body), None)
-    if first is None:
-        if fault is not None:
-            raise fault[1]
-        if declared is None:
-            raise ParseError("file declares no shape and has no entries", path)
-        return SparseTensorCOO(declared, np.empty((0, len(declared)), np.int64),
-                               np.empty(0))
-    first_line, first_offset, first_text = first
-    n_fields = len(first_text.split())
-    if n_fields < 3:
-        raise ParseError(
-            f"need at least 2 indices and a value, got {n_fields} fields",
-            path, first_line)
-    order = n_fields - 1
-    block, malformed = _load_entries(body, order, first_offset, path)
-    fault = malformed or fault
-    idx = block["i"]
-    bad = np.any(idx < 1, axis=1)
-    above = np.zeros(0, dtype=bool)   # outside the shape, above its late header
-    if bounded_from is not None:
-        k = min(order, len(declared))
-        outside = np.any(idx[:, :k] > np.array(declared[:k], dtype=np.int64), axis=1)
-        if bounded_from > first_line:
-            # A header below some entries bounds only the entries after it.
-            above = outside[:_rows_before(body, bounded_from)].copy()
-            outside[:above.size] = False
-        bad |= outside
-    if bad.any():
-        row = int(np.argmax(bad))
-        line = _entry_line(body, row)
-        got = idx[row].tolist()
-        if min(got) < 1:
-            raise ParseError(f"indices are 1-based; got {got}", path, line)
-        raise ParseError(f"index {got} outside declared shape {declared}", path, line)
-    if fault is not None:
-        raise fault[1]
-    if declared is None:
-        declared = tuple(int(m) for m in idx.max(axis=0))
-    if len(declared) != order:
-        raise ParseError(
-            f"entries have {order} indices but shape has {len(declared)} modes", path)
-    if above.any():
-        # ... yet the tensor must still hold every entry.
-        row = int(np.argmax(above))
-        raise ParseError(f"index {idx[row].tolist()} outside the shape {declared} "
-                         "declared below it", path, _entry_line(body, row))
-    return SparseTensorCOO(declared, idx - 1, block["v"])
+    tensor = _read_well_formed(text, declared)
+    return tensor if tensor is not None else _read_lines(text, declared, path)
 
 
-def _entry_lines(text):
-    """(line number, offset, stripped text) of each entry line, lazily."""
-    offset = 0
-    for lineno, line in enumerate(io.StringIO(text), start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            yield lineno, offset, stripped
-        offset += len(line)
-
-
-def _entry_line(text, row: int) -> int:
-    """Line number of the entry line with 0-based position `row`."""
-    return next(itertools.islice(_entry_lines(text), row, None))[0]
-
-
-def _rows_before(text, lineno: int) -> int:
-    """Number of entry lines above line `lineno`."""
-    return sum(1 for _ in itertools.takewhile(lambda e: e[0] < lineno,
-                                              _entry_lines(text)))
-
-
-def _scan_comment_lines(text, declared, path):
-    """(declared shape, its header line or None, first fault or None).
-
-    Visits only the lines holding a '#'. The first '# shape:' header sets the
-    shape unless one is already declared. A fault is (offset of its line,
-    ParseError): a malformed first shape header, or a '#' after data.
-    """
-    header_line = None
-    lineno, counted = 1, 0
+def _read_well_formed(text, declared):
+    """The tensor of a well-formed .tns text, or None at any doubt: a '#'
+    after data, a malformed first shape header, no entry line or a first one
+    with fewer than three fields, a line `np.loadtxt` rejects, an index below
+    1 or outside the declared shape (wherever the header sits), or a shape
+    with another number of modes than the entries."""
+    # Visit only the lines holding a '#': the comment lines, header included.
     pos = text.find("#")
     while pos >= 0:
         start = text.rfind("\n", 0, pos) + 1
         end = text.find("\n", pos)
         end = len(text) if end < 0 else end
-        lineno += text.count("\n", counted, start)
-        counted = start
         line = text[start:end].strip()
         if not line.startswith("#"):
-            return declared, header_line, (start, ParseError(
-                "'#' after data on an entry line; comments must start their line",
-                path, lineno))
-        body = line.lstrip("#").strip()
-        if body.startswith("shape:") and declared is None:
+            return None
+        if declared is None:
             try:
-                declared = tuple(int(t) for t in body[len("shape:"):].split())
+                declared = _header_shape(line)
             except ValueError:
-                return declared, header_line, (start, ParseError(
-                    "malformed shape header", path, lineno))
-            header_line = lineno
+                return None
         pos = text.find("#", end)
-    return declared, header_line, None
-
-
-def _load_entries(text, order: int, first_offset: int, path):
-    """(block, fault): the structured (index, value) rows of the entry lines
-    of `text` before the first malformed one, parsed in one C-level pass, and
-    that line's fault (None when every line is well formed)."""
-    dtype = [("i", np.int64, (order,)), ("v", np.float64)]
+    first = next((f for f in map(str.split, io.StringIO(text))
+                  if f and not f[0].startswith("#")), [])
+    if len(first) < 3:
+        return None
+    order = len(first) - 1
     try:
-        return np.loadtxt(io.StringIO(text), dtype=dtype, comments="#", ndmin=1), None
-    except ValueError as exc:
-        fault = _first_malformed_line(text, order, path)
-        if fault is None:
-            raise ParseError(f"malformed entry lines ({exc})", path) from exc
-    if fault[0] == first_offset:
-        return np.empty(0, dtype=dtype), fault
-    return np.loadtxt(io.StringIO(text[:fault[0]]), dtype=dtype, comments="#",
-                      ndmin=1), fault
+        block = np.loadtxt(io.StringIO(text), comments="#", ndmin=1,
+                           dtype=[("i", np.int64, (order,)), ("v", np.float64)])
+    except ValueError:
+        return None
+    idx = block["i"]
+    largest = idx.max(axis=0).tolist()
+    if declared is None:
+        declared = tuple(largest)
+    if (len(declared) != order or idx.min() < 1
+            or any(m > d for m, d in zip(largest, declared))):
+        return None
+    return SparseTensorCOO(declared, idx - 1, block["v"])
 
 
-def _first_malformed_line(text, order: int, path):
-    """(offset, ParseError) of the first entry line that is not `order` ASCII
-    decimal int64 indices and one real value, or None."""
-    for lineno, offset, stripped in _entry_lines(text):
+def _read_lines(text, declared, path) -> SparseTensorCOO:
+    """The per-line reader: `text` parsed one line at a time, raising a
+    `ParseError` on the first faulty line. It defines which line is at fault,
+    and it gives the same tensor as the one-pass path on every file that
+    path accepts."""
+    indices = []
+    values = []
+    unbounded = []   # lines of the leading entries read before any shape
+    order = None
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            if declared is None:
+                try:
+                    declared = _header_shape(stripped)
+                except ValueError:
+                    raise ParseError("malformed shape header", path, lineno) from None
+            continue
+        if "#" in stripped:
+            raise ParseError(
+                "'#' after data on an entry line; comments must start their line",
+                path, lineno)
         fields = stripped.split()
+        if order is None:
+            if len(fields) < 3:
+                raise ParseError(
+                    f"need at least 2 indices and a value, got {len(fields)} fields",
+                    path, lineno)
+            order = len(fields) - 1
         if len(fields) != order + 1:
-            return offset, ParseError(
+            raise ParseError(
                 f"expected {order + 1} fields, got {len(fields)}", path, lineno)
         if not (all(map(_is_index, fields[:-1])) and _is_real(fields[-1])):
-            return offset, ParseError(
-                f"malformed entry line {stripped!r}", path, lineno)
-    return None
+            raise ParseError(f"malformed entry line {stripped!r}", path, lineno)
+        idx = [int(f) for f in fields[:-1]]
+        if min(idx) < 1:
+            raise ParseError(f"indices are 1-based; got {idx}", path, lineno)
+        if declared is None:
+            unbounded.append(lineno)
+        elif any(i > d for i, d in zip(idx, declared)):
+            raise ParseError(f"index {idx} outside declared shape {declared}",
+                             path, lineno)
+        indices.append(idx)
+        values.append(float(fields[-1]))
+    if order is None and declared is None:
+        raise ParseError("file declares no shape and has no entries", path)
+    if declared is None:
+        declared = tuple(max(column) for column in zip(*indices))
+    if order is not None and len(declared) != order:
+        raise ParseError(
+            f"entries have {order} indices but shape has {len(declared)} modes", path)
+    for lineno, idx in zip(unbounded, indices):
+        # A header below some entries bounds only the entries after it, yet
+        # the tensor must still hold every entry.
+        if any(i > d for i, d in zip(idx, declared)):
+            raise ParseError(f"index {idx} outside the shape {declared} "
+                             "declared below it", path, lineno)
+    indices = np.array(indices, dtype=np.int64).reshape(len(values), len(declared))
+    return SparseTensorCOO(declared, indices - 1, np.array(values))
+
+
+def _header_shape(comment: str):
+    """The sizes a '# shape:' comment declares, or None for another comment;
+    ValueError when they are not integers."""
+    body = comment.lstrip("#").strip()
+    if not body.startswith("shape:"):
+        return None
+    return tuple(int(t) for t in body[len("shape:"):].split())
 
 
 def _is_index(token: str) -> bool:

@@ -194,13 +194,8 @@ def objective(spec: LossSpec, tensor, model: KruskalModel, sample: int | None = 
     if rng is None:
         raise ConfigError("sampled objective needs an rng")
     lin = rng.choice(total, size=int(sample), replace=False)
-    dims = np.array(tensor.shape.dims, dtype=np.int64)
-    idx = np.empty((lin.size, tensor.shape.order), dtype=np.int64)
-    r = lin.copy()
-    for n, d in enumerate(dims):
-        idx[:, n] = r % d
-        r //= d
-    m = model.entries(idx)
+    m = model.entries(np.column_stack(
+        np.unravel_index(lin, tensor.shape.dims, order="F")))
     if isinstance(tensor, SparseTensorCOO):
         x = tensor.values_at_linear(lin)
     else:

@@ -105,8 +105,7 @@ class SparseTensorCOO:
             if indices.min() < 0 or np.any(indices >= dims[None, :]):
                 raise DataError("sparse index out of bounds")
         # Linear ids (mode-0 fastest) detect duplicates and support random reads.
-        strides = np.cumprod(np.concatenate(([1], dims[:-1])))
-        linear = indices @ strides
+        linear = np.ravel_multi_index(tuple(indices.T), self.shape.dims, order="F")
         order = np.argsort(linear, kind="stable")
         linear = linear[order]
         if values.size and np.any(np.diff(linear) == 0):
@@ -129,8 +128,11 @@ class SparseTensorCOO:
     def _build_fiber_index(self):
         self._fiber_order = []
         self._fiber_starts = []
+        dims = self.shape.dims
         for mode in range(self.shape.order):
-            fid = multi_index_to_fiber_array(self.shape, mode, self.indices)
+            others = [m for m in range(self.shape.order) if m != mode]
+            fid = np.ravel_multi_index(tuple(self.indices[:, m] for m in others),
+                                       [dims[m] for m in others], order="F")
             order = np.argsort(fid, kind="stable")
             starts = np.searchsorted(fid[order], np.arange(self.shape.fiber_count(mode) + 1))
             self._fiber_order.append(order)
@@ -227,18 +229,6 @@ class KruskalModel:
         return KruskalModel(factors)
 
 
-def multi_index_to_fiber_array(shape: TensorShape, mode: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized fiber rows for (S, N) multi-indices (mode column ignored)."""
-    rows = np.zeros(indices.shape[0], dtype=np.int64)
-    stride = 1
-    for m in range(shape.order):
-        if m == mode:
-            continue
-        rows += indices[:, m] * stride
-        stride *= shape.dims[m]
-    return rows
-
-
 def _check_rows(dims, mode: int, rows) -> np.ndarray:
     """Fiber rows as an int64 array; IndexError unless all lie in [0, J_mode)."""
     if not 0 <= mode < len(dims):
@@ -248,17 +238,6 @@ def _check_rows(dims, mode: int, rows) -> np.ndarray:
     if rows.size and (rows.min() < 0 or rows.max() >= j_n):
         raise IndexError(f"fiber row out of range [0, {j_n}) for mode {mode}")
     return rows
-
-
-def _digits(moduli, rows: np.ndarray) -> list:
-    """Per-mode indices of in-range fiber rows: the digits of repeated division
-    by the remaining mode sizes (the smallest remaining mode varies fastest)."""
-    digits = []
-    r = rows
-    for d in moduli:
-        digits.append(r % d)
-        r = r // d
-    return digits
 
 
 def _khatri_rao(factors, others, digits) -> np.ndarray:
@@ -289,8 +268,10 @@ class FiberPlan:
         self.moved = (tensor.values.transpose(self.others + (mode,))
                       if isinstance(tensor, DenseTensor) else None)
 
-    def digits(self, rows: np.ndarray) -> list:
-        return _digits(self.moduli, rows)
+    def digits(self, rows: np.ndarray) -> tuple:
+        """Per-mode indices of in-range fiber rows (the smallest remaining
+        mode varies fastest)."""
+        return np.unravel_index(rows, self.moduli, order="F")
 
     def khatri_rao(self, factors, digits) -> np.ndarray:
         """Rows of the Khatri-Rao product of the other factors, (B, R)."""
@@ -300,7 +281,7 @@ class FiberPlan:
         """Rows of the data unfolding, (B, I_mode)."""
         if self.moved is None:
             return self.tensor._gather(self.mode, rows)
-        return self.moved[tuple(digits)]
+        return self.moved[digits]
 
 
 def khatri_rao_rows(factors, mode: int, rows) -> np.ndarray:
@@ -313,7 +294,8 @@ def khatri_rao_rows(factors, mode: int, rows) -> np.ndarray:
     dims = [a.shape[0] for a in factors]
     rows = _check_rows(dims, mode, rows)
     others = [m for m in range(len(dims)) if m != mode]
-    return _khatri_rao(factors, others, _digits([dims[m] for m in others], rows))
+    return _khatri_rao(factors, others,
+                       np.unravel_index(rows, [dims[m] for m in others], order="F"))
 
 
 def data_fibers(tensor, mode: int, rows) -> np.ndarray:

@@ -4,21 +4,19 @@ prox step, estimator unbiasedness, Khatri-Rao row products, and MSE matching.
 Every check pins its tolerance here. The oracles are deliberately independent
 of the fast paths they test: finite differences of the objective, a bounded
 scalar minimizer for the prox subproblem, brute-force Khatri-Rao
-materialization, exhaustive permutation matching, a per-fiber loop for
-sparse fiber reads, and a per-line reader for .tns files. Scalar fiber-index
-conversions, the full dense unfolding and the exact gaussian block curvature
-are kept here as oracles for tests.
+materialization, exhaustive permutation matching, and a per-fiber loop for
+sparse fiber reads. Scalar fiber-index conversions, the full dense unfolding
+and the exact gaussian block curvature are kept here as oracles for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .bregman import GeneratorSpec, RegularizerSpec, mirror_prox_step
-from .errors import ParseError
+from .data import sample_tensor
 from .estimators import batch_gradient, full_gradient
 from .losses import KINDS, LossSpec, objective
 from .metrics import _cost_matrix, match_columns, mse
@@ -62,16 +60,9 @@ def _planted_instance(kind: str, shape, rank: int, seed: int):
     """A small in-domain (tensor, model) pair for the given loss kind."""
     rng = np.random.default_rng(seed)
     model = KruskalModel([0.2 + 0.8 * rng.random((d, rank)) for d in shape])
-    m = model.to_dense().values
-    if kind == "gaussian":
-        x = m + 0.3 * rng.standard_normal(m.shape)
-    elif kind == "gamma":
-        x = rng.gamma(shape=1.0, scale=m)
-    elif kind in ("poisson-identity", "poisson-log"):
-        x = rng.poisson(lam=m).astype(float)
-    else:  # bernoulli kinds
-        x = (rng.random(m.shape) < m / (1.0 + m)).astype(float)
-    return DenseTensor(x), model
+    distribution = ("bernoulli-odds" if kind.startswith("bernoulli")
+                    else kind.split("-")[0])
+    return sample_tensor(model, distribution, rng, noise_sigma=0.3), model
 
 
 def fiber_sum_gradient(spec: LossSpec, tensor, factors, mode: int, deriv) -> np.ndarray:
@@ -272,69 +263,6 @@ def gaussian_block_curvature(model: KruskalModel, mode: int) -> float:
         g *= a.T @ a
     lam = float(np.linalg.eigvalsh(g)[-1])
     return lam / model.shape.total
-
-
-def read_tns_loop(path, shape=None) -> SparseTensorCOO:
-    """A .tns file parsed one line at a time in Python (oracle for the
-    vectorized `data.read_tns`: same tensors, same `ParseError` lines)."""
-    path = Path(path)
-    declared = tuple(int(d) for d in shape) if shape is not None else None
-    indices = []
-    values = []
-    unbounded = []   # lines of the leading entries read before any shape
-    order = None
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                body = stripped.lstrip("#").strip()
-                if body.startswith("shape:") and declared is None:
-                    try:
-                        declared = tuple(int(t) for t in body[len("shape:"):].split())
-                    except ValueError:
-                        raise ParseError("malformed shape header", path, lineno)
-                continue
-            parts = stripped.split()
-            if order is None:
-                if len(parts) < 3:
-                    raise ParseError(
-                        f"need at least 2 indices and a value, got {len(parts)} fields",
-                        path, lineno)
-                order = len(parts) - 1
-            if len(parts) != order + 1:
-                raise ParseError(
-                    f"expected {order + 1} fields, got {len(parts)}", path, lineno)
-            try:
-                idx = [int(p) for p in parts[:-1]]
-                val = float(parts[-1])
-            except ValueError:
-                raise ParseError(f"malformed entry line {stripped!r}", path, lineno)
-            if any(i < 1 for i in idx):
-                raise ParseError(
-                    f"indices are 1-based; got {idx}", path, lineno)
-            if declared is None:
-                unbounded.append(lineno)
-            elif any(i > d for i, d in zip(idx, declared)):
-                raise ParseError(
-                    f"index {idx} outside declared shape {declared}", path, lineno)
-            indices.append([i - 1 for i in idx])
-            values.append(val)
-    if order is None and declared is None:
-        raise ParseError("file declares no shape and has no entries", path)
-    if declared is None:
-        declared = tuple(int(np.max([i[n] for i in indices]) + 1) for n in range(order))
-    if order is not None and len(declared) != order:
-        raise ParseError(
-            f"entries have {order} indices but shape has {len(declared)} modes", path)
-    for lineno, idx in zip(unbounded, indices):
-        if any(i >= d for i, d in zip(idx, declared)):
-            raise ParseError(
-                f"index {[i + 1 for i in idx]} outside the shape {declared} "
-                "declared below it", path, lineno)
-    indices = np.array(indices, dtype=np.int64).reshape(len(values), len(declared))
-    return SparseTensorCOO(declared, indices, np.array(values))
 
 
 def check_mse_matching(pairs: int = 50, seed: int = 13) -> CheckResult:

@@ -58,6 +58,16 @@ class TestSynthesize:
         for f in dataclasses.fields(SyntheticSpec):
             assert written[f.name] == json.loads(json.dumps(getattr(spec, f.name))), f.name
 
+    @pytest.mark.parametrize("line", ["eta=5", "estimator=bogus"])
+    def test_config_key_of_another_command_is_usage_error(self, tmp_path, capsys, line):
+        conf = tmp_path / "syn.conf"
+        conf.write_text(line + "\n")
+        code = run_cli("synthesize", "--shape", "3,2", "--rank", "1", "--dist",
+                       "gaussian", "--out", str(tmp_path / "s"), "--config", str(conf))
+        assert code == 1
+        assert f"unknown config key {line.split('=')[0]!r}" in capsys.readouterr().err
+        assert not (tmp_path / "s.tns").exists()
+
     def test_missing_dist_is_usage_error(self, tmp_path):
         code = run_cli("synthesize", "--shape", "5,4,3", "--rank", "2",
                        "--out", str(tmp_path / "x"))
@@ -201,6 +211,19 @@ class TestDecompose:
         _, rows, manifest = read_trace_csv(trace_path)
         assert manifest["config"]["max_iters"] == 10  # flag beat config file
         assert manifest["config"]["seed"] == 4        # config file supplied
+
+
+    @pytest.mark.parametrize("line", ["sigma=9", "dist=poisson", "methods=warp-x"])
+    def test_config_key_of_another_command_is_usage_error(self, gamma_files, tmp_path,
+                                                          capsys, line):
+        conf = tmp_path / "dec.conf"
+        conf.write_text(f"loss=gamma\nrank=2\niters=5\n{line}\n")
+        trace_path = tmp_path / "t.csv"
+        code = run_cli("decompose", "--input", str(gamma_files) + ".tns",
+                       "--config", str(conf), "--trace", str(trace_path))
+        assert code == 1
+        assert f"unknown config key {line.split('=')[0]!r}" in capsys.readouterr().err
+        assert not trace_path.exists()
 
 
 class TestCompare:

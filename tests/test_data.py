@@ -4,19 +4,20 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcpd import data as gdata
 from gcpd.data import (SyntheticSpec, generate, planted_factors, read_factors,
                        read_tns, read_trace_csv, sample_tensor, trace_header,
                        write_factors, write_tns, write_trace_csv, write_trace_json)
 from gcpd.errors import ConfigError, DataError, GcpdError, ParseError
 from gcpd.solver import IterationTrace, TraceRecord
 from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO
-from gcpd.verify import read_tns_loop
 
 
 class TestGenerate:
@@ -176,7 +177,12 @@ def _tns_case(data, fault=None):
         entries[row] = entries[row][1:] if draw(st.booleans()) else ["1"] + entries[row]
     elif fault == "non-numeric":
         col = draw(st.integers(0, order))
-        entries[row][col] = draw(st.sampled_from(["x", "1a", "--1", "1e", "0x1", "nan?"]))
+        # Python's int() and float() take '_' separators and non-ASCII digits;
+        # the grammar does not.
+        tokens = ["x", "1a", "--1", "1e", "0x1", "nan?", "1_0", "\uff11", "\u0663"]
+        if col < order:
+            tokens.append(str(2 ** 63))   # beyond int64, though a fine value
+        entries[row][col] = draw(st.sampled_from(tokens))
     elif fault == "fractional-index":
         entries[row][draw(st.integers(0, order - 1))] = draw(
             st.sampled_from(["1.5", "2.0", "1e0"]))
@@ -232,21 +238,37 @@ def _outcome(reader, path, shape):
     return ("tensor", t.dims, t.indices.tobytes(), t.values.tobytes())
 
 
-def _both_readers(text, shape):
+def _read_per_line(path, shape=None):
+    """The per-line reader of `gcpd.data` alone, on the text `read_tns` reads."""
+    declared = tuple(shape) if shape is not None else None
+    return gdata._read_lines(Path(path).read_text(), declared, path)
+
+
+def _outcomes(text, shape, *readers):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "case.tns"
         path.write_bytes(text.encode())
-        return _outcome(read_tns, path, shape), _outcome(read_tns_loop, path, shape)
+        return tuple(_outcome(reader, path, shape) for reader in readers)
+
+
+def _both_readers(text, shape):
+    return _outcomes(text, shape, read_tns, _read_per_line)
 
 
 class TestVectorizedTnsReader:
-    """`read_tns` against the per-line oracle `verify.read_tns_loop`."""
+    """`read_tns` against its per-line reader alone."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_valid_files_match_per_line_reader(self, data):
-        got, want = _both_readers(*_tns_case(data))
+        text, shape = _tns_case(data)
+        got, want = _both_readers(text, shape)
         assert got == want
+        if got[0] == "tensor" and got[2]:
+            # A valid file with entries never leaves the one-pass path.
+            with mock.patch.object(gdata, "_read_lines",
+                                   side_effect=AssertionError("per-line reader")):
+                assert _outcomes(text, shape, read_tns) == (got,)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.sampled_from(FAULTS))
@@ -292,7 +314,7 @@ class TestVectorizedTnsReader:
         write_tns(tensor, path)
         got = _outcome(read_tns, path, None)
         assert got[0] == "tensor" and got[1] == shape
-        assert got == _outcome(read_tns_loop, path, None)
+        assert got == _outcome(_read_per_line, path, None)
 
 
 class TestFactorFiles:
