@@ -132,12 +132,13 @@ def write_tns(tensor, path, manifest: dict | None = None):
         values = tensor.values
     else:
         raise DataError(f"cannot write {type(tensor).__name__} as .tns")
-    with path.open("w") as fh:
-        fh.write("# shape: " + " ".join(str(d) for d in dims) + "\n")
-        if manifest:
-            fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
-        for idx, v in zip(indices, values):
-            fh.write(" ".join(str(int(i) + 1) for i in idx) + f" {v:.17g}\n")
+    header = "# shape: " + " ".join(str(d) for d in dims) + "\n"
+    if manifest:
+        header += "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
+    line = "%d " * len(dims) + "%s\n"
+    columns = (indices + 1).T.tolist()
+    value_text = [format(v, ".17g") for v in values.tolist()]
+    path.write_text(header + "".join([line % entry for entry in zip(*columns, value_text)]))
 
 
 def read_tns(path, shape=None) -> SparseTensorCOO:

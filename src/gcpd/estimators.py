@@ -25,6 +25,15 @@ checks both against the state first. The `full` and `sgd` kinds go through
 the checked tensor and loss functions; SAGA and SARAH steps read fibers
 through the per-mode `FiberPlan`s of their state, after their own checked
 full pass.
+
+A full pass (the `full` kind, SARAH restarts, the SAGA table build and the
+SAGA diagnostic) forms H with one checked `khatri_rao_rows` call and
+M = H A_n^T with one product, then walks row blocks of about 2^13 entries:
+each block's fibers come from one checked `data_fibers` call, and its
+derivatives, from one checked `loss_deriv` call, overwrite its rows of M. So
+no temporary of the pass is larger than M, and the derivative arithmetic stays
+in cache. Both products stay whole, so every value equals that of one pass
+over the whole unfolding, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,9 +49,16 @@ from .tensors import FiberPlan, KruskalModel, data_fibers, khatri_rao_rows
 ESTIMATOR_KINDS = ("full", "sgd", "saga", "sarah")
 
 
+# Entries per row block of a full pass: a block's fibers, derivatives and their
+# intermediates stay in cache.
+_BLOCK_ENTRIES = 1 << 13
+
+
 def _stack(d: np.ndarray, kr: np.ndarray) -> np.ndarray:
     """Per-fiber gradients g_j = D(j, :)^T H(j, :) / I_n, stacked (B, I_n, R)."""
-    return np.einsum("bi,br->bir", d, kr) / d.shape[1]
+    out = np.einsum("bi,br->bir", d, kr)
+    out /= d.shape[1]
+    return out
 
 
 def _batch_mean(d: np.ndarray, kr: np.ndarray) -> np.ndarray:
@@ -50,12 +66,24 @@ def _batch_mean(d: np.ndarray, kr: np.ndarray) -> np.ndarray:
     return d.T @ kr / (d.shape[1] * d.shape[0])
 
 
-def fiber_gradient_stack(tensor, factors, loss: LossSpec, mode: int, rows) -> np.ndarray:
-    """Per-fiber gradient matrices g_j, stacked (B, I_n, R)."""
+def _full_terms(tensor, factors, loss: LossSpec, mode: int):
+    """Loss derivatives D over all J_n fibers of `mode` and the Khatri-Rao
+    rows H, through the checked functions, with the elementwise work done in
+    row blocks (see the module docstring)."""
+    rows = np.arange(tensor.shape.fiber_count(mode))
     kr = khatri_rao_rows(factors, mode, rows)
-    m = kr @ factors[mode].T
-    x = data_fibers(tensor, mode, rows)
-    return _stack(loss_deriv(loss, x, m), kr)
+    d = kr @ factors[mode].T   # M, overwritten by D block by block
+    step = max(1, _BLOCK_ENTRIES // d.shape[1])
+    try:
+        for lo in range(0, rows.size, step):
+            d[lo:lo + step] = loss_deriv(
+                loss, data_fibers(tensor, mode, rows[lo:lo + step]), d[lo:lo + step])
+    except LossDomainError:
+        # Name the fault as one check over the whole unfolding does: data
+        # faults before model faults, extremes over every fiber.
+        loss_deriv(loss, data_fibers(tensor, mode, rows), kr @ factors[mode].T)
+        raise
+    return d, kr
 
 
 def batch_gradient(tensor, factors, loss: LossSpec, mode: int, rows) -> np.ndarray:
@@ -68,8 +96,7 @@ def batch_gradient(tensor, factors, loss: LossSpec, mode: int, rows) -> np.ndarr
 
 def full_gradient(tensor, factors, loss: LossSpec, mode: int) -> np.ndarray:
     """Exact block partial gradient over all J_n fibers (desk scale)."""
-    shape = tensor.shape
-    return batch_gradient(tensor, factors, loss, mode, np.arange(shape.fiber_count(mode)))
+    return _batch_mean(*_full_terms(tensor, factors, loss, mode))
 
 
 class EstimatorState:
@@ -116,8 +143,7 @@ class EstimatorState:
             self.table_avg = []
             self._since_sync = [0] * self.order
             for n in range(self.order):
-                stack = fiber_gradient_stack(
-                    tensor, model.factors, loss, n, np.arange(self.fiber_counts[n]))
+                stack = _stack(*_full_terms(tensor, model.factors, loss, n))
                 self.tables.append(stack)
                 self.table_avg.append(stack.mean(axis=0))
         elif kind == "sarah":
@@ -231,12 +257,10 @@ def vr_diagnostics(state: EstimatorState, factors, mode: int, rows) -> float:
     if state.kind == "full":
         return 0.0
     if state.kind == "saga":
-        j_n = state.fiber_counts[mode]
-        current = fiber_gradient_stack(state.tensor, factors, state.loss, mode,
-                                       np.arange(j_n))
-        diff = current - state.tables[mode]
+        diff = _stack(*_full_terms(state.tensor, factors, state.loss, mode))
+        diff -= state.tables[mode]
         sq = np.sum(diff * diff, axis=(1, 2))
-        return float(np.sum(sq) / (state.batches[mode] * j_n))
+        return float(np.sum(sq) / (state.batches[mode] * state.fiber_counts[mode]))
     if state.kind == "sarah":
         if state.estimates[mode] is None:
             return 0.0

@@ -307,7 +307,8 @@ def step(state: SolverRunState, config: SolverConfig) -> int:
 
     # Trust region: cap |eta * grad| per coordinate. Loss barriers (x/(m+eps)
     # near m = 0) produce ~1/eps^2-scale derivatives that would otherwise turn
-    # one update into an overflow; the cap binds only in that zone.
+    # one update into an overflow. The cap also binds on high-variance
+    # estimates away from the barriers (a few percent of SAGA's coordinates).
     if config.max_step < math.inf:
         bound = config.max_step / eta_k
         grad = np.minimum(np.maximum(grad, -bound), bound)  # np.clip, minus its dispatch

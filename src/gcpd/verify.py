@@ -67,7 +67,8 @@ def _planted_instance(kind: str, shape, rank: int, seed: int):
 
 def fiber_sum_gradient(spec: LossSpec, tensor, factors, mode: int, deriv) -> np.ndarray:
     """Exact block gradient (1/J_n) sum_j D(j, :)^T H(j, :) / I_n with the loss
-    derivative passed in explicitly; the arithmetic of `full_gradient`."""
+    derivative passed in explicitly; the arithmetic of `full_gradient` in one
+    piece over the whole unfolding, where `full_gradient` works in row blocks."""
     rows = np.arange(tensor.shape.fiber_count(mode))
     kr = khatri_rao_rows(factors, mode, rows)
     d = deriv(spec, data_fibers(tensor, mode, rows), kr @ factors[mode].T)

@@ -129,6 +129,34 @@ class TestTnsFormat:
         write_tns(sp, path)
         assert read_tns(path).shape.dims == (4, 4, 4)
 
+    @pytest.mark.parametrize("manifest", [None, {"seed": 3, "shape": [6, 5, 4]}])
+    def test_writes_the_per_line_form(self, tmp_path, manifest):
+        # One entry per write, as the writer used to run: the reference form.
+        def per_line(path, dims, indices, values):
+            with path.open("w") as fh:
+                fh.write("# shape: " + " ".join(str(d) for d in dims) + "\n")
+                if manifest:
+                    fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+                for idx, v in zip(indices, values):
+                    fh.write(" ".join(str(int(i) + 1) for i in idx) + f" {v:.17g}\n")
+
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((6, 5, 4)) * 10.0 ** rng.integers(-300, 300, (6, 5, 4))
+        values[rng.random(values.shape) < 0.4] = 0.0
+        dense = DenseTensor(values)
+        flat = values.ravel(order="F")
+        nz = np.flatnonzero(flat)
+        sparse = SparseTensorCOO((6, 5, 4), np.column_stack(
+            np.unravel_index(nz, (6, 5, 4), order="F")), -flat[nz] / 3)
+        for tensor, indices, entries in (
+                (dense, sparse.indices, flat[nz]),
+                (sparse, sparse.indices, sparse.values),
+                (SparseTensorCOO((3, 2), np.zeros((0, 2)), []), np.zeros((0, 2)), [])):
+            got, want = tmp_path / "got.tns", tmp_path / "want.tns"
+            write_tns(tensor, got, manifest)
+            per_line(want, tensor.dims, indices, entries)
+            assert got.read_bytes() == want.read_bytes()
+
     def test_headerless_file_infers_shape(self, tmp_path):
         # External FROSTT-style files carry no shape header.
         p = tmp_path / "ext.tns"

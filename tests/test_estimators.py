@@ -1,14 +1,18 @@
 """Gradient estimators: exactness, unbiasedness, SAGA/SARAH state, diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gcpd import estimators
 from gcpd.errors import ConfigError, LossDomainError, StateError
 from gcpd.estimators import (ESTIMATOR_KINDS, EstimatorState, batch_gradient,
                              checked_gradient, estimate_gradient, full_gradient,
                              vr_diagnostics)
-from gcpd.losses import LossSpec, objective
-from gcpd.tensors import DenseTensor, KruskalModel
+from gcpd.losses import KINDS, LossSpec, loss_deriv, objective
+from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO, khatri_rao_rows
+from gcpd.verify import fiber_sum_gradient, unfold
 
 
 def make_instance(kind="poisson-identity", dims=(4, 3, 4), rank=2, seed=0):
@@ -65,6 +69,102 @@ class TestFullGradient:
             full = full_gradient(tensor, model.factors, spec, mode)
             est = checked_gradient(state, model.factors, mode, np.arange(j_n))
             assert np.max(np.abs(est - full)) <= 1e-12
+
+
+def as_sparse(tensor):
+    nz = np.argwhere(tensor.values)
+    return SparseTensorCOO(tensor.dims, nz, tensor.values[tuple(nz.T)])
+
+
+# Spans several row blocks in every mode; its modes end in remainder blocks of
+# 3, 1 and 3 rows.
+BLOCKED_DIMS = (41, 30, 20)
+
+
+class TestBlockedFullPass:
+    """A full pass does its elementwise work in row blocks and must equal the
+    pass over the whole unfolding in one piece, bit for bit."""
+
+    def test_dims_span_blocks_with_short_remainders(self):
+        tails = set()
+        for mode, i_n in enumerate(BLOCKED_DIMS):
+            step = estimators._BLOCK_ENTRIES // i_n
+            j_n = np.prod(BLOCKED_DIMS) // i_n
+            assert j_n > 2 * step
+            tails.add(int(j_n % step))
+        assert tails == {1, 3}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_one_piece_pass(self, kind):
+        dense, model, spec = make_instance(kind, dims=BLOCKED_DIMS, rank=3, seed=21)
+        for tensor in (dense, as_sparse(dense)):
+            for mode in range(3):
+                got = full_gradient(tensor, model.factors, spec, mode)
+                want = fiber_sum_gradient(spec, tensor, model.factors, mode, loss_deriv)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_saga_tables_equal_one_piece_stack(self, sparse):
+        dense, model, spec = make_instance("gamma", dims=BLOCKED_DIMS, rank=2, seed=22)
+        tensor = as_sparse(dense) if sparse else dense
+        state = EstimatorState("saga", tensor, model, spec, batch=4)
+        for mode in range(3):
+            rows = np.arange(tensor.shape.fiber_count(mode))
+            kr = khatri_rao_rows(model.factors, mode, rows)
+            d = loss_deriv(spec, unfold(dense, mode), kr @ model.factors[mode].T)
+            stack = np.einsum("bi,br->bir", d, kr) / BLOCKED_DIMS[mode]
+            assert np.array_equal(state.tables[mode], stack)
+            assert np.array_equal(state.table_avg[mode], stack.mean(axis=0))
+
+    @pytest.mark.parametrize("kind,faults", [
+        ("gamma", {-1: -0.5}),                       # in the last block only
+        ("gamma", {0: -0.25, -1: -0.5}),             # the whole pass names the minimum
+        ("bernoulli-odds", {-1: 0.5}),
+        ("poisson-identity", {0: 0.5, -1: -1.0}),    # negatives before fractions
+    ])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_data_faults_in_any_block_name_the_whole_pass_fault(self, kind, faults, sparse):
+        dense, model, spec = make_instance(kind, dims=BLOCKED_DIMS, rank=2, seed=23)
+        values = dense.values.copy()
+        flat = values.reshape(-1)
+        for at, value in faults.items():
+            flat[at] = value   # entry (0, 0, 0) or (40, 29, 19): first or last fiber
+        tensor = as_sparse(DenseTensor(values)) if sparse else DenseTensor(values)
+        for mode in range(3):
+            self._assert_same_fault(tensor, model.factors, spec, mode)
+
+    def test_negative_factors_name_the_whole_pass_minimum(self):
+        tensor, model, spec = make_instance("gamma", dims=BLOCKED_DIMS, rank=2, seed=24)
+        factors = [a.copy() for a in model.factors]
+        factors[0][3, 0] = -0.5
+        factors[1][-1, 1] = -2.0
+        for mode in range(3):
+            self._assert_same_fault(tensor, factors, spec, mode)
+
+    @staticmethod
+    def _assert_same_fault(tensor, factors, spec, mode):
+        with pytest.raises(LossDomainError) as whole:
+            fiber_sum_gradient(spec, tensor, factors, mode, loss_deriv)
+        with pytest.raises(LossDomainError) as blocked:
+            full_gradient(tensor, factors, spec, mode)
+        assert str(blocked.value) == str(whole.value)
+
+    def test_dense_pass_allocates_no_tensor_sized_temporaries(self):
+        # Only M = H A_n^T, which D overwrites, is as large as the tensor; a
+        # whole-unfolding pass peaks at about 5x the tensor's bytes.
+        rng = np.random.default_rng(25)
+        model = KruskalModel([0.2 + 0.8 * rng.random((d, 4)) for d in (80, 60, 50)])
+        tensor = DenseTensor((rng.random((80, 60, 50)) < 0.3).astype(float))
+        spec = LossSpec("bernoulli-odds")
+        for mode in range(3):
+            full_gradient(tensor, model.factors, spec, mode)
+            tracemalloc.start()
+            try:
+                full_gradient(tensor, model.factors, spec, mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * tensor.values.nbytes
 
 
 class TestSgd:
