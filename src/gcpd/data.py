@@ -54,6 +54,7 @@ DISTRIBUTIONS = ("gamma", "poisson", "bernoulli-odds", "gaussian")
 
 _INDEX_TOKEN = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
+_WRITE_CHUNK = 1 << 16   # .tns entries formatted per write
 
 
 @dataclass(frozen=True)
@@ -132,13 +133,17 @@ def write_tns(tensor, path, manifest: dict | None = None):
         values = tensor.values
     else:
         raise DataError(f"cannot write {type(tensor).__name__} as .tns")
-    header = "# shape: " + " ".join(str(d) for d in dims) + "\n"
-    if manifest:
-        header += "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
     line = "%d " * len(dims) + "%s\n"
-    columns = (indices + 1).T.tolist()
-    value_text = [format(v, ".17g") for v in values.tolist()]
-    path.write_text(header + "".join([line % entry for entry in zip(*columns, value_text)]))
+    with path.open("w") as fh:
+        fh.write("# shape: " + " ".join(str(d) for d in dims) + "\n")
+        if manifest:
+            fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+        # Formatted and written a chunk of entries at a time, so the text held
+        # in memory stays a few MiB whatever the entry count.
+        for lo in range(0, len(values), _WRITE_CHUNK):
+            columns = (indices[lo:lo + _WRITE_CHUNK] + 1).T.tolist()
+            value_text = [format(v, ".17g") for v in values[lo:lo + _WRITE_CHUNK].tolist()]
+            fh.write("".join([line % entry for entry in zip(*columns, value_text)]))
 
 
 def read_tns(path, shape=None) -> SparseTensorCOO:

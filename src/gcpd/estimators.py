@@ -26,14 +26,15 @@ the checked tensor and loss functions; SAGA and SARAH steps read fibers
 through the per-mode `FiberPlan`s of their state, after their own checked
 full pass.
 
-A full pass (the `full` kind, SARAH restarts, the SAGA table build and the
-SAGA diagnostic) forms H with one checked `khatri_rao_rows` call and
-M = H A_n^T with one product, then walks row blocks of about 2^13 entries:
-each block's fibers come from one checked `data_fibers` call, and its
-derivatives, from one checked `loss_deriv` call, overwrite its rows of M. So
-no temporary of the pass is larger than M, and the derivative arithmetic stays
-in cache. Both products stay whole, so every value equals that of one pass
-over the whole unfolding, bit for bit.
+A checked pass over a set of fibers (an `sgd` batch; all J_n fibers for the
+`full` kind, SARAH restarts, the SAGA table build and the SAGA diagnostic)
+forms H with one checked `khatri_rao_rows` call and M = H A_n^T with one
+product, then walks row blocks of about 2^13 entries: each block's fibers come
+from one checked `data_fibers` call, and its derivatives, from one checked
+`loss_deriv` call, overwrite its rows of M. So no temporary of the pass is
+larger than M. Both products stay whole, so every value equals that of one
+pass over the same fibers in one piece, bit for bit. An `sgd` batch of
+B I_n <= 2^13 entries is one block.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ from .tensors import FiberPlan, KruskalModel, data_fibers, khatri_rao_rows
 ESTIMATOR_KINDS = ("full", "sgd", "saga", "sarah")
 
 
-# Entries per row block of a full pass: a block's fibers, derivatives and their
-# intermediates stay in cache.
+# Entries per row block of a checked pass. Smaller blocks pay more checked
+# calls (2^10 more than doubles a dense-bernoulli-full fit); larger ones add
+# per-block temporaries (at 2^15 a dense full pass peaks at 1.6x the tensor's
+# bytes, against 1.2x here).
 _BLOCK_ENTRIES = 1 << 13
 
 
@@ -66,12 +69,12 @@ def _batch_mean(d: np.ndarray, kr: np.ndarray) -> np.ndarray:
     return d.T @ kr / (d.shape[1] * d.shape[0])
 
 
-def _full_terms(tensor, factors, loss: LossSpec, mode: int):
-    """Loss derivatives D over all J_n fibers of `mode` and the Khatri-Rao
+def _terms(tensor, factors, loss: LossSpec, mode: int, rows):
+    """Loss derivatives D at the given fibers of `mode` and the Khatri-Rao
     rows H, through the checked functions, with the elementwise work done in
     row blocks (see the module docstring)."""
-    rows = np.arange(tensor.shape.fiber_count(mode))
     kr = khatri_rao_rows(factors, mode, rows)
+    rows = np.atleast_1d(np.asarray(rows))
     d = kr @ factors[mode].T   # M, overwritten by D block by block
     step = max(1, _BLOCK_ENTRIES // d.shape[1])
     try:
@@ -79,24 +82,25 @@ def _full_terms(tensor, factors, loss: LossSpec, mode: int):
             d[lo:lo + step] = loss_deriv(
                 loss, data_fibers(tensor, mode, rows[lo:lo + step]), d[lo:lo + step])
     except LossDomainError:
-        # Name the fault as one check over the whole unfolding does: data
-        # faults before model faults, extremes over every fiber.
+        # Name the fault as one check over all the rows does: data faults
+        # before model faults, extremes over every fiber.
         loss_deriv(loss, data_fibers(tensor, mode, rows), kr @ factors[mode].T)
         raise
     return d, kr
 
 
+def _all_rows(tensor, mode: int) -> np.ndarray:
+    return np.arange(tensor.shape.fiber_count(mode))
+
+
 def batch_gradient(tensor, factors, loss: LossSpec, mode: int, rows) -> np.ndarray:
     """(1/B) sum over the given fibers of g_j, shape (I_n, R)."""
-    kr = khatri_rao_rows(factors, mode, rows)
-    m = kr @ factors[mode].T
-    x = data_fibers(tensor, mode, rows)
-    return _batch_mean(loss_deriv(loss, x, m), kr)
+    return _batch_mean(*_terms(tensor, factors, loss, mode, rows))
 
 
 def full_gradient(tensor, factors, loss: LossSpec, mode: int) -> np.ndarray:
     """Exact block partial gradient over all J_n fibers (desk scale)."""
-    return _batch_mean(*_full_terms(tensor, factors, loss, mode))
+    return batch_gradient(tensor, factors, loss, mode, _all_rows(tensor, mode))
 
 
 class EstimatorState:
@@ -143,7 +147,7 @@ class EstimatorState:
             self.table_avg = []
             self._since_sync = [0] * self.order
             for n in range(self.order):
-                stack = _stack(*_full_terms(tensor, model.factors, loss, n))
+                stack = _stack(*_terms(tensor, model.factors, loss, n, _all_rows(tensor, n)))
                 self.tables.append(stack)
                 self.table_avg.append(stack.mean(axis=0))
         elif kind == "sarah":
@@ -257,7 +261,8 @@ def vr_diagnostics(state: EstimatorState, factors, mode: int, rows) -> float:
     if state.kind == "full":
         return 0.0
     if state.kind == "saga":
-        diff = _stack(*_full_terms(state.tensor, factors, state.loss, mode))
+        diff = _stack(*_terms(state.tensor, factors, state.loss, mode,
+                              _all_rows(state.tensor, mode)))
         diff -= state.tables[mode]
         sq = np.sum(diff * diff, axis=(1, 2))
         return float(np.sum(sq) / (state.batches[mode] * state.fiber_counts[mode]))

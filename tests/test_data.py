@@ -129,8 +129,11 @@ class TestTnsFormat:
         write_tns(sp, path)
         assert read_tns(path).shape.dims == (4, 4, 4)
 
+    @pytest.mark.parametrize("chunk", [6, None])
     @pytest.mark.parametrize("manifest", [None, {"seed": 3, "shape": [6, 5, 4]}])
-    def test_writes_the_per_line_form(self, tmp_path, manifest):
+    def test_writes_the_per_line_form(self, tmp_path, monkeypatch, manifest, chunk):
+        if chunk:   # 79 entries: 13 full chunks and one of a single entry
+            monkeypatch.setattr(gdata, "_WRITE_CHUNK", chunk)
         # One entry per write, as the writer used to run: the reference form.
         def per_line(path, dims, indices, values):
             with path.open("w") as fh:

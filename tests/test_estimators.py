@@ -76,19 +76,26 @@ def as_sparse(tensor):
     return SparseTensorCOO(tensor.dims, nz, tensor.values[tuple(nz.T)])
 
 
-# Spans several row blocks in every mode; its modes end in remainder blocks of
-# 3, 1 and 3 rows.
+# At blocks of BLOCK_ENTRIES entries these dims span several row blocks in
+# every mode, and the modes end in remainder blocks of 3, 1 and 3 rows.
+BLOCK_ENTRIES = 1 << 13
 BLOCKED_DIMS = (41, 30, 20)
 
 
-class TestBlockedFullPass:
-    """A full pass does its elementwise work in row blocks and must equal the
-    pass over the whole unfolding in one piece, bit for bit."""
+class TestBlockedPass:
+    """A gradient pass does its elementwise work in row blocks and must equal
+    the pass over the same rows in one piece, bit for bit. The block size is
+    set here, so these dims keep their remainder blocks whatever the module's
+    own size."""
+
+    @pytest.fixture(autouse=True)
+    def _block_size(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", BLOCK_ENTRIES)
 
     def test_dims_span_blocks_with_short_remainders(self):
         tails = set()
         for mode, i_n in enumerate(BLOCKED_DIMS):
-            step = estimators._BLOCK_ENTRIES // i_n
+            step = BLOCK_ENTRIES // i_n
             j_n = np.prod(BLOCKED_DIMS) // i_n
             assert j_n > 2 * step
             tails.add(int(j_n % step))
@@ -102,6 +109,21 @@ class TestBlockedFullPass:
                 got = full_gradient(tensor, model.factors, spec, mode)
                 want = fiber_sum_gradient(spec, tensor, model.factors, mode, loss_deriv)
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_sampled_rows_over_several_blocks_equal_one_piece(self, sparse):
+        dense, model, spec = make_instance("poisson-identity", dims=BLOCKED_DIMS,
+                                           rank=3, seed=26)
+        tensor = as_sparse(dense) if sparse else dense
+        rng = np.random.default_rng(26)
+        for mode in range(3):
+            j_n = tensor.shape.fiber_count(mode)
+            rows = np.sort(rng.choice(j_n, size=j_n // 2, replace=False))
+            kr = khatri_rao_rows(model.factors, mode, rows)
+            d = loss_deriv(spec, unfold(dense, mode)[rows], kr @ model.factors[mode].T)
+            want = d.T @ kr / (d.shape[1] * d.shape[0])
+            assert np.array_equal(batch_gradient(tensor, model.factors, spec, mode, rows),
+                                  want)
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_saga_tables_equal_one_piece_stack(self, sparse):
@@ -149,6 +171,9 @@ class TestBlockedFullPass:
             full_gradient(tensor, factors, spec, mode)
         assert str(blocked.value) == str(whole.value)
 
+
+
+class TestFullPassMemory:
     def test_dense_pass_allocates_no_tensor_sized_temporaries(self):
         # Only M = H A_n^T, which D overwrites, is as large as the tensor; a
         # whole-unfolding pass peaks at about 5x the tensor's bytes.
