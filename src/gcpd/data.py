@@ -2,8 +2,9 @@
 
 The .tns text format, exactly as `read_tns` accepts it:
 
-* Lines end in LF, CRLF or CR. Whitespace is any character `str.isspace`
-  accepts; empty and whitespace-only lines are skipped.
+* The file is UTF-8 text. Lines end in LF, CRLF or CR. Whitespace is any
+  character `str.isspace` accepts; empty and whitespace-only lines are
+  skipped.
 * A comment line has '#' as its first non-whitespace character. A '#'
   anywhere else, such as a trailing comment after an entry, is an error.
 * The first comment line of the form "# shape: I_1 ... I_N" (one or more
@@ -21,11 +22,11 @@ The .tns text format, exactly as `read_tns` accepts it:
   Without a declared shape, mode sizes are the largest index per mode; a
   file with neither a shape nor entries is rejected.
 
-`read_tns` reads a file once and parses it in one of two ways. A
-well-formed text becomes a tensor in one `np.loadtxt` pass checked as arrays.
-Any doubt sends the same text to the per-line reader, the one authority on
-faults, which raises a `ParseError` naming the first faulty line. Only faulty
-files pay for the second, line-by-line parse.
+`read_tns` reads a file once, as bytes, and parses it in one of two ways. A
+well-formed file becomes a tensor in one `np.loadtxt` pass over those bytes,
+checked as arrays. Any doubt sends the same text, decoded, to the per-line
+reader, the one authority on faults, which raises a `ParseError` naming the
+first faulty line. Only faulty files pay for the second, line-by-line parse.
 
 Files written here carry the shape header, so reads recover the declared
 shape even when trailing slices are empty.
@@ -121,29 +122,37 @@ def generate(spec: SyntheticSpec) -> tuple[DenseTensor, KruskalModel]:
 def write_tns(tensor, path, manifest: dict | None = None):
     """Write nonzero entries as 1-based '.tns' lines with a shape header."""
     path = Path(path)
-    if isinstance(tensor, DenseTensor):
-        dims = tensor.dims
-        flat = tensor.values.ravel(order="F")
-        nz = np.flatnonzero(flat)
-        indices = np.column_stack(np.unravel_index(nz, dims, order="F"))
-        values = flat[nz]
-    elif isinstance(tensor, SparseTensorCOO):
-        dims = tensor.dims
-        indices = tensor.indices
-        values = tensor.values
-    else:
+    if not isinstance(tensor, (DenseTensor, SparseTensorCOO)):
         raise DataError(f"cannot write {type(tensor).__name__} as .tns")
-    line = "%d " * len(dims) + "%s\n"
+    line = "%d " * len(tensor.dims) + "%s\n"
     with path.open("w") as fh:
-        fh.write("# shape: " + " ".join(str(d) for d in dims) + "\n")
+        fh.write("# shape: " + " ".join(str(d) for d in tensor.dims) + "\n")
         if manifest:
             fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
-        # Formatted and written a chunk of entries at a time, so the text held
+        # Formatted and written a block of entries at a time, so the text held
         # in memory stays a few MiB whatever the entry count.
-        for lo in range(0, len(values), _WRITE_CHUNK):
-            columns = (indices[lo:lo + _WRITE_CHUNK] + 1).T.tolist()
-            value_text = [format(v, ".17g") for v in values[lo:lo + _WRITE_CHUNK].tolist()]
+        for indices, values in _entry_blocks(tensor):
+            columns = (indices + 1).T.tolist()
+            value_text = [format(v, ".17g") for v in values.tolist()]
             fh.write("".join([line % entry for entry in zip(*columns, value_text)]))
+
+
+def _entry_blocks(tensor):
+    """(0-based indices, values) of the nonzero entries in linear order, at
+    most `_WRITE_CHUNK` at a time. A dense tensor is searched one last-mode
+    slab at a time, so no copy of the whole tensor is made."""
+    if isinstance(tensor, SparseTensorCOO):
+        for lo in range(0, tensor.nnz, _WRITE_CHUNK):
+            yield tensor.indices[lo:lo + _WRITE_CHUNK], tensor.values[lo:lo + _WRITE_CHUNK]
+        return
+    *lead, last = tensor.dims
+    for k in range(last):
+        flat = tensor.values[..., k].ravel(order="F")
+        nz = np.flatnonzero(flat)
+        for lo in range(0, nz.size, _WRITE_CHUNK):
+            at = nz[lo:lo + _WRITE_CHUNK]
+            yield (np.column_stack(np.unravel_index(at, lead, order="F")
+                                   + (np.full(at.size, k),)), flat[at])
 
 
 def read_tns(path, shape=None) -> SparseTensorCOO:
@@ -151,46 +160,65 @@ def read_tns(path, shape=None) -> SparseTensorCOO:
 
     `shape` (or the first '# shape:' header) declares mode sizes; otherwise
     they are inferred as the largest index seen per mode. The file is read
-    once. A well-formed text becomes a tensor in one `np.loadtxt` pass; at
-    any doubt the same text goes to the per-line reader, which alone decides
-    which line is at fault and raises the `ParseError`. So a faulty file is
-    parsed again line by line up to its fault, and a valid one never is.
+    once, as bytes, and must be UTF-8 text. A well-formed file becomes a
+    tensor in one `np.loadtxt` pass over those bytes; at any doubt they are
+    decoded for the per-line reader, which alone decides which line is at
+    fault and raises the `ParseError`. So a faulty file is parsed again line
+    by line up to its fault, and a valid one never is.
     """
     path = Path(path)
-    text = path.read_text()
+    buf = path.read_bytes()
+    if not buf.isascii():
+        buf.decode()   # UnicodeDecodeError unless the text is UTF-8
+    if buf.count(b"\r") != buf.count(b"\r\n"):
+        # Lines ending in a bare CR, which `np.loadtxt` does not split.
+        buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     declared = tuple(int(d) for d in shape) if shape is not None else None
-    tensor = _read_well_formed(text, declared)
-    return tensor if tensor is not None else _read_lines(text, declared, path)
+    parsed = _read_well_formed(buf, declared)
+    if parsed is None:
+        return _read_lines(buf.decode(), declared, path)
+    del buf   # freed before the tensor's own arrays are built
+    return SparseTensorCOO(*parsed)
 
 
-def _read_well_formed(text, declared):
-    """The tensor of a well-formed .tns text, or None at any doubt: a '#'
-    after data, a malformed first shape header, no entry line or a first one
-    with fewer than three fields, a line `np.loadtxt` rejects, an index below
-    1 or outside the declared shape (wherever the header sits), or a shape
-    with another number of modes than the entries."""
+def _read_well_formed(buf, declared):
+    """(shape, 0-based indices, values) of a well-formed .tns file given as
+    bytes with LF or CRLF line ends, or None at any doubt: a '#' after data, a
+    malformed first shape header, no entry line or a first one with fewer
+    than three fields, a line `np.loadtxt` rejects, an index below 1 or
+    outside the declared shape (wherever the header sits), or a shape with
+    another number of modes than the entries."""
     # Visit only the lines holding a '#': the comment lines, header included.
-    pos = text.find("#")
+    pos = buf.find(b"#")
     while pos >= 0:
-        start = text.rfind("\n", 0, pos) + 1
-        end = text.find("\n", pos)
-        end = len(text) if end < 0 else end
-        line = text[start:end].strip()
-        if not line.startswith("#"):
+        start = buf.rfind(b"\n", 0, pos) + 1
+        end = buf.find(b"\n", pos)
+        end = len(buf) if end < 0 else end
+        line = buf[start:end].strip()
+        if not line.startswith(b"#"):
             return None
         if declared is None:
             try:
-                declared = _header_shape(line)
+                declared = _header_shape(line.decode())
             except ValueError:
                 return None
-        pos = text.find("#", end)
-    first = next((f for f in map(str.split, io.StringIO(text))
-                  if f and not f[0].startswith("#")), [])
-    if len(first) < 3:
+        pos = buf.find(b"#", end)
+    # `np.loadtxt` starts at the first entry line, and looks for comments only
+    # when one follows it.
+    stream = io.BytesIO(buf)
+    for first in stream:
+        fields = first.decode().split()
+        if fields and not fields[0].startswith("#"):
+            break
+    else:
         return None
-    order = len(first) - 1
+    if len(fields) < 3:
+        return None
+    order = len(fields) - 1
+    stream.seek(stream.tell() - len(first))
+    comments = "#" if buf.rfind(b"#") > stream.tell() else None
     try:
-        block = np.loadtxt(io.StringIO(text), comments="#", ndmin=1,
+        block = np.loadtxt(stream, comments=comments, ndmin=1,
                            dtype=[("i", np.int64, (order,)), ("v", np.float64)])
     except ValueError:
         return None
@@ -201,7 +229,8 @@ def _read_well_formed(text, declared):
     if (len(declared) != order or idx.min() < 1
             or any(m > d for m, d in zip(largest, declared))):
         return None
-    return SparseTensorCOO(declared, idx - 1, block["v"])
+    # One contiguous copy of each field, which the tensor then keeps.
+    return declared, idx - 1, block["v"].copy()
 
 
 def _read_lines(text, declared, path) -> SparseTensorCOO:

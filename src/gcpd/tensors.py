@@ -85,15 +85,18 @@ class DenseTensor:
 class SparseTensorCOO:
     """Sparse coordinate tensor with implicit-zero semantics.
 
-    A per-mode fiber index (fiber row -> slice of nonzeros) is built once at
-    construction so fiber extraction is O(nnz in fiber), not O(nnz total).
-    Instances are immutable after construction.
+    Entries are kept in linear order (mode-0 fastest). A per-mode fiber index
+    (fiber row -> slice of nonzeros) is built once at construction so fiber
+    extraction is O(nnz in fiber), not O(nnz total). Instances are immutable
+    after construction. Entries already in strictly rising linear order, as
+    `data.write_tns` writes them, are kept as given when they are C-contiguous
+    int64 and float64 arrays, so the caller hands those arrays over.
     """
 
-    def __init__(self, shape, indices, values, implicit_zeros=True):
+    def __init__(self, shape, indices, values):
         self.shape = shape if isinstance(shape, TensorShape) else TensorShape(tuple(shape))
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1, self.shape.order)
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        indices = np.ascontiguousarray(indices, dtype=np.int64).reshape(-1, self.shape.order)
+        values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
         if indices.shape[0] != values.shape[0]:
             raise DataError("indices and values length mismatch")
         if values.size > self.shape.total:
@@ -106,14 +109,17 @@ class SparseTensorCOO:
                 raise DataError("sparse index out of bounds")
         # Linear ids (mode-0 fastest) detect duplicates and support random reads.
         linear = np.ravel_multi_index(tuple(indices.T), self.shape.dims, order="F")
-        order = np.argsort(linear, kind="stable")
-        linear = linear[order]
-        if values.size and np.any(np.diff(linear) == 0):
-            dup = indices[order[np.flatnonzero(np.diff(linear) == 0)[0] + 1]]
-            raise DataError(f"duplicate coordinate {tuple(int(i) for i in dup)} in sparse input")
-        self.indices = indices[order]
-        self.values = values[order]
-        self.implicit_zeros = bool(implicit_zeros)
+        if not np.all(linear[1:] > linear[:-1]):
+            order = np.argsort(linear, kind="stable")
+            linear = linear[order]
+            if np.any(np.diff(linear) == 0):
+                dup = indices[order[np.flatnonzero(np.diff(linear) == 0)[0] + 1]]
+                raise DataError(
+                    f"duplicate coordinate {tuple(int(i) for i in dup)} in sparse input")
+            indices = indices[order]
+            values = values[order]
+        self.indices = indices
+        self.values = values
         self._linear = linear
         self._build_fiber_index()
 
@@ -126,6 +132,10 @@ class SparseTensorCOO:
         return int(self.values.size)
 
     def _build_fiber_index(self):
+        # Fiber f's entries are slots starts[f]:starts[f + 1] of order, by
+        # rising mode-`mode` index. Within a fiber the entries differ only in
+        # that index, so sorting the unique key fid * I_mode + i_mode gives the
+        # stable sort of fid over entries in linear order.
         self._fiber_order = []
         self._fiber_starts = []
         dims = self.shape.dims
@@ -133,9 +143,11 @@ class SparseTensorCOO:
             others = [m for m in range(self.shape.order) if m != mode]
             fid = np.ravel_multi_index(tuple(self.indices[:, m] for m in others),
                                        [dims[m] for m in others], order="F")
-            order = np.argsort(fid, kind="stable")
-            starts = np.searchsorted(fid[order], np.arange(self.shape.fiber_count(mode) + 1))
-            self._fiber_order.append(order)
+            starts = np.zeros(self.shape.fiber_count(mode) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(fid, minlength=starts.size - 1), out=starts[1:])
+            fid *= dims[mode]
+            fid += self.indices[:, mode]
+            self._fiber_order.append(np.argsort(fid))
             self._fiber_starts.append(starts)
 
     def fiber_rows(self, mode: int, rows) -> np.ndarray:
@@ -160,12 +172,15 @@ class SparseTensorCOO:
     def values_at_linear(self, linear_ids) -> np.ndarray:
         """Entries at the given mode-0-fastest linear positions (absent = 0)."""
         linear_ids = np.asarray(linear_ids, dtype=np.int64)
-        pos = np.searchsorted(self._linear, linear_ids)
-        pos = np.minimum(pos, max(self.nnz - 1, 0))
         out = np.zeros(linear_ids.shape)
         if self.nnz:
-            hit = self._linear[pos] == linear_ids
-            out[hit] = self.values[pos[hit]]
+            # Rising keys keep the binary searches local; the hits are then
+            # scattered back to the caller's order.
+            order = np.argsort(linear_ids, axis=None)
+            keys = linear_ids.reshape(-1)[order]
+            pos = np.minimum(np.searchsorted(self._linear, keys), self.nnz - 1)
+            hit = self._linear[pos] == keys
+            out.reshape(-1)[order[hit]] = self.values[pos[hit]]
         return out
 
     def to_dense(self) -> DenseTensor:

@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -346,6 +347,75 @@ class TestVectorizedTnsReader:
         got = _outcome(read_tns, path, None)
         assert got[0] == "tensor" and got[1] == shape
         assert got == _outcome(_read_per_line, path, None)
+
+
+def _traced_peak(call):
+    """(result, tracemalloc peak in bytes) of `call()`."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTnsMemory:
+    @pytest.mark.parametrize("shape,distribution", [
+        ((30, 20, 10), "gamma"), ((64, 50, 25), "poisson"), ((20, 15, 10, 8), "gaussian")])
+    def test_read_holds_about_one_copy_of_the_entries(self, tmp_path, shape, distribution):
+        # The bytes, the parsed block and the tensor's own arrays; a read
+        # that copies the text into a StringIO peaks at 2.2-2.9x.
+        tensor, _ = generate(SyntheticSpec(shape=shape, rank=3,
+                                           distribution=distribution, seed=7))
+        path = tmp_path / "m.tns"
+        write_tns(tensor, path)
+        read_tns(path)
+        back, peak = _traced_peak(lambda: read_tns(path))
+        arrays = ([back.indices, back.values, back._linear]
+                  + back._fiber_order + back._fiber_starts)
+        assert peak <= 1.6 * sum(a.nbytes for a in arrays)
+
+    def test_dense_write_copies_no_whole_tensor(self, tmp_path):
+        # A whole-tensor search for nonzeros peaks at about 1.8x its bytes.
+        tensor, _ = generate(SyntheticSpec(shape=(80, 60, 50), rank=3,
+                                           distribution="bernoulli-odds", seed=7))
+        _, peak = _traced_peak(lambda: write_tns(tensor, tmp_path / "w.tns"))
+        assert peak <= 0.25 * tensor.values.nbytes
+
+
+class TestTnsEncoding:
+    ENTRIES = "# shape: 3 2 2\n1 1 1 1.5\n3 2 1 -2\n2 1 2 4e-3\n"
+
+    def _read(self, tmp_path, raw):
+        path = tmp_path / "e.tns"
+        path.write_bytes(raw)
+        with mock.patch.object(gdata, "_read_lines",
+                               side_effect=AssertionError("per-line reader")):
+            return read_tns(path)
+
+    @pytest.mark.parametrize("text", [
+        "# caf\u00e9 \u2603\n" + ENTRIES, ENTRIES + "# d\u00e9j\u00e0 vu\n",
+        ENTRIES.replace("\n", "\r"), ENTRIES.replace("\n", "\r\n"),
+        ENTRIES.replace("\n", "\r", 2)])
+    def test_comments_and_line_ends_keep_the_one_pass_read(self, tmp_path, text):
+        want = self._read(tmp_path, self.ENTRIES.encode())
+        got = self._read(tmp_path, text.encode())
+        assert got.dims == want.dims == (3, 2, 2)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe" + ENTRIES.encode(),
+                                     ENTRIES.encode() + b"# \xc3(\n",
+                                     ENTRIES.encode().replace(b"1.5", b"1.5\x80")])
+    def test_text_that_is_not_utf8_is_rejected(self, tmp_path, raw):
+        path = tmp_path / "bad.tns"
+        path.write_bytes(raw)
+        with pytest.raises(UnicodeDecodeError):
+            read_tns(path)
+
+    def test_non_ascii_whitespace_in_entries_is_read(self, tmp_path):
+        path = tmp_path / "nbsp.tns"
+        path.write_bytes(self.ENTRIES.replace("1 1 1", "1\u00a01 1").encode())
+        assert np.array_equal(read_tns(path).values, [1.5, -2.0, 4e-3])
 
 
 class TestFactorFiles:

@@ -226,6 +226,69 @@ class TestSparseValidation:
             SparseTensorCOO((2, 2), idx, np.ones(5))
 
 
+def _coo_arrays(tensor):
+    """Every array a SparseTensorCOO holds."""
+    return ([tensor.indices, tensor.values, tensor._linear]
+            + tensor._fiber_order + tensor._fiber_starts)
+
+
+class TestSparseLayout:
+    @staticmethod
+    def _entries(dims, nnz, seed):
+        rng = np.random.default_rng(seed)
+        linear = np.sort(rng.choice(int(np.prod(dims)), nnz, replace=False))
+        idx = np.column_stack(np.unravel_index(linear, dims, order="F"))
+        return idx, rng.standard_normal(nnz)
+
+    @pytest.mark.parametrize("dims,nnz", [((6, 5, 4), 40), ((4, 3, 5, 2), 70),
+                                          ((9, 1, 7), 63), ((3, 4), 0)])
+    def test_shuffled_entries_give_the_sorted_tensor(self, dims, nnz):
+        idx, values = self._entries(dims, nnz, seed=nnz)
+        shuffle = np.random.default_rng(1).permutation(nnz)
+        built = SparseTensorCOO(dims, idx, values)
+        shuffled = SparseTensorCOO(dims, idx[shuffle], values[shuffle])
+        for a, b in zip(_coo_arrays(built), _coo_arrays(shuffled), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dims,nnz", [((6, 5, 4), 40), ((4, 3, 5, 2), 70)])
+    def test_fiber_index_is_the_stable_sort_of_fiber_ids(self, dims, nnz):
+        # The reference: a stable argsort of each entry's fiber id, and each
+        # fiber's first slot by binary search.
+        idx, values = self._entries(dims, nnz, seed=3)
+        tensor = SparseTensorCOO(dims, idx[::-1], values[::-1])
+        for mode in range(len(dims)):
+            others = [m for m in range(len(dims)) if m != mode]
+            fid = np.ravel_multi_index(tuple(tensor.indices[:, others].T),
+                                       [dims[m] for m in others], order="F")
+            order = np.argsort(fid, kind="stable")
+            starts = np.searchsorted(fid[order],
+                                     np.arange(tensor.shape.fiber_count(mode) + 1))
+            assert np.array_equal(tensor._fiber_order[mode], order)
+            assert np.array_equal(tensor._fiber_starts[mode], starts)
+
+    def test_arrays_are_contiguous_whatever_the_input_layout(self):
+        # Strided views, as fields of a structured array, and lists.
+        idx, values = self._entries((6, 5, 4), 40, seed=2)
+        block = np.zeros(40, dtype=[("i", np.int64, (3,)), ("v", np.float64)])
+        block["i"], block["v"] = idx, values
+        for args in ((block["i"], block["v"]), (idx[::-1], values[::-1]),
+                     (idx.tolist(), values.tolist()), (np.asfortranarray(idx), values)):
+            tensor = SparseTensorCOO((6, 5, 4), *args)
+            assert all(a.flags.c_contiguous for a in _coo_arrays(tensor))
+            assert np.array_equal(tensor.values, values)
+
+    def test_values_at_linear_in_the_callers_order(self):
+        idx, values = self._entries((6, 5, 4), 40, seed=4)
+        tensor = SparseTensorCOO((6, 5, 4), idx, values)
+        stored = dict(zip(tensor._linear.tolist(), tensor.values.tolist()))
+        queries = np.random.default_rng(5).integers(0, 120, size=(7, 30))
+        got = tensor.values_at_linear(queries)
+        want = [[stored.get(q, 0.0) for q in row] for row in queries.tolist()]
+        assert got.shape == queries.shape and np.array_equal(got, want)
+        empty = SparseTensorCOO((6, 5, 4), np.empty((0, 3)), [])
+        assert np.array_equal(empty.values_at_linear([3, 0]), [0.0, 0.0])
+
+
 class TestVectorizedSparseFibers:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
