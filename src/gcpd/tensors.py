@@ -112,8 +112,9 @@ class SparseTensorCOO:
         if not np.all(linear[1:] > linear[:-1]):
             order = np.argsort(linear, kind="stable")
             linear = linear[order]
-            if np.any(np.diff(linear) == 0):
-                dup = indices[order[np.flatnonzero(np.diff(linear) == 0)[0] + 1]]
+            repeated = np.flatnonzero(linear[1:] == linear[:-1])
+            if repeated.size:
+                dup = indices[order[repeated[0] + 1]]
                 raise DataError(
                     f"duplicate coordinate {tuple(int(i) for i in dup)} in sparse input")
             indices = indices[order]
