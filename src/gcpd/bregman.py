@@ -80,26 +80,6 @@ def _check_entropy_domain(spec: GeneratorSpec, a, name, strict):
         raise LossDomainError(f"negative-entropy: {name} has entry {low} < 0")
 
 
-def generator_value(spec: GeneratorSpec, a) -> float:
-    """sum of psi over the entries of a."""
-    a = np.asarray(a, dtype=np.float64)
-    if spec.entropic:
-        _check_entropy_domain(spec, a, "argument", strict=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = a * np.log(a)
-        return float(np.sum(np.where(np.asarray(a) > 0, raw, 0.0)))
-    return float(0.5 * np.sum(a * a))
-
-
-def generator_grad(spec: GeneratorSpec, a) -> np.ndarray:
-    """Elementwise gradient of psi."""
-    a = np.asarray(a, dtype=np.float64)
-    if spec.entropic:
-        _check_entropy_domain(spec, a, "argument", strict=True)
-        return 1.0 + np.log(a)
-    return a.copy()
-
-
 def bregman_div(spec: GeneratorSpec, x, y) -> float:
     """D_psi(x, y) = psi(x) - psi(y) - <grad psi(y), x - y> summed over entries."""
     x = np.asarray(x, dtype=np.float64)
@@ -114,17 +94,6 @@ def bregman_div(spec: GeneratorSpec, x, y) -> float:
         return float(np.sum(xlog - x + y))
     d = x - y
     return float(0.5 * np.sum(d * d))
-
-
-def three_point_check(spec: GeneratorSpec, x, y, z) -> float:
-    """Residual of the three-point identity; ~0 up to roundoff for valid inputs."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    lhs = bregman_div(spec, x, z)
-    rhs = bregman_div(spec, x, y) + bregman_div(spec, y, z) + float(
-        np.sum((generator_grad(spec, y) - generator_grad(spec, z)) * (x - y)))
-    return lhs - rhs
 
 
 def regularizer_value(spec: RegularizerSpec, a) -> float:

@@ -20,8 +20,9 @@ from pathlib import Path
 
 from . import data as gdata
 from . import verify as gverify
-from .bregman import GeneratorSpec, RegularizerSpec
+from .bregman import GENERATOR_KINDS, REGULARIZER_KINDS, GeneratorSpec, RegularizerSpec
 from .errors import ConfigError, DataError, DivergenceError, GcpdError
+from .estimators import ESTIMATOR_KINDS
 from .losses import KINDS as LOSS_KINDS
 from .losses import LossSpec
 from .solver import SolverConfig, run
@@ -145,13 +146,11 @@ def _add_solver_flags(p, include_outputs=True):
                    help="declared shape when the file has no shape header")
     p.add_argument("--loss", type=str, default=None, choices=list(LOSS_KINDS))
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--generator", type=str, default=None,
-                   choices=["squared-euclidean", "negative-entropy"])
+    p.add_argument("--generator", type=str, default=None, choices=list(GENERATOR_KINDS))
     p.add_argument("--regularizer", type=str, default=None,
-                   choices=["zero", "nonnegative-indicator", "squared-l2", "l1"])
+                   choices=list(REGULARIZER_KINDS))
     p.add_argument("--reg-weight", type=float, default=None)
-    p.add_argument("--estimator", type=str, default=None,
-                   choices=["full", "sgd", "saga", "sarah"])
+    p.add_argument("--estimator", type=str, default=None, choices=list(ESTIMATOR_KINDS))
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--c1", type=float, default=None)
@@ -310,10 +309,9 @@ def _parse_methods(text) -> list[tuple[str, str]]:
         if not token:
             continue
         head, _, estimator = token.partition("-")
-        if head not in ("inertial", "plain") or estimator not in (
-                "full", "sgd", "saga", "sarah"):
-            raise UsageError(
-                f"bad method {token!r}; use {{inertial|plain}}-{{full|sgd|saga|sarah}}")
+        if head not in ("inertial", "plain") or estimator not in ESTIMATOR_KINDS:
+            raise UsageError(f"bad method {token!r}; use {{inertial|plain}}-"
+                             f"{{{'|'.join(ESTIMATOR_KINDS)}}}")
         methods.append((head, estimator))
     if not methods:
         raise UsageError("--methods must name at least one method")
@@ -358,7 +356,7 @@ def cmd_compare(args) -> int:
             hit = iterations_to_threshold(trace, args.threshold, metric)
             iters.append(hit if hit is not None else float("inf"))
             finals_nre.append(trace.records[-1].nre)
-            if truth is not None:
+            if trace.records[-1].mse_mean is not None:
                 finals_mse.append(trace.records[-1].mse_mean)
         med = statistics.median(iters)
         rows.append({

@@ -1,11 +1,13 @@
-"""Elementwise generalized loss catalog: values, derivatives in m, link functions.
+"""Elementwise generalized loss catalog: one table of values and derivatives in
+m, the data-domain checks, and the mean objective over a tensor.
 
 Six kinds are shipped. For the three kinds whose formulas contain log(m) or a
 division by m (gamma, poisson-identity, bernoulli-odds) every such occurrence
 is evaluated at m + epsilon so values and derivatives stay finite at m = 0.
+The last column is the mean of x under the model value m.
 
-kind              loss f(x, m)                 dom x        dom m   link l^-1(m)
-----------------  ---------------------------  -----------  ------  -------------
+kind              loss f(x, m)                 dom x        dom m   E[x]
+----------------  ---------------------------  -----------  ------  -----------------
 gaussian          (1/2)(x - m)^2               reals        reals   m
 gamma             x/(m+e) + log(m+e)           x >= 0       m >= 0  m
 poisson-identity  m - x log(m+e)               ints >= 0    m >= 0  m
@@ -24,14 +26,40 @@ import numpy as np
 from .errors import ConfigError, LossDomainError
 from .tensors import KruskalModel, SparseTensorCOO
 
-KINDS = (
-    "gaussian",
-    "gamma",
-    "poisson-identity",
-    "poisson-log",
-    "bernoulli-odds",
-    "bernoulli-logit",
-)
+
+def _sigmoid(m):
+    pos = m >= 0
+    em = np.exp(np.where(pos, -m, m))  # exponent always <= 0, cannot overflow
+    return np.where(pos, 1.0 / (1.0 + em), em / (1.0 + em))
+
+
+def _softplus(m):
+    # Stable log(1 + exp(m)); the naive form overflows for m > ~700.
+    return np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))
+
+
+def _gamma_deriv(x, m, eps):
+    shifted = m + eps
+    return -x / shifted ** 2 + 1.0 / shifted
+
+
+# Per-kind (f, df/dm), each a function of (x, m, epsilon) on float arrays.
+_FORMULAS = {
+    "gaussian": (lambda x, m, eps: 0.5 * (x - m) ** 2,
+                 lambda x, m, eps: m - x),
+    "gamma": (lambda x, m, eps: x / (m + eps) + np.log(m + eps),
+              _gamma_deriv),
+    "poisson-identity": (lambda x, m, eps: m - x * np.log(m + eps),
+                         lambda x, m, eps: 1.0 - x / (m + eps)),
+    "poisson-log": (lambda x, m, eps: np.exp(m) - x * m,
+                    lambda x, m, eps: np.exp(m) - x),
+    "bernoulli-odds": (lambda x, m, eps: np.log(m + 1.0) - x * np.log(m + eps),
+                       lambda x, m, eps: 1.0 / (m + 1.0) - x / (m + eps)),
+    "bernoulli-logit": (lambda x, m, eps: _softplus(m) - x * m,
+                        lambda x, m, eps: _sigmoid(m) - x),
+}
+
+KINDS = tuple(_FORMULAS)
 
 # Kinds whose formulas are guarded by m -> m + epsilon.
 GUARDED_KINDS = ("gamma", "poisson-identity", "bernoulli-odds")
@@ -59,17 +87,6 @@ class LossSpec:
         return self.kind in NONNEGATIVE_KINDS
 
 
-def _sigmoid(m):
-    pos = m >= 0
-    em = np.exp(np.where(pos, -m, m))  # exponent always <= 0, cannot overflow
-    return np.where(pos, 1.0 / (1.0 + em), em / (1.0 + em))
-
-
-def _softplus(m):
-    # Stable log(1 + exp(m)); the naive form overflows for m > ~700.
-    return np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))
-
-
 def _check_domain(spec: LossSpec, x, m):
     kind = spec.kind
     if kind in ("gamma",):
@@ -88,26 +105,10 @@ def _check_domain(spec: LossSpec, x, m):
             raise LossDomainError(f"{kind}: model value {m.min()} < 0")
 
 
-def _gamma_deriv(x, m, eps):
-    shifted = m + eps
-    return -x / shifted ** 2 + 1.0 / shifted
-
-
-# Per-kind df/dm given (x, m, epsilon); x and m are float arrays.
-_DERIVS = {
-    "gaussian": lambda x, m, eps: m - x,
-    "gamma": _gamma_deriv,
-    "poisson-identity": lambda x, m, eps: 1.0 - x / (m + eps),
-    "poisson-log": lambda x, m, eps: np.exp(m) - x,
-    "bernoulli-odds": lambda x, m, eps: 1.0 / (m + 1.0) - x / (m + eps),
-    "bernoulli-logit": lambda x, m, eps: _sigmoid(m) - x,
-}
-
-
 def deriv_kernel(spec: LossSpec):
     """df/dm as a function of (x, m) that skips the domain checks of
     :func:`loss_deriv`; only for values already known to lie in the domain."""
-    return functools.partial(_DERIVS[spec.kind], eps=spec.epsilon)
+    return functools.partial(_FORMULAS[spec.kind][1], eps=spec.epsilon)
 
 
 def loss_value(spec: LossSpec, x, m):
@@ -115,21 +116,7 @@ def loss_value(spec: LossSpec, x, m):
     x = np.asarray(x, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     _check_domain(spec, x, m)
-    eps = spec.epsilon
-    kind = spec.kind
-    if kind == "gaussian":
-        return 0.5 * (x - m) ** 2
-    if kind == "gamma":
-        return x / (m + eps) + np.log(m + eps)
-    if kind == "poisson-identity":
-        return m - x * np.log(m + eps)
-    if kind == "poisson-log":
-        return np.exp(m) - x * m
-    if kind == "bernoulli-odds":
-        return np.log(m + 1.0) - x * np.log(m + eps)
-    if kind == "bernoulli-logit":
-        return _softplus(m) - x * m
-    raise ConfigError(f"unknown loss kind {kind!r}")
+    return _FORMULAS[spec.kind][0](x, m, spec.epsilon)
 
 
 def loss_deriv(spec: LossSpec, x, m):
@@ -137,22 +124,7 @@ def loss_deriv(spec: LossSpec, x, m):
     x = np.asarray(x, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     _check_domain(spec, x, m)
-    return _DERIVS[spec.kind](x, m, spec.epsilon)
-
-
-def link_inverse(spec: LossSpec, m):
-    """Mean parameter l^-1(m); used only for planted-model sampling."""
-    m = np.asarray(m, dtype=np.float64)
-    kind = spec.kind
-    if kind in ("gaussian", "gamma", "poisson-identity"):
-        return m.copy()
-    if kind == "poisson-log":
-        return np.exp(m)
-    if kind == "bernoulli-odds":
-        return m / (1.0 + m)
-    if kind == "bernoulli-logit":
-        return _sigmoid(m)
-    raise ConfigError(f"unknown loss kind {kind!r}")
+    return _FORMULAS[spec.kind][1](x, m, spec.epsilon)
 
 
 def check_data_domain(spec: LossSpec, values):

@@ -2,14 +2,13 @@
 Lyapunov diagnostic.
 
 MSE between an estimated and a planted factor normalizes every column to unit
-2-norm, matches columns by a minimum-cost permutation (exhaustive for small
-rank, optimal assignment above), and averages the matched squared residuals;
-it is invariant to column order and positive column scaling.
+2-norm, matches columns by a minimum-cost assignment, and averages the matched
+squared residuals; it is invariant to column order and positive column
+scaling.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +18,6 @@ from .bregman import GeneratorSpec, bregman_div
 from .errors import ConfigError, DataError
 from .tensors import KruskalModel
 
-# Exhaustive matching is exact and cheap up to this rank.
-_EXHAUSTIVE_MAX_RANK = 8
-
 
 @dataclass(frozen=True)
 class MseReport:
@@ -29,7 +25,6 @@ class MseReport:
 
     value: float
     permutation: tuple[int, ...]
-    per_column: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -61,67 +56,36 @@ def _cost_matrix(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return cost
 
 
-def match_columns(cost: np.ndarray, method: str = "auto") -> tuple[tuple[int, ...], float]:
+def match_columns(cost: np.ndarray) -> tuple[tuple[int, ...], float]:
     """Minimum-cost column matching; returns (permutation, total cost).
 
-    permutation[i] is the truth column matched to estimate column i. Total cost
-    is summed in estimate-column order so both methods produce bit-identical
-    totals when they pick the same permutation.
+    permutation[i] is the truth column matched to estimate column i. The total
+    is summed in estimate-column order, as the exhaustive oracle
+    (`verify.exhaustive_match`) sums it, so the two agree bit for bit when
+    they pick the same permutation.
     """
-    r = cost.shape[0]
-    if method == "auto":
-        method = "exhaustive" if r <= _EXHAUSTIVE_MAX_RANK else "assignment"
-    if method == "exhaustive":
-        best_perm = None
-        best_cost = np.inf
-        for perm in itertools.permutations(range(r)):
-            c = sum(cost[i, perm[i]] for i in range(r))
-            if c < best_cost:
-                best_cost = c
-                best_perm = perm
-        return tuple(best_perm), float(best_cost)
-    if method == "assignment":
-        rows, cols = linear_sum_assignment(cost)
-        perm = [0] * r
-        for i, j in zip(rows, cols):
-            perm[i] = int(j)
-        total = sum(cost[i, perm[i]] for i in range(r))
-        return tuple(perm), float(total)
-    raise ConfigError(f"unknown matching method {method!r}")
+    _, cols = linear_sum_assignment(cost)  # rows come back as 0..r-1
+    perm = tuple(int(j) for j in cols)
+    return perm, float(sum(cost[i, j] for i, j in enumerate(perm)))
 
 
-def mse(estimate, truth, method: str = "auto") -> MseReport:
+def mse(estimate, truth) -> MseReport:
     """Permutation- and positive-scale-invariant factor MSE."""
     estimate = np.asarray(estimate, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if estimate.shape != truth.shape:
         raise DataError(f"factor shapes differ: {estimate.shape} vs {truth.shape}")
     cost = _cost_matrix(estimate, truth)
-    perm, total = match_columns(cost, method)
-    per_column = np.array([cost[i, perm[i]] for i in range(cost.shape[0])])
-    return MseReport(value=total / cost.shape[0], permutation=perm, per_column=per_column)
+    perm, total = match_columns(cost)
+    return MseReport(value=total / cost.shape[0], permutation=perm)
 
 
-def model_mse(estimate: KruskalModel, truth: KruskalModel,
-              method: str = "auto") -> dict:
-    """Per-mode MSE reports, their mean, and the shared-permutation variant.
-
-    The shared variant matches one permutation across all modes (minimizing the
-    summed cost) instead of matching each mode independently.
-    """
+def model_mse(estimate: KruskalModel, truth: KruskalModel) -> dict:
+    """Per-mode MSE reports, each matched independently, and their mean."""
     if estimate.shape.dims != truth.shape.dims or estimate.rank != truth.rank:
         raise DataError("estimate and truth models are not the same shape/rank")
-    reports = [mse(a, b, method) for a, b in zip(estimate.factors, truth.factors)]
-    total_cost = sum(_cost_matrix(a, b)
-                     for a, b in zip(estimate.factors, truth.factors))
-    shared_perm, shared_total = match_columns(total_cost, method)
-    n_modes = estimate.order
-    return {
-        "per_mode": reports,
-        "mean": float(np.mean([r.value for r in reports])),
-        "shared_permutation": shared_perm,
-        "shared_mean": float(shared_total / (estimate.rank * n_modes)),
-    }
+    reports = [mse(a, b) for a, b in zip(estimate.factors, truth.factors)]
+    return {"per_mode": reports, "mean": float(np.mean([r.value for r in reports]))}
 
 
 def lyapunov(gen: GeneratorSpec, current, previous, previous2, phi: float,

@@ -111,6 +111,14 @@ class SolverConfig:
             raise ConfigError(f"unknown block order {self.block_order!r}")
         if self.max_iters < 0:
             raise ConfigError("max_iters must be >= 0")
+        if self.eval_every is not None and self.eval_every < 1:
+            raise ConfigError("eval_every must be >= 1")
+        if self.eval_samples is not None and self.eval_samples < 1:
+            raise ConfigError("eval_samples must be >= 1")
+        if not self.init_max > 0:
+            raise ConfigError("init_max must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         regs = self.regularizers(order)
         if self.loss.nonnegative:
             guarded = self.generator.entropic or all(
@@ -372,7 +380,9 @@ def _evaluate(state: SolverRunState, config: SolverConfig, truth, t0) -> TraceRe
                         sample=config.eval_samples, rng=state.eval_rng).value
     seconds = (time.perf_counter() - t0) if config.record_timing else 0.0
     rec = TraceRecord(iteration=state.k, seconds=seconds, nre=nre_val)
-    if truth is not None:
+    # A zero estimate column (an l1 prox can zero one) leaves the column
+    # matching undefined: that evaluation records no MSE, and the run goes on.
+    if truth is not None and all(np.linalg.norm(a, axis=0).all() for a in model.factors):
         report = model_mse(model, truth)
         rec.mse_mean = report["mean"]
         rec.mse_modes = tuple(r.value for r in report["per_mode"])

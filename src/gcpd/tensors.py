@@ -210,10 +210,6 @@ class KruskalModel:
     def order(self) -> int:
         return len(self.factors)
 
-    def entry(self, index) -> float:
-        """Model value at one multi-index: sum_r prod_n A_n[i_n, r]."""
-        return float(self.entries(np.asarray(index, dtype=np.int64).reshape(1, -1))[0])
-
     def entries(self, indices) -> np.ndarray:
         """Model values at (S, N) multi-indices."""
         indices = np.asarray(indices, dtype=np.int64)
@@ -235,9 +231,6 @@ class KruskalModel:
             args.extend([a, [mode, n]])
         args.append(list(range(n)))
         return DenseTensor(np.einsum(*args))
-
-    def copy(self) -> "KruskalModel":
-        return KruskalModel([a.copy() for a in self.factors])
 
     def replace(self, mode: int, factor) -> "KruskalModel":
         factors = list(self.factors)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from gcpd.bregman import (GeneratorSpec, RegularizerSpec, bregman_div,
-                          generator_grad, generator_value, mirror_prox_step,
-                          regularizer_value, three_point_check)
+from gcpd.bregman import (GeneratorSpec, RegularizerSpec, bregman_div, mirror_prox_step,
+                          regularizer_value)
 from gcpd.errors import ConfigError, LossDomainError
+from gcpd.verify import generator_grad, generator_value, three_point_check
 
 EUCLID = GeneratorSpec("squared-euclidean")
 ENTROPY = GeneratorSpec("negative-entropy")

@@ -190,6 +190,36 @@ class TestDecompose:
         assert manifest["config"]["eval_samples"] == 100
         assert manifest["config"]["max_step"] == 0.05
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--eval-every", "0"), ("--eval-every", "-3"), ("--eval-samples", "0"),
+        ("--init-max", "0"), ("--init-max", "-1"), ("--seed", "-1")])
+    def test_out_of_range_setting_is_configuration_error(self, gamma_files, tmp_path,
+                                                         capsys, flag, value):
+        trace_path = tmp_path / "t.csv"
+        code = run_cli("decompose", "--input", str(gamma_files) + ".tns",
+                       "--loss", "gamma", "--rank", "2", "--iters", "20",
+                       f"{flag}={value}", "--trace", str(trace_path))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not trace_path.exists()
+
+    def test_truth_with_zeroed_column_keeps_running(self, tmp_path):
+        prefix = tmp_path / "gs"
+        run_cli("synthesize", "--shape", "8,7,6", "--rank", "2",
+                "--dist", "gaussian", "--out", str(prefix))
+        rows = {}
+        for name, extra in (("plain", []), ("truth", ["--truth", str(prefix)])):
+            trace_path = tmp_path / f"{name}.csv"
+            code = run_cli("decompose", "--input", str(prefix) + ".tns",
+                           "--loss", "gaussian", "--rank", "2", "--regularizer", "l1",
+                           "--reg-weight", "50", "--iters", "200", "--no-timing",
+                           "--trace", str(trace_path), *extra)
+            assert code == 0
+            header, rows[name], _ = read_trace_csv(trace_path)
+        nre = header.index("nre")
+        assert [r[:nre + 1] for r in rows["truth"]] == [r[:nre + 1] for r in rows["plain"]]
+        assert rows["truth"][-1][header.index("mse_mean")] == ""
+
     def test_divergence_is_numerical_failure(self, tmp_path):
         prefix = tmp_path / "gs"
         run_cli("synthesize", "--shape", "6,5,4", "--rank", "2",

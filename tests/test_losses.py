@@ -1,4 +1,4 @@
-"""Loss catalog: values, derivatives, links, domains, and the mean objective."""
+"""Loss catalog: values, derivatives, domains, and the mean objective."""
 
 import math
 
@@ -7,8 +7,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from gcpd.errors import ConfigError, LossDomainError
-from gcpd.losses import (KINDS, GUARDED_KINDS, LossSpec, link_inverse, loss_deriv,
-                         loss_value, objective)
+from gcpd.losses import KINDS, GUARDED_KINDS, LossSpec, loss_deriv, loss_value, objective
 from gcpd.tensors import DenseTensor, KruskalModel
 
 # In-domain (x, m) sample grids per kind, away from kinks.
@@ -70,17 +69,6 @@ class TestLossDerivs:
                   - float(loss_value(spec, x, m - h))) / (2 * h)
             d = float(loss_deriv(spec, x, m))
             assert fd == pytest.approx(d, rel=1e-6, abs=1e-6)
-
-
-class TestLinks:
-    def test_poisson_log(self):
-        assert float(link_inverse(LossSpec("poisson-log"), 0.0)) == 1.0
-
-    def test_bernoulli_odds(self):
-        assert float(link_inverse(LossSpec("bernoulli-odds"), 1.0)) == 0.5
-
-    def test_bernoulli_logit(self):
-        assert float(link_inverse(LossSpec("bernoulli-logit"), 0.0)) == 0.5
 
 
 class TestMinimizerMatchesLink:

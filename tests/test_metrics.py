@@ -8,6 +8,7 @@ from gcpd.errors import ConfigError, DataError
 from gcpd.losses import LossSpec, objective
 from gcpd.metrics import _cost_matrix, lyapunov, match_columns, model_mse, mse
 from gcpd.tensors import DenseTensor, KruskalModel
+from gcpd.verify import exhaustive_match
 
 
 class TestMse:
@@ -60,19 +61,34 @@ class TestMatching:
         for _ in range(100):
             r = int(rng.integers(1, 7))
             cost = rng.random((r, r))
-            _, c_ex = match_columns(cost, "exhaustive")
-            _, c_as = match_columns(cost, "assignment")
+            _, c_ex = exhaustive_match(cost)
+            _, c_as = match_columns(cost)
             assert c_ex == c_as
+
+    @pytest.mark.parametrize("r", range(1, 8))
+    def test_assignment_equals_exhaustive_oracle(self, r):
+        rng = np.random.default_rng(40 + r)
+        for _ in range(10):
+            cost = _cost_matrix(rng.standard_normal((6, r)), rng.standard_normal((6, r)))
+            assert match_columns(cost)[1] == exhaustive_match(cost)[1]
+
+    @pytest.mark.parametrize("r", range(1, 8))
+    def test_integer_costs_with_ties(self, r):
+        # Values in {0, 1, 2} tie often; the permutation may differ from the
+        # oracle's, but it must be a permutation of the same total.
+        rng = np.random.default_rng(50 + r)
+        for cost in [np.ones((r, r))] + [rng.integers(0, 3, (r, r)).astype(float)
+                                         for _ in range(10)]:
+            perm, total = match_columns(cost)
+            assert sorted(perm) == list(range(r))
+            assert total == sum(cost[i, j] for i, j in enumerate(perm))
+            assert total == exhaustive_match(cost)[1]
 
     def test_cost_matrix_diagonal_zero_for_identical(self):
         rng = np.random.default_rng(5)
         a = rng.random((4, 3)) + 0.1
         cost = _cost_matrix(a, a)
         assert np.all(np.diag(cost) == 0.0)
-
-    def test_unknown_method(self):
-        with pytest.raises(ConfigError):
-            match_columns(np.ones((2, 2)), "greedy")
 
 
 class TestModelMse:
@@ -84,8 +100,17 @@ class TestModelMse:
         out = model_mse(est, truth)
         assert len(out["per_mode"]) == 3
         assert out["mean"] == pytest.approx(0.0, abs=1e-28)
-        assert out["shared_mean"] == pytest.approx(0.0, abs=1e-28)
-        assert out["shared_permutation"] == (2, 0, 1)
+        assert [r.permutation for r in out["per_mode"]] == [(2, 0, 1)] * 3
+
+
+    def test_rank_nine_mean_is_mean_of_per_mode_mse(self):
+        rng = np.random.default_rng(7)
+        truth = KruskalModel([rng.random((d, 9)) + 0.1 for d in (10, 11, 12)])
+        est = KruskalModel([rng.random((d, 9)) + 0.1 for d in (10, 11, 12)])
+        out = model_mse(est, truth)
+        per_mode = [mse(a, b).value for a, b in zip(est.factors, truth.factors)]
+        assert [r.value for r in out["per_mode"]] == per_mode
+        assert out["mean"] == float(np.mean(per_mode))
 
 
 class TestNre:

@@ -79,12 +79,36 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="closed-form"):
             cfg.validate(3)
 
+    @pytest.mark.parametrize("field,value", [
+        ("eval_every", 0), ("eval_every", -3), ("eval_samples", 0),
+        ("init_max", 0.0), ("init_max", -1.0), ("seed", -1)])
+    def test_out_of_range_setting_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            gaussian_config(**{field: value}).validate(3)
+
     def test_manifest_round_trip(self):
         tensor, _ = small_gaussian_instance()
         cfg = gaussian_config(batch=4).resolved(tensor.shape)
         rebuilt = SolverConfig.from_dict(cfg.to_dict())
         assert rebuilt.resolved(tensor.shape).to_dict() == cfg.to_dict()
         assert rebuilt.config_hash() == cfg.config_hash()
+
+
+class TestTruthNeverEndsARun:
+    def test_zero_estimate_column_records_no_mse(self):
+        # The l1 prox zeroes an estimate column here; the truth only scores.
+        tensor, truth = generate(SyntheticSpec(shape=(8, 7, 6), rank=2,
+                                               distribution="gaussian"))
+        cfg = SolverConfig(rank=2, loss=LossSpec("gaussian"),
+                           regularizer=RegularizerSpec("l1", weight=50.0), max_iters=200)
+        plain, _ = run(cfg, tensor)
+        scored, _ = run(cfg, tensor, truth=truth)
+        assert [(r.iteration, r.nre) for r in scored.records] == \
+            [(r.iteration, r.nre) for r in plain.records]
+        assert scored.records[-1].iteration < cfg.max_iters  # the tolerance stop
+        assert scored.records[0].mse_mean is not None
+        last = scored.records[-1]
+        assert last.mse_mean is None and last.mse_modes is None
 
 
 class TestStepMechanics:
