@@ -59,8 +59,8 @@ class RegularizerSpec:
         if self.kind not in REGULARIZER_KINDS:
             raise ConfigError(
                 f"unknown regularizer {self.kind!r}; choose from {REGULARIZER_KINDS}")
-        if self.kind in ("squared-l2", "l1") and self.weight < 0:
-            raise ConfigError("regularizer weight must be >= 0")
+        if self.kind in ("squared-l2", "l1") and not 0 <= self.weight < np.inf:
+            raise ConfigError("regularizer weight must be finite and >= 0")
         if self.kind in ("zero", "nonnegative-indicator") and self.weight != 0.0:
             raise ConfigError(f"regularizer {self.kind!r} carries no weight")
 

@@ -115,8 +115,8 @@ class SolverConfig:
             raise ConfigError("eval_every must be >= 1")
         if self.eval_samples is not None and self.eval_samples < 1:
             raise ConfigError("eval_samples must be >= 1")
-        if not self.init_max > 0:
-            raise ConfigError("init_max must be positive")
+        if not 0 < self.init_max < math.inf:
+            raise ConfigError("init_max must be positive and finite")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         regs = self.regularizers(order)

@@ -178,7 +178,8 @@ class TestRegularizerValue:
         assert regularizer_value(RegularizerSpec("l1", weight=0.5), a) == 1.5
 
     def test_invalid_weight(self):
-        with pytest.raises(ConfigError):
-            RegularizerSpec("l1", weight=-1.0)
+        for weight in (-1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                RegularizerSpec("l1", weight=weight)
         with pytest.raises(ConfigError):
             RegularizerSpec("zero", weight=1.0)

@@ -192,7 +192,7 @@ class TestDecompose:
 
     @pytest.mark.parametrize("flag,value", [
         ("--eval-every", "0"), ("--eval-every", "-3"), ("--eval-samples", "0"),
-        ("--init-max", "0"), ("--init-max", "-1"), ("--seed", "-1")])
+        ("--init-max", "0"), ("--init-max", "-1"), ("--init-max", "inf"), ("--seed", "-1")])
     def test_out_of_range_setting_is_configuration_error(self, gamma_files, tmp_path,
                                                          capsys, flag, value):
         trace_path = tmp_path / "t.csv"

@@ -81,7 +81,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("eval_every", 0), ("eval_every", -3), ("eval_samples", 0),
-        ("init_max", 0.0), ("init_max", -1.0), ("seed", -1)])
+        ("init_max", 0.0), ("init_max", -1.0), ("init_max", np.inf), ("seed", -1)])
     def test_out_of_range_setting_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             gaussian_config(**{field: value}).validate(3)
