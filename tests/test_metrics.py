@@ -59,18 +59,11 @@ class TestMatching:
     def test_exhaustive_equals_assignment(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            r = int(rng.integers(1, 7))
+            r = int(rng.integers(1, 8))
             cost = rng.random((r, r))
             _, c_ex = exhaustive_match(cost)
             _, c_as = match_columns(cost)
             assert c_ex == c_as
-
-    @pytest.mark.parametrize("r", range(1, 8))
-    def test_assignment_equals_exhaustive_oracle(self, r):
-        rng = np.random.default_rng(40 + r)
-        for _ in range(10):
-            cost = _cost_matrix(rng.standard_normal((6, r)), rng.standard_normal((6, r)))
-            assert match_columns(cost)[1] == exhaustive_match(cost)[1]
 
     @pytest.mark.parametrize("r", range(1, 8))
     def test_integer_costs_with_ties(self, r):
