@@ -23,21 +23,9 @@ from . import verify as gverify
 from .bregman import GENERATOR_KINDS, REGULARIZER_KINDS, GeneratorSpec, RegularizerSpec
 from .errors import ConfigError, DataError, DivergenceError, GcpdError
 from .estimators import ESTIMATOR_KINDS
+from .losses import DESK_SCALE, LossSpec
 from .losses import KINDS as LOSS_KINDS
-from .losses import LossSpec
 from .solver import SolverConfig, run
-
-_DENSIFY_LIMIT = 1 << 22
-
-# Stepsizes mirroring the experiment defaults per loss family.
-_DEFAULT_ETA = {
-    "gaussian": 0.1,
-    "gamma": 0.1,
-    "poisson-identity": 0.2,
-    "poisson-log": 0.2,
-    "bernoulli-odds": 0.2,
-    "bernoulli-logit": 0.2,
-}
 
 
 class UsageError(Exception):
@@ -181,46 +169,30 @@ def _add_solver_flags(p, include_outputs=True):
         p.add_argument("--model-out", type=str, default=None, dest="model_out")
 
 
-def _given(args, **fields) -> dict:
-    """Keyword arguments {field: flag value} for the flags that were set, so
-    every unset one keeps the default its dataclass field declares."""
+def _given(args, *same, **fields) -> dict:
+    """Keyword arguments {field: flag value} for the flags that were set, so every
+    unset one keeps its dataclass default; `same` names fields named as their flag."""
+    fields.update((name, name) for name in same)
     return {field: getattr(args, flag) for field, flag in fields.items()
             if getattr(args, flag) is not None}
 
 
 def _solver_config_from_args(args) -> SolverConfig:
-    if args.loss is None:
-        raise UsageError("--loss is required")
-    if args.rank is None:
-        raise UsageError("--rank is required")
-    loss = LossSpec(args.loss, **_given(args, epsilon="epsilon"))
-    gen_kind = args.generator
-    if gen_kind is None:
-        gen_kind = "negative-entropy" if loss.nonnegative else "squared-euclidean"
-    reg_kind = args.regularizer
-    if reg_kind is None:
-        reg_kind = "nonnegative-indicator" if loss.nonnegative else "zero"
-    reg = RegularizerSpec(reg_kind,
-                          nonnegative=(reg_kind in ("squared-l2", "l1")
-                                       and loss.nonnegative),
-                          **_given(args, weight="reg_weight"))
-    eta = args.eta if args.eta is not None else _DEFAULT_ETA[loss.kind]
+    for flag in ("loss", "rank"):
+        if getattr(args, flag) is None:
+            raise UsageError(f"--{flag} is required")
+    if args.reg_weight is not None and args.regularizer is None:
+        raise UsageError("--reg-weight needs --regularizer")
     return SolverConfig(
         rank=args.rank,
-        loss=loss,
-        generator=GeneratorSpec(gen_kind),
-        regularizer=reg,
-        batch=args.batch,
-        sarah_p=args.p,
-        eta=eta,
-        eval_every=args.eval_every,
-        eval_samples=args.eval_samples,
-        max_step=args.max_step,
-        diagnostics=bool(args.diagnostics),
-        lyapunov=bool(args.lyapunov),
-        record_timing=not bool(args.no_timing),
-        **_given(args, estimator="estimator", c1="c1", c2="c2", max_iters="iters",
-                 tol="tol", seed="seed", init_max="init_max"),
+        loss=LossSpec(args.loss, **_given(args, epsilon="epsilon")),
+        generator=GeneratorSpec(args.generator) if args.generator else None,
+        regularizer=(RegularizerSpec(args.regularizer, **_given(args, weight="reg_weight"))
+                     if args.regularizer else None),
+        record_timing=not args.no_timing,
+        **_given(args, "estimator", "batch", "eta", "c1", "c2", "tol", "seed", "eval_every",
+                 "eval_samples", "init_max", "max_step", "diagnostics", "lyapunov",
+                 sarah_p="p", max_iters="iters"),
     )
 
 
@@ -229,7 +201,7 @@ def _load_tensor(path, shape):
         raise UsageError("--input is required")
     tensor = gdata.read_tns(path, shape=shape)
     # Small tensors are densified once: exact objectives and vectorized fibers.
-    if tensor.shape.total <= _DENSIFY_LIMIT:
+    if tensor.shape.total <= DESK_SCALE:
         return tensor.to_dense()
     return tensor
 
@@ -240,7 +212,7 @@ def cmd_synthesize(args) -> int:
             raise UsageError(f"--{flag} is required")
     spec = gdata.SyntheticSpec(
         shape=args.shape, rank=args.rank, distribution=args.dist,
-        **_given(args, a_max="amax", noise_sigma="sigma", seed="seed"))
+        **_given(args, "seed", a_max="amax", noise_sigma="sigma"))
     tensor, model = gdata.generate(spec)
     manifest = {
         "command": "synthesize",
@@ -258,8 +230,10 @@ def cmd_synthesize(args) -> int:
 def cmd_decompose(args) -> int:
     if args.manifest:
         saved = json.loads(Path(args.manifest).read_text())
-        if "config" not in saved:
-            raise DataError(f"{args.manifest} does not look like a run manifest")
+        parts = ("config", "input", "outputs")
+        if not (isinstance(saved, dict) and all(isinstance(saved.get(k), dict) for k in parts)
+                and "path" in saved["input"]):
+            raise DataError(f"{args.manifest} is not a run manifest: needs {parts} and input.path")
         config = SolverConfig.from_dict(saved["config"])
         input_path = saved["input"]["path"]
         shape = tuple(saved["input"]["shape"]) if saved["input"].get("shape") else None
@@ -328,10 +302,9 @@ def iterations_to_threshold(trace, threshold: float, metric: str = "nre"):
 
 
 def cmd_compare(args) -> int:
-    if args.methods is None:
-        raise UsageError("--methods is required")
-    if args.threshold is None:
-        raise UsageError("--threshold is required")
+    for flag in ("methods", "threshold"):
+        if getattr(args, flag) is None:
+            raise UsageError(f"--{flag} is required")
     methods = _parse_methods(args.methods)
     n_seeds = args.seeds if args.seeds is not None else 5
     metric = args.metric or "nre"
@@ -348,10 +321,8 @@ def cmd_compare(args) -> int:
         finals_nre = []
         finals_mse = []
         for s in range(n_seeds):
-            config = dataclasses.replace(
-                base, estimator=estimator, seed=base.seed + s,
-                c1=base.c1 if head == "inertial" else 0.0,
-                c2=base.c2 if head == "inertial" else 0.0)
+            plain = {} if head == "inertial" else {"c1": 0.0, "c2": 0.0}
+            config = dataclasses.replace(base, estimator=estimator, seed=base.seed + s, **plain)
             trace, _ = run(config, tensor, truth=truth)
             hit = iterations_to_threshold(trace, args.threshold, metric)
             iters.append(hit if hit is not None else float("inf"))

@@ -142,8 +142,8 @@ class ObjectiveValue:
     n_terms: int
 
 
-# Tensors up to this many entries are evaluated exactly by default.
-_MAX_EXACT = 1 << 22
+# Desk scale: tensors this small get exact objectives and are densified at load.
+DESK_SCALE = 1 << 22
 
 
 def objective(spec: LossSpec, tensor, model: KruskalModel, sample: int | None = None,
@@ -157,7 +157,7 @@ def objective(spec: LossSpec, tensor, model: KruskalModel, sample: int | None = 
             f"tensor shape {tensor.shape.dims} != model shape {model.shape.dims}")
     total = tensor.shape.total
     if sample is None or sample >= total:
-        if total > _MAX_EXACT and sample is None:
+        if total > DESK_SCALE and sample is None:
             raise ConfigError(
                 f"tensor has {total} entries; pass sample= for an estimated objective")
         dense = tensor.to_dense() if isinstance(tensor, SparseTensorCOO) else tensor

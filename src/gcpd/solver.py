@@ -42,18 +42,23 @@ from .metrics import lyapunov, model_mse
 from .tensors import KruskalModel, TensorShape
 
 
+# Stepsizes of the reference experiments, per loss family.
+_DEFAULT_ETA = {"gaussian": 0.1, "gamma": 0.1, "poisson-identity": 0.2, "poisson-log": 0.2,
+                "bernoulli-odds": 0.2, "bernoulli-logit": 0.2}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """All solver hyperparameters; `resolved` fills data-dependent defaults."""
+    """All solver hyperparameters; `resolved` fills the defaults and checks them."""
 
     rank: int
     loss: LossSpec
-    generator: GeneratorSpec = GeneratorSpec()
-    regularizer: RegularizerSpec | tuple = RegularizerSpec()
+    generator: GeneratorSpec | None = None              # default by loss, see resolved
+    regularizer: RegularizerSpec | tuple | None = None  # default by loss, see resolved
     estimator: str = "saga"
     batch: int | None = None          # default 2 * rank
     sarah_p: int | None = None        # default: one expected restart per epoch
-    eta: float = 0.1
+    eta: float | None = None          # default by loss family (_DEFAULT_ETA)
     stepsize_rule: str = "constant"   # or "decreasing-bound" (needs l_bar)
     l_bar: float | None = None        # user upper-curvature estimate
     l_lower: float = 0.0              # user lower-curvature stand-in for the guard
@@ -81,16 +86,7 @@ class SolverConfig:
     lyapunov_tau: float = 1.0
     record_timing: bool = True
 
-    def regularizers(self, order: int) -> tuple:
-        regs = self.regularizer
-        if isinstance(regs, RegularizerSpec):
-            return tuple([regs] * order)
-        regs = tuple(regs)
-        if len(regs) != order:
-            raise ConfigError(f"need {order} per-mode regularizers, got {len(regs)}")
-        return regs
-
-    def validate(self, order: int):
+    def _validate(self):
         if self.rank < 1:
             raise ConfigError("rank must be >= 1")
         if not (0.0 <= self.c1 <= 1.0 and 0.0 <= self.c2 <= 1.0):
@@ -103,15 +99,13 @@ class SolverConfig:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.stepsize_rule not in ("constant", "decreasing-bound"):
             raise ConfigError(f"unknown stepsize rule {self.stepsize_rule!r}")
-        if self.stepsize_rule == "decreasing-bound" and not self.l_bar:
-            raise ConfigError("the decreasing-bound stepsize rule needs l_bar")
         if self.extrapolation_check not in ("off", "backtrack"):
             raise ConfigError(f"unknown extrapolation check {self.extrapolation_check!r}")
         if self.block_order not in ("random", "cyclic"):
             raise ConfigError(f"unknown block order {self.block_order!r}")
         if self.max_iters < 0:
             raise ConfigError("max_iters must be >= 0")
-        if self.eval_every is not None and self.eval_every < 1:
+        if self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1")
         if self.eval_samples is not None and self.eval_samples < 1:
             raise ConfigError("eval_samples must be >= 1")
@@ -119,74 +113,112 @@ class SolverConfig:
             raise ConfigError("init_max must be positive and finite")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        regs = self.regularizers(order)
-        if self.loss.nonnegative:
-            guarded = self.generator.entropic or all(
-                r.enforces_nonnegative for r in regs)
-            if not guarded:
-                raise ConfigError(
-                    f"loss {self.loss.kind!r} needs a nonnegative model: use the "
-                    "negative-entropy generator or nonnegative regularizers")
-        if self.generator.entropic and any(r.kind == "squared-l2" for r in regs):
+        if self.loss.nonnegative and not (self.generator.entropic or all(
+                r.enforces_nonnegative for r in self.regularizer)):
+            raise ConfigError(
+                f"loss {self.loss.kind!r} needs a nonnegative model: use the "
+                "negative-entropy generator or nonnegative regularizers")
+        if self.generator.entropic and any(r.kind == "squared-l2" for r in self.regularizer):
             raise ConfigError("no closed-form prox for (negative-entropy, squared-l2)")
+        # s bounds |alpha_k - beta_k| for k <= max_iters; backtracking can
+        # halve beta_k down to 0, which leaves alpha_k.
+        ratio, _ = inertial_coefficients(1.0, 0.0, max(self.max_iters, 1))
+        gap = abs(self.c1 - self.c2)
+        s = ratio * (max(self.c1, gap) if self.extrapolation_check == "backtrack" else gap)
+        if self.stepsize_rule == "decreasing-bound":
+            if self.l_bar is None or not 0 < self.l_bar < math.inf:
+                raise ConfigError(
+                    "the decreasing-bound stepsize rule needs a positive, finite l_bar")
+            numer = 1.0 - self.delta - 2.0 * s * self.m2
+            if self.alpha_weak + 2.0 * self.gamma_bar > 0 and numer <= 0:
+                raise ConfigError(
+                    f"decreasing-bound stepsize is nonpositive: 1 - delta - 2*s*m2 = "
+                    f"{numer:.3g} (s = {s:.3g}); relax delta/m2 surrogates")
         if self.lyapunov:
             if self.stepsize_rule != "constant":
                 raise ConfigError("the Lyapunov diagnostic requires a constant stepsize")
-            gamma_sup = abs(self.c1 - self.c2) * self.m2
+            if self.diagnostics and self.estimator != "full" and not self.gamma_bar > 0:
+                raise ConfigError("the Lyapunov and Gamma diagnostics together need "
+                                  f"gamma_bar > 0 under the {self.estimator!r} estimator")
             coeff = (1.0 - self.eta * self.alpha_weak - self.eta * self.gamma_bar
-                     - gamma_sup - self.eps_aux / 3.0)
+                     - s * self.m2 - self.eps_aux / 3.0)
             if coeff < 0:
                 raise ConfigError(
                     "Lyapunov forward coefficient negative at configuration: "
-                    f"1 - eta*alpha - eta*gamma_bar - |c1-c2|*m2 - eps/3 = {coeff:.3g}")
+                    f"1 - eta*alpha - eta*gamma_bar - s*m2 - eps/3 = {coeff:.3g} (s = {s:.3g})")
 
     def resolved(self, shape: TensorShape) -> "SolverConfig":
-        """Fill data-dependent defaults and validate against the tensor shape."""
+        """Fill every default and check every setting against the tensor shape.
+        A nonnegative loss defaults to negative-entropy with the nonnegative
+        indicator and makes every l1 or squared-l2 regularizer nonnegative;
+        the other losses default to squared-euclidean with zero."""
+        nonnegative = self.loss.nonnegative
         batch = self.batch if self.batch is not None else 2 * self.rank
         if batch < 1:
             raise ConfigError("batch must be >= 1")
-        fiber_counts = [shape.fiber_count(n) for n in range(shape.order)]
         eval_every = self.eval_every
         if eval_every is None:
-            mean_j = sum(fiber_counts) / len(fiber_counts)
+            mean_j = sum(shape.fiber_count(n) for n in range(shape.order)) / shape.order
             eval_every = max(1, math.ceil(mean_j / batch))
-        regs = self.regularizers(shape.order)
+        regs = self.regularizer
+        if regs is None:
+            regs = RegularizerSpec("nonnegative-indicator" if nonnegative else "zero")
+        if isinstance(regs, RegularizerSpec):
+            regs = (regs,) * shape.order
+        if len(regs) != shape.order:
+            raise ConfigError(f"need {shape.order} per-mode regularizers, got {len(regs)}")
+        regs = tuple(dataclasses.replace(r, nonnegative=True)
+                     if nonnegative and r.kind in ("l1", "squared-l2") else r for r in regs)
+        generator = self.generator or GeneratorSpec(
+            "negative-entropy" if nonnegative else "squared-euclidean")
         max_step = self.max_step
         if max_step is None:
             # Entropy updates are multiplicative: cap the per-step log change so
             # barrier-zone derivative spikes (~1/eps^2 scale) cannot compound
             # into overflow. Additive euclidean steps are left uncapped.
-            max_step = 0.02 if self.generator.entropic else float("inf")
+            max_step = 0.02 if generator.entropic else float("inf")
         if not max_step > 0:
             raise ConfigError("max_step must be positive")
-        out = dataclasses.replace(self, batch=int(batch), eval_every=int(eval_every),
-                                  regularizer=regs, max_step=float(max_step))
-        out.validate(shape.order)
+        eta = self.eta if self.eta is not None else _DEFAULT_ETA[self.loss.kind]
+        out = dataclasses.replace(self, generator=generator, regularizer=regs, eta=eta,
+                                  batch=int(batch), eval_every=int(eval_every),
+                                  max_step=float(max_step))
+        out._validate()
         return out
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["regularizer"] = (
-            [dataclasses.asdict(r) for r in self.regularizer]
-            if isinstance(self.regularizer, tuple)
-            else dataclasses.asdict(self.regularizer))
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
-        d = dict(d)
-        d["loss"] = LossSpec(**d["loss"])
-        d["generator"] = GeneratorSpec(**d["generator"])
-        reg = d["regularizer"]
-        if isinstance(reg, dict):
-            d["regularizer"] = RegularizerSpec(**reg)
-        else:
-            d["regularizer"] = tuple(RegularizerSpec(**r) for r in reg)
+        """Rebuild a config saved by `to_dict`; DataError unless each saved
+        object names exactly the fields of its dataclass."""
+        d = _saved_fields(cls, d)
+        d["loss"] = LossSpec(**_saved_fields(LossSpec, d["loss"]))
+        if d["generator"] is not None:
+            d["generator"] = GeneratorSpec(**_saved_fields(GeneratorSpec, d["generator"]))
+        regs = d["regularizer"]
+        if regs is not None:  # one spec for every mode, or a list of per-mode specs
+            one = not isinstance(regs, (list, tuple))
+            specs = tuple(RegularizerSpec(**_saved_fields(RegularizerSpec, r))
+                          for r in ([regs] if one else regs))
+            d["regularizer"] = specs[0] if one else specs
         return cls(**d)
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
+
+
+def _saved_fields(cls, saved) -> dict:
+    """A copy of `saved`, an object that must name exactly the fields of `cls`."""
+    if not isinstance(saved, dict):
+        raise DataError(f"saved {cls.__name__} is not an object")
+    names = {f.name for f in dataclasses.fields(cls)}
+    if saved.keys() != names:
+        raise DataError(f"saved {cls.__name__} lacks fields {sorted(names - saved.keys())} "
+                        f"and has unknown fields {sorted(saved.keys() - names)}")
+    return dict(saved)
 
 
 @dataclass
@@ -307,9 +339,6 @@ def step(state: SolverRunState, config: SolverConfig) -> int:
         denom = config.alpha_weak + 2.0 * config.gamma_bar
         if denom > 0:
             numer = 1.0 - config.delta - 2.0 * abs(alpha_k - beta_k) * config.m2
-            if numer <= 0:
-                raise ConfigError(
-                    "decreasing-bound stepsize is nonpositive; relax delta/m2 surrogates")
             candidates.append(numer / denom)
         eta_k = min(candidates)
 

@@ -25,7 +25,7 @@ from gcpd.estimators import (EstimatorState, batch_gradient, checked_gradient,
 from gcpd.losses import LossSpec, objective
 from gcpd.metrics import _cost_matrix, match_columns, mse
 from gcpd.solver import SolverConfig, run
-from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO
+from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO, TensorShape
 from gcpd.verify import (check_prox_oracle, exhaustive_match, fd_block_gradient,
                          gaussian_block_curvature)
 
@@ -52,16 +52,18 @@ def family_instance(kind, dims, rank, seed):
 
 
 def section5_config(loss_kind, rank=3, **kw):
-    """The experiment defaults: B = 2R, eta by family, c1 = 3/5, c2 = 4/5,
-    entropy generator with nonnegativity, epsilon = 1e-9, A_max = 0.5 init."""
-    eta = 0.1 if loss_kind == "gamma" else 0.2
-    base = dict(rank=rank, loss=LossSpec(loss_kind, epsilon=1e-9),
-                generator=GeneratorSpec("negative-entropy"),
-                regularizer=RegularizerSpec("nonnegative-indicator"),
-                estimator="saga", batch=2 * rank, eta=eta, c1=0.6, c2=0.8,
-                init_max=0.5, tol=1e-10)
-    base.update(kw)
-    return SolverConfig(**base)
+    """The `SolverConfig` defaults, checked to be the experiment settings: B = 2R,
+    eta by family, c1 = 3/5, c2 = 4/5, entropy generator with the nonnegative
+    indicator, saga, epsilon = 1e-9, A_max = 0.5 init, tol = 1e-10."""
+    base = SolverConfig(rank=rank, loss=LossSpec(loss_kind))
+    got = base.resolved(TensorShape((20, 15, 20)))
+    assert (got.batch, got.eta, got.c1, got.c2) == (
+        2 * rank, 0.1 if loss_kind == "gamma" else 0.2, 0.6, 0.8)
+    assert got.generator == GeneratorSpec("negative-entropy")
+    assert got.regularizer == (RegularizerSpec("nonnegative-indicator"),) * 3
+    assert (got.estimator, got.loss.epsilon, got.init_max, got.tol) == (
+        "saga", 1e-9, 0.5, 1e-10)
+    return dataclasses.replace(base, **kw)
 
 
 class TestCriterion1GradientCorrectness:

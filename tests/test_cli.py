@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcpd.bregman import RegularizerSpec
+from gcpd import solver
 from gcpd.cli import _build_parser, _solver_config_from_args, main
 from gcpd.data import SyntheticSpec, read_factors, read_tns, read_trace_csv
+from gcpd.losses import KINDS as LOSS_KINDS
 from gcpd.losses import LossSpec
 from gcpd.solver import SolverConfig
 from gcpd.verify import check_gradient_fd
@@ -89,12 +90,21 @@ class TestDecompose:
         args = _build_parser().parse_args(["decompose", "--loss", "gamma", "--rank", "2"])
         config = _solver_config_from_args(args)
         defaults = SolverConfig(rank=2, loss=LossSpec("gamma"))
-        per_loss = {"generator", "regularizer", "eta"}  # the CLI's per-loss choices
         for f in dataclasses.fields(SolverConfig):
-            if f.name not in per_loss:
-                assert getattr(config, f.name) == getattr(defaults, f.name), f.name
-        assert config.loss.epsilon == LossSpec("gamma").epsilon
-        assert config.regularizer.weight == RegularizerSpec().weight
+            assert getattr(config, f.name) == getattr(defaults, f.name), f.name
+
+    def test_manifest_config_is_the_resolved_library_default(self, tmp_path, capsys):
+        # Binary counts lie in the data domain of every loss.
+        path = tmp_path / "binary.tns"
+        path.write_text("# shape: 3 2 2\n1 1 1 1\n2 2 1 1\n3 1 2 1\n")
+        for kind in LOSS_KINDS:
+            assert run_cli("decompose", "--input", str(path), "--loss", kind,
+                           "--rank", "2", "--iters", "0") == 0
+            out = capsys.readouterr().out
+            written = json.loads(out[:out.rindex("iterations:")])["config"]
+            library = SolverConfig(rank=2, loss=LossSpec(kind), max_iters=0)
+            resolved = library.resolved(read_tns(path).shape).to_dict()
+            assert written == json.loads(json.dumps(resolved)), kind
 
     def test_reduces_objective(self, gamma_files, tmp_path):
         trace_path = tmp_path / "trace.csv"
@@ -203,6 +213,32 @@ class TestDecompose:
         assert capsys.readouterr().err.startswith("configuration error:")
         assert not trace_path.exists()
 
+    @pytest.mark.parametrize("weight", ["0", "0.5"])
+    def test_reg_weight_without_regularizer_is_usage_error(self, gamma_files, tmp_path,
+                                                           capsys, weight):
+        trace_path = tmp_path / "t.csv"
+        code = run_cli("decompose", "--input", str(gamma_files) + ".tns",
+                       "--loss", "gamma", "--rank", "2", "--iters", "20",
+                       "--reg-weight", weight, "--trace", str(trace_path))
+        assert code == 1
+        assert "--reg-weight needs --regularizer" in capsys.readouterr().err
+        assert not trace_path.exists()
+
+    def test_lyapunov_with_diagnostics_fails_before_the_run(self, gamma_files, tmp_path,
+                                                            capsys, monkeypatch):
+        built = []
+        real = solver.EstimatorState
+        monkeypatch.setattr(solver, "EstimatorState",
+                            lambda *a, **k: built.append(a) or real(*a, **k))
+        trace_path = tmp_path / "t.csv"
+        code = run_cli("decompose", "--input", str(gamma_files) + ".tns",
+                       "--loss", "gamma", "--rank", "2", "--iters", "50",
+                       "--lyapunov", "--diagnostics", "--trace", str(trace_path))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not trace_path.exists()
+        assert built == []
+
     def test_truth_with_zeroed_column_keeps_running(self, tmp_path):
         prefix = tmp_path / "gs"
         run_cli("synthesize", "--shape", "8,7,6", "--rank", "2",
@@ -242,6 +278,30 @@ class TestDecompose:
         assert manifest["config"]["max_iters"] == 10  # flag beat config file
         assert manifest["config"]["seed"] == 4        # config file supplied
 
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.update(config={"rank": 2}),
+        lambda m: m["config"].update(bogus=1),
+        lambda m: m["config"].pop("tol"),
+        lambda m: m["config"]["loss"].update(bogus=1),
+        lambda m: m.pop("input"),
+        lambda m: m["input"].pop("path"),
+        lambda m: m.pop("outputs"),
+    ])
+    def test_malformed_manifest_is_data_error(self, gamma_files, tmp_path, capsys, edit):
+        out = tmp_path / "m"
+        assert run_cli("decompose", "--input", str(gamma_files) + ".tns", "--loss",
+                       "gamma", "--rank", "2", "--iters", "5", "--model-out", str(out)) == 0
+        manifest = Path(str(out) + ".manifest.json")
+        saved = json.loads(manifest.read_text())
+        edit(saved)
+        manifest.write_text(json.dumps(saved))
+        capsys.readouterr()
+        trace_path = tmp_path / "replay.csv"
+        code = run_cli("decompose", "--manifest", str(manifest), "--trace", str(trace_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not trace_path.exists()
 
     @pytest.mark.parametrize("line", ["sigma=9", "dist=poisson", "methods=warp-x"])
     def test_config_key_of_another_command_is_usage_error(self, gamma_files, tmp_path,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcpd.bregman import GeneratorSpec, RegularizerSpec
+from gcpd.bregman import RegularizerSpec
 from gcpd.losses import LossSpec
 from gcpd.solver import SolverConfig, run
 from gcpd.tensors import DenseTensor, SparseTensorCOO
@@ -46,11 +46,8 @@ def _instance(kind: str, storage: str):
 
 
 def _config(kind: str, estimator: str, storage: str) -> SolverConfig:
-    if LossSpec(kind).nonnegative:
-        gen, reg = GeneratorSpec("negative-entropy"), RegularizerSpec("nonnegative-indicator")
-    else:
-        gen, reg = GeneratorSpec("squared-euclidean"), RegularizerSpec("zero")
-    return SolverConfig(rank=2, loss=LossSpec(kind), generator=gen, regularizer=reg,
+    """The loss's default geometry and regularizer, at one stepsize for all kinds."""
+    return SolverConfig(rank=2, loss=LossSpec(kind),
                         estimator=estimator, eta=0.2, max_iters=60, eval_every=10,
                         eval_samples=150 if storage == "sparse" else None,
                         seed=5, record_timing=False)

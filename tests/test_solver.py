@@ -10,9 +10,10 @@ from gcpd.bregman import GeneratorSpec, RegularizerSpec, bregman_div
 from gcpd.data import SyntheticSpec, generate
 from gcpd.errors import ConfigError, DataError, DivergenceError, LossDomainError
 from gcpd.losses import LossSpec
+from gcpd import solver
 from gcpd.solver import (SolverConfig, SolverRunState, extrapolation_guard,
                          inertial_coefficients, initial_factors, run, step)
-from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO
+from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO, TensorShape
 from gcpd.verify import gaussian_block_curvature
 
 
@@ -56,35 +57,111 @@ class TestSchedules:
             assert 0.0 <= alpha < 1.0 and 0.0 <= beta < 1.0
 
 
+SHAPE = TensorShape((6, 5, 4))
+
+
 class TestConfigValidation:
     def test_c_range(self):
         with pytest.raises(ConfigError):
-            gaussian_config(c1=1.5).validate(3)
+            gaussian_config(c1=1.5).resolved(SHAPE)
 
     def test_delta_eps_ordering(self):
         with pytest.raises(ConfigError):
-            gamma_config(delta=0.1, eps_aux=0.5).validate(3)
+            gamma_config(delta=0.1, eps_aux=0.5).resolved(SHAPE)
 
     def test_nonnegative_loss_needs_guarded_setup(self):
         cfg = SolverConfig(rank=2, loss=LossSpec("gamma"),
                            generator=GeneratorSpec("squared-euclidean"),
                            regularizer=RegularizerSpec("zero"))
         with pytest.raises(ConfigError, match="nonnegative"):
-            cfg.validate(3)
+            cfg.resolved(SHAPE)
 
     def test_entropy_squared_l2_rejected(self):
         cfg = SolverConfig(rank=2, loss=LossSpec("gaussian"),
                            generator=GeneratorSpec("negative-entropy"),
                            regularizer=RegularizerSpec("squared-l2", weight=0.1))
         with pytest.raises(ConfigError, match="closed-form"):
-            cfg.validate(3)
+            cfg.resolved(SHAPE)
 
     @pytest.mark.parametrize("field,value", [
         ("eval_every", 0), ("eval_every", -3), ("eval_samples", 0),
         ("init_max", 0.0), ("init_max", -1.0), ("init_max", np.inf), ("seed", -1)])
     def test_out_of_range_setting_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
-            gaussian_config(**{field: value}).validate(3)
+            gaussian_config(**{field: value}).resolved(SHAPE)
+
+    @pytest.mark.parametrize("settings,match", [
+        (dict(stepsize_rule="decreasing-bound", l_bar=-1.0), "l_bar"),
+        (dict(stepsize_rule="decreasing-bound", l_bar=np.inf), "l_bar"),
+        (dict(lyapunov=True, diagnostics=True, estimator="saga"), "gamma_bar"),
+        # 1 - delta - 2*s*m2 <= 0 with s = (49/52)*0.8 at k = max_iters = 50.
+        (dict(stepsize_rule="decreasing-bound", l_bar=4.0, delta=0.5, m2=1.0,
+              c1=0.0, c2=0.8, gamma_bar=0.1), "decreasing-bound"),
+        # Backtracking can zero beta_k, so s = (49/52)*c1 although c1 = c2.
+        (dict(stepsize_rule="decreasing-bound", l_bar=4.0, delta=0.5, m2=1.0,
+              c1=0.6, c2=0.6, gamma_bar=0.1, extrapolation_check="backtrack"),
+         "decreasing-bound"),
+        (dict(lyapunov=True, c1=0.6, c2=0.6, m2=2.0, eta=0.05,
+              extrapolation_check="backtrack"), "Lyapunov forward coefficient"),
+    ])
+    def test_setting_rejected_before_the_run_starts(self, settings, match, monkeypatch):
+        built = []
+        real = solver.EstimatorState
+        monkeypatch.setattr(solver, "EstimatorState",
+                            lambda *a, **k: built.append(a) or real(*a, **k))
+        tensor, _ = small_gaussian_instance()
+        cfg = gaussian_config(**settings)
+        with pytest.raises(ConfigError, match=match):
+            cfg.resolved(tensor.shape)
+        with pytest.raises(ConfigError, match=match):
+            run(cfg, tensor)
+        assert built == []
+
+    @pytest.mark.parametrize("estimator", ["full", "saga"])
+    def test_lyapunov_with_diagnostics_runs_when_gamma_is_covered(self, estimator):
+        # The full estimator's Gamma is 0; the others need gamma_bar > 0.
+        tensor, _ = small_gaussian_instance()
+        cfg = gaussian_config(estimator=estimator, lyapunov=True, diagnostics=True,
+                              eta=0.05, max_iters=20, eval_every=5,
+                              gamma_bar=0.0 if estimator == "full" else 0.5)
+        trace, _ = run(cfg, tensor)
+        assert all(r.lyapunov is not None for r in trace.records[1:])
+
+    def test_defaults_follow_the_loss(self):
+        for kind, gen, reg, eta in (
+                ("gaussian", "squared-euclidean", "zero", 0.1),
+                ("gamma", "negative-entropy", "nonnegative-indicator", 0.1),
+                ("poisson-log", "squared-euclidean", "zero", 0.2),
+                ("bernoulli-odds", "negative-entropy", "nonnegative-indicator", 0.2)):
+            cfg = SolverConfig(rank=2, loss=LossSpec(kind)).resolved(SHAPE)
+            assert cfg.generator == GeneratorSpec(gen), kind
+            assert cfg.regularizer == (RegularizerSpec(reg),) * 3, kind
+            assert cfg.eta == eta, kind
+
+    def test_nonnegative_loss_makes_penalties_nonnegative(self):
+        regs = (RegularizerSpec("l1", weight=0.1), RegularizerSpec("squared-l2", weight=0.2),
+                RegularizerSpec("nonnegative-indicator"))
+        cfg = SolverConfig(rank=2, loss=LossSpec("gamma"),
+                           generator=GeneratorSpec("squared-euclidean"), regularizer=regs)
+        assert cfg.resolved(SHAPE).regularizer == (
+            RegularizerSpec("l1", weight=0.1, nonnegative=True),
+            RegularizerSpec("squared-l2", weight=0.2, nonnegative=True),
+            RegularizerSpec("nonnegative-indicator"))
+        gaussian = dataclasses.replace(cfg, loss=LossSpec("gaussian"))
+        assert gaussian.resolved(SHAPE).regularizer == regs
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda d: d.pop("tol"), r"lacks fields \['tol'\]"),
+        (lambda d: d.update(bogus=1), r"unknown fields \['bogus'\]"),
+        (lambda d: d["loss"].pop("epsilon"), "LossSpec lacks"),
+        (lambda d: d["regularizer"][1].update(scale=2), "RegularizerSpec"),
+        (lambda d: d.update(generator="negative-entropy"), "GeneratorSpec is not an object"),
+    ])
+    def test_from_dict_rejects_missing_or_unknown_fields(self, edit, match):
+        saved = gaussian_config().resolved(SHAPE).to_dict()
+        edit(saved)
+        with pytest.raises(DataError, match=match):
+            SolverConfig.from_dict(saved)
 
     def test_manifest_round_trip(self):
         tensor, _ = small_gaussian_instance()
