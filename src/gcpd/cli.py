@@ -229,7 +229,10 @@ def cmd_synthesize(args) -> int:
 
 def cmd_decompose(args) -> int:
     if args.manifest:
-        saved = json.loads(Path(args.manifest).read_text())
+        try:
+            saved = json.loads(Path(args.manifest).read_text())
+        except ValueError as exc:   # not JSON, or not text
+            raise DataError(f"{args.manifest} is not a JSON file: {exc}") from None
         parts = ("config", "input", "outputs")
         if not (isinstance(saved, dict) and all(isinstance(saved.get(k), dict) for k in parts)
                 and "path" in saved["input"]):

@@ -210,14 +210,29 @@ class SolverConfig:
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
+# The JSON values a saved field of each scalar type may hold (an int stands
+# for a float). Fields holding specs are checked as from_dict rebuilds them.
+_SAVED_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
+                "None": (type(None),)}
+
+
 def _saved_fields(cls, saved) -> dict:
-    """A copy of `saved`, an object that must name exactly the fields of `cls`."""
+    """A copy of `saved`, an object that must name exactly the fields of `cls`,
+    each scalar one holding a value its type admits."""
     if not isinstance(saved, dict):
         raise DataError(f"saved {cls.__name__} is not an object")
     names = {f.name for f in dataclasses.fields(cls)}
     if saved.keys() != names:
         raise DataError(f"saved {cls.__name__} lacks fields {sorted(names - saved.keys())} "
                         f"and has unknown fields {sorted(saved.keys() - names)}")
+    for f in dataclasses.fields(cls):
+        types = f.type.split(" | ")
+        if all(t in _SAVED_TYPES for t in types):
+            value = saved[f.name]
+            admits = tuple(k for t in types for k in _SAVED_TYPES[t])
+            if not isinstance(value, admits) or (isinstance(value, bool) and bool not in admits):
+                raise DataError(f"saved {cls.__name__} field {f.name!r} is {value!r}, "
+                                f"not {f.type}")
     return dict(saved)
 
 

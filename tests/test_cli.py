@@ -287,6 +287,7 @@ class TestDecompose:
         lambda m: m.pop("input"),
         lambda m: m["input"].pop("path"),
         lambda m: m.pop("outputs"),
+        lambda m: m["config"].update(rank="2"),
     ])
     def test_malformed_manifest_is_data_error(self, gamma_files, tmp_path, capsys, edit):
         out = tmp_path / "m"
@@ -302,6 +303,13 @@ class TestDecompose:
         assert code == 2
         assert capsys.readouterr().err.startswith("data error:")
         assert not trace_path.exists()
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"])
+    def test_manifest_that_is_not_json_is_data_error(self, tmp_path, capsys, content):
+        manifest = tmp_path / "run.manifest.json"
+        manifest.write_bytes(content)
+        assert run_cli("decompose", "--manifest", str(manifest)) == 2
+        assert capsys.readouterr().err.startswith("data error:")
 
     @pytest.mark.parametrize("line", ["sigma=9", "dist=poisson", "methods=warp-x"])
     def test_config_key_of_another_command_is_usage_error(self, gamma_files, tmp_path,

@@ -1,5 +1,6 @@
 """Gradient estimators: exactness, unbiasedness, SAGA/SARAH state, diagnostics."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -76,6 +77,23 @@ def as_sparse(tensor):
     return SparseTensorCOO(tensor.dims, nz, tensor.values[tuple(nz.T)])
 
 
+def dense_table_rows(d, kr):
+    """Stored SAGA gradients g_j = d_j (x) h_j / I_n of the given fibers, as a
+    dense (B, I_n, R) stack."""
+    out = np.einsum("bi,br->bir", d, kr)
+    out /= d.shape[1]
+    return out
+
+
+def table_stack(state, mode):
+    """A SAGA state's stored gradients for `mode`, rebuilt as a dense stack
+    from the stored factors: the rows of D and of H."""
+    d, kr = state.tables[mode]
+    assert d.shape == (state.fiber_counts[mode], state.tensor.shape.dims[mode])
+    assert kr.shape == (state.fiber_counts[mode], state.rank)
+    return dense_table_rows(d, kr)
+
+
 # At blocks of BLOCK_ENTRIES entries these dims span several row blocks in
 # every mode, and the modes end in remainder blocks of 3, 1 and 3 rows.
 BLOCK_ENTRIES = 1 << 13
@@ -135,7 +153,7 @@ class TestBlockedPass:
             kr = khatri_rao_rows(model.factors, mode, rows)
             d = loss_deriv(spec, unfold(dense, mode), kr @ model.factors[mode].T)
             stack = np.einsum("bi,br->bir", d, kr) / BLOCKED_DIMS[mode]
-            assert np.array_equal(state.tables[mode], stack)
+            assert np.array_equal(table_stack(state, mode), stack)
             assert np.array_equal(state.table_avg[mode], stack.mean(axis=0))
 
     @pytest.mark.parametrize("kind,faults", [
@@ -190,6 +208,30 @@ class TestFullPassMemory:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.5 * tensor.values.nbytes
+
+
+class TestSagaTableMemory:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_table_is_stored_factored(self, sparse):
+        # Each stored gradient is kept as its two factors, J_n (I_n + R)
+        # values per mode, and the build forms no dense table: it peaks below
+        # the factored tables plus one mode's (J_n, I_n, R) stack.
+        dims, rank = (50, 40, 30), 3
+        dense, model, spec = make_instance("poisson-identity", dims=dims, rank=rank,
+                                           seed=28)
+        tensor = as_sparse(dense) if sparse else dense
+        counts = [tensor.shape.fiber_count(n) for n in range(3)]
+        factored = 8 * sum(j * (i + rank) for j, i in zip(counts, dims))
+        stack = 8 * min(j * i * rank for j, i in zip(counts, dims))
+        EstimatorState("saga", tensor, model, spec, batch=6)
+        tracemalloc.start()
+        try:
+            state = EstimatorState("saga", tensor, model, spec, batch=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(a.nbytes for table in state.tables for a in table) == factored
+        assert peak < factored + stack
 
 
 class TestSgd:
@@ -270,7 +312,7 @@ class TestSaga:
             point = [np.abs(a) + 1e-6 for a in point]
             checked_gradient(state, point, mode, rows)
             drift = np.max(np.abs(state.table_avg[mode]
-                                  - state.tables[mode].mean(axis=0)))
+                                  - table_stack(state, mode).mean(axis=0)))
             assert drift <= 1e-10
 
     def test_rank_change_rejected(self):
@@ -279,6 +321,93 @@ class TestSaga:
         bad = [np.ones((d, 5)) for d in tensor.shape.dims]
         with pytest.raises(StateError):
             checked_gradient(state, bad, 0, np.array([0]))
+
+
+def same_bits(a, b):
+    """Equal values and equal signs of zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class DenseTableSaga:
+    """SAGA with a dense (J_n, I_n, R) table per mode, written out: the
+    table build, the step (replace the touched entries, update the running
+    average, re-sync it once per effective pass) and the Gamma diagnostic."""
+
+    def __init__(self, dense, factors, spec, batch):
+        self.dense, self.spec = dense, spec
+        self.counts = [dense.shape.fiber_count(n) for n in range(3)]
+        self.batches = [min(batch, j) for j in self.counts]
+        self.sync_every = [math.ceil(j / b) for j, b in zip(self.counts, self.batches)]
+        self.since = [0] * 3
+        self.resyncs = [0] * 3
+        self.tables = [dense_table_rows(*self.terms(factors, n, np.arange(j)))
+                       for n, j in enumerate(self.counts)]
+        self.avg = [t.mean(axis=0) for t in self.tables]
+
+    def terms(self, factors, mode, rows):
+        kr = khatri_rao_rows(factors, mode, rows)
+        x = unfold(self.dense, mode)[rows]
+        return loss_deriv(self.spec, x, kr @ factors[mode].T), kr
+
+    def step(self, factors, mode, rows):
+        current = dense_table_rows(*self.terms(factors, mode, rows))
+        change = (current - self.tables[mode][rows]).sum(axis=0)
+        estimate = change / rows.size + self.avg[mode]
+        self.tables[mode][rows] = current
+        self.avg[mode] = self.avg[mode] + change / self.counts[mode]
+        self.since[mode] += 1
+        if self.since[mode] >= self.sync_every[mode]:
+            self.avg[mode] = self.tables[mode].mean(axis=0)
+            self.since[mode] = 0
+            self.resyncs[mode] += 1
+        return estimate
+
+    def gamma(self, factors, mode):
+        rows = np.arange(self.counts[mode])
+        diff = dense_table_rows(*self.terms(factors, mode, rows)) - self.tables[mode]
+        sq = np.sum(diff * diff, axis=(1, 2))
+        return float(np.sum(sq) / (self.batches[mode] * self.counts[mode]))
+
+
+class TestSagaTableReplay:
+    """Pins the SAGA table's values, whatever its storage: 200 steps at
+    moving points, at least one re-sync per mode, every estimate and running
+    average equal to the dense-table formula, and the diagnostic too."""
+
+    @pytest.mark.parametrize("kind", ["gamma", "gaussian"])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_replay_equals_dense_table(self, kind, sparse, monkeypatch):
+        # Small row blocks and table chunks, so the whole-table passes span
+        # several of each with a remainder (a dense table has no chunks).
+        monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", 70)
+        monkeypatch.setattr(estimators, "_CHUNK_ENTRIES", 70, raising=False)
+        dense, model, spec = make_instance(kind, dims=(6, 5, 7), rank=3, seed=27)
+        factors = [a.copy() for a in model.factors]
+        if kind == "gaussian":
+            # A zero column, a negative row and data above the model: stored
+            # products of either sign of zero, and whole columns of -0 products.
+            factors[0][:, 1] = 0.0
+            factors[1][0] = -factors[1][0]
+            dense = DenseTensor(dense.values + 10.0)
+        tensor = as_sparse(dense) if sparse else dense
+        state = EstimatorState("saga", tensor, KruskalModel(factors), spec, batch=4)
+        want = DenseTableSaga(dense, factors, spec, batch=4)
+        for mode in range(3):
+            assert same_bits(state.table_avg[mode], want.avg[mode])
+        rng = np.random.default_rng(27)
+        for k in range(1, 201):
+            mode = int(rng.integers(3))
+            rows = np.sort(rng.choice(want.counts[mode], size=4, replace=False))
+            factors = [a * (1 + 0.02 * rng.standard_normal(a.shape)) for a in factors]
+            if spec.nonnegative:
+                factors = [np.abs(a) for a in factors]
+            got = checked_gradient(state, factors, mode, rows)
+            assert same_bits(got, want.step(factors, mode, rows))
+            assert same_bits(state.table_avg[mode], want.avg[mode])
+            if k % 50 == 0:
+                for n in range(3):
+                    assert vr_diagnostics(state, factors, n, rows) == want.gamma(factors, n)
+        assert min(want.resyncs) >= 1
 
 
 class TestSarah:

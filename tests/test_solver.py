@@ -163,6 +163,22 @@ class TestConfigValidation:
         with pytest.raises(DataError, match=match):
             SolverConfig.from_dict(saved)
 
+    @pytest.mark.parametrize("field,value", [
+        ("rank", "2"), ("eta", "0.1"), ("seed", [1]), ("max_iters", True),
+    ])
+    def test_from_dict_rejects_values_of_the_wrong_type(self, field, value):
+        saved = gaussian_config().resolved(SHAPE).to_dict()
+        saved[field] = value
+        with pytest.raises(DataError, match=f"field '{field}'"):
+            SolverConfig.from_dict(saved)
+
+    def test_from_dict_takes_an_int_for_a_float(self):
+        saved = gaussian_config().resolved(SHAPE).to_dict()
+        saved["eta"] = 1
+        saved["loss"]["epsilon"] = 1
+        config = SolverConfig.from_dict(saved)
+        assert config.eta == 1 and config.loss.epsilon == 1
+
     def test_manifest_round_trip(self):
         tensor, _ = small_gaussian_instance()
         cfg = gaussian_config(batch=4).resolved(tensor.shape)
