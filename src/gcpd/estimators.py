@@ -12,11 +12,12 @@ so full, SGD with B = J_n, and SAGA with B = J_n coincide exactly.
 
 SAGA keeps one stored gradient per fiber, initialized by one full pass at the
 initial iterate so the first estimate is exact. Each g_j is rank one, so the
-table stores its two factors: the rows of D (J_n x I_n) and of H (J_n x R),
-memory O(J_n (I_n + R)) per mode against O(J_n I_n R) for the dense stack of
-the g_j. A step rebuilds the B touched entries, old and new, with the dense
-stack's product and division, and a re-sync of the running average rebuilds
-the whole table chunk by chunk, so no (J_n, I_n, R) array is formed.
+table stores its two factors, row j holding D(j, :) then H(j, :) in one
+(J_n, I_n + R) array per mode: memory O(J_n (I_n + R)) per mode against
+O(J_n I_n R) for the dense stack of the g_j. A step rebuilds the B touched
+entries, old and new, with the dense stack's product and division, and a
+re-sync of the running average rebuilds the whole table chunk by chunk, so
+no (J_n, I_n, R) array is formed.
 Estimates and averages equal the dense stack's bit for bit. SARAH keeps a
 per-mode running estimate and restarts from the full gradient with
 probability 1/p. Tables for inactive modes go stale when another block
@@ -83,7 +84,7 @@ def _chunks(rows: int, entries: int):
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
-def _table_mean(d: np.ndarray, kr: np.ndarray) -> np.ndarray:
+def _table_mean(table: np.ndarray, i_n: int) -> np.ndarray:
     """(1/J_n) sum_j g_j over a SAGA table, shape (I_n, R).
 
     Equals the mean over axis 0 of the dense stack bit for bit: that is a
@@ -91,6 +92,7 @@ def _table_mean(d: np.ndarray, kr: np.ndarray) -> np.ndarray:
     the chunks before it. The result is laid out (R, I_n) in memory, as the
     step's stacks are, so the step's sums with it run on like layouts.
     """
+    d, kr = table[:, :i_n], table[:, i_n:]
     total = None
     for rows in _chunks(d.shape[0], d.shape[1] * kr.shape[1]):
         chunk = _stack(d[rows], kr[rows])
@@ -183,9 +185,10 @@ class EstimatorState:
             self.table_avg = []
             self._since_sync = [0] * self.order
             for n in range(self.order):
-                table = _terms(tensor, model.factors, loss, n, _all_rows(tensor, n))
+                table = np.concatenate(
+                    _terms(tensor, model.factors, loss, n, _all_rows(tensor, n)), axis=1)
                 self.tables.append(table)
-                self.table_avg.append(_table_mean(*table))
+                self.table_avg.append(_table_mean(table, shape.dims[n]))
         elif kind == "sarah":
             self.estimates = [None] * self.order
             self.snapshots = [None] * self.order
@@ -216,26 +219,30 @@ def _saga(state: EstimatorState, factors, n: int, rows) -> np.ndarray:
     plan = state.plans[n]
     digits = plan.digits(rows)
     d, kr = _plan_terms(plan, factors, plan.fibers(rows, digits), digits, state.deriv)
-    table_d, table_kr = state.tables[n]
-    # The touched entries, new and old, rebuilt (B, R, I_n): the sum over the
-    # batch runs in the order of the rows in any layout. Broadcasting is
-    # faster than `_stack` at this size; where a product is zero it may
-    # carry the other sign than the einsum's +0, and numpy's sums start
-    # from +0, so `change` and all that follows keep the dense stack's bits.
-    i_n = float(d.shape[1])
-    diff = kr[:, :, None] * d[:, None, :]
-    diff /= i_n
-    old = table_kr.take(rows, axis=0)[:, :, None] * table_d.take(rows, axis=0)[:, None, :]
-    old /= i_n
-    diff -= old
-    table_d[rows] = d
-    table_kr[rows] = kr
+    table = state.tables[n]
+    b, i_n = d.shape
+    # The factors of the touched entries: new in the first B rows, old in
+    # the last B, so one gather, one write and one product serve both.
+    both = np.empty((2 * b, table.shape[1]))
+    both[:b, :i_n] = d
+    both[:b, i_n:] = kr
+    table.take(rows, axis=0, out=both[b:])
+    table[rows] = both[:b]
+    # The entries are rebuilt (2B, R, I_n): the sum over the batch runs in
+    # the order of the rows in any layout. Broadcasting is faster than
+    # `_stack` at this size; where a product is zero it may carry the other
+    # sign than the einsum's +0, and numpy's sums start from +0, so `change`
+    # and all that follows keep the dense stack's bits.
+    stack = both[:, i_n:, None] * both[:, None, :i_n]
+    stack /= float(i_n)
+    diff = stack[:b]
+    diff -= stack[b:]
     change = diff.sum(axis=0).T
     estimate = change / rows.size + state.table_avg[n]
     state.table_avg[n] = state.table_avg[n] + change / state.fiber_counts[n]
     state._since_sync[n] += 1
     if state._since_sync[n] >= state.sync_every[n]:
-        state.table_avg[n] = _table_mean(table_d, table_kr)
+        state.table_avg[n] = _table_mean(table, i_n)
         state._since_sync[n] = 0
     return estimate
 
@@ -307,8 +314,9 @@ def vr_diagnostics(state: EstimatorState, factors, mode: int, rows) -> float:
     if state.kind == "full":
         return 0.0
     if state.kind == "saga":
-        table_d, table_kr = state.tables[mode]
         d, kr = _terms(state.tensor, factors, state.loss, mode, _all_rows(state.tensor, mode))
+        table = state.tables[mode]
+        table_d, table_kr = table[:, :d.shape[1]], table[:, d.shape[1]:]
         sq = np.empty(d.shape[0])
         for rows in _chunks(d.shape[0], d.shape[1] * kr.shape[1]):
             # The dense stack's (I_n, R) layout sets the order of each fiber's sum.

@@ -87,11 +87,11 @@ def dense_table_rows(d, kr):
 
 def table_stack(state, mode):
     """A SAGA state's stored gradients for `mode`, rebuilt as a dense stack
-    from the stored factors: the rows of D and of H."""
-    d, kr = state.tables[mode]
-    assert d.shape == (state.fiber_counts[mode], state.tensor.shape.dims[mode])
-    assert kr.shape == (state.fiber_counts[mode], state.rank)
-    return dense_table_rows(d, kr)
+    from the stored factors: per fiber, the row of D, then the row of H."""
+    table = state.tables[mode]
+    i_n = state.tensor.shape.dims[mode]
+    assert table.shape == (state.fiber_counts[mode], i_n + state.rank)
+    return dense_table_rows(table[:, :i_n], table[:, i_n:])
 
 
 # At blocks of BLOCK_ENTRIES entries these dims span several row blocks in
@@ -230,7 +230,7 @@ class TestSagaTableMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(a.nbytes for table in state.tables for a in table) == factored
+        assert sum(table.nbytes for table in state.tables) == factored
         assert peak < factored + stack
 
 
