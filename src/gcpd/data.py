@@ -170,7 +170,7 @@ def read_tns(path, shape=None) -> SparseTensorCOO:
     buf = path.read_bytes()
     if not buf.isascii():
         buf.decode()   # UnicodeDecodeError unless the text is UTF-8
-    if buf.count(b"\r") != buf.count(b"\r\n"):
+    if b"\r" in buf and buf.count(b"\r") != buf.count(b"\r\n"):
         # Lines ending in a bare CR, which `np.loadtxt` does not split.
         buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     declared = tuple(int(d) for d in shape) if shape is not None else None

@@ -89,8 +89,8 @@ def _table_mean(table: np.ndarray, i_n: int) -> np.ndarray:
 
     Equals the mean over axis 0 of the dense stack bit for bit: that is a
     sum in the order of j, and each chunk's first entry carries the sum of
-    the chunks before it. The result is laid out (R, I_n) in memory, as the
-    step's stacks are, so the step's sums with it run on like layouts.
+    the chunks before it. The sum runs on (R, I_n) stacks, as the step's do;
+    the result is C-ordered, as the step's estimate and the factors are.
     """
     d, kr = table[:, :i_n], table[:, i_n:]
     total = None
@@ -99,7 +99,7 @@ def _table_mean(table: np.ndarray, i_n: int) -> np.ndarray:
         if total is not None:
             chunk[0] += total
         total = chunk.sum(axis=0)
-    return (total / d.shape[0]).T
+    return np.ascontiguousarray((total / d.shape[0]).T)
 
 
 def _batch_mean(d: np.ndarray, kr: np.ndarray) -> np.ndarray:
@@ -232,12 +232,13 @@ def _saga(state: EstimatorState, factors, n: int, rows) -> np.ndarray:
     # the order of the rows in any layout. Broadcasting is faster than
     # `_stack` at this size; where a product is zero it may carry the other
     # sign than the einsum's +0, and numpy's sums start from +0, so `change`
-    # and all that follows keep the dense stack's bits.
+    # and all that follows keep the dense stack's bits. `change`, the
+    # estimate and the average are C-ordered, as the anchor of the prox is.
     stack = both[:, i_n:, None] * both[:, None, :i_n]
     stack /= float(i_n)
     diff = stack[:b]
     diff -= stack[b:]
-    change = diff.sum(axis=0).T
+    change = np.ascontiguousarray(diff.sum(axis=0).T)
     estimate = change / rows.size + state.table_avg[n]
     state.table_avg[n] = state.table_avg[n] + change / state.fiber_counts[n]
     state._since_sync[n] += 1

@@ -395,7 +395,8 @@ class TestTnsEncoding:
     @pytest.mark.parametrize("text", [
         "# caf\u00e9 \u2603\n" + ENTRIES, ENTRIES + "# d\u00e9j\u00e0 vu\n",
         ENTRIES.replace("\n", "\r"), ENTRIES.replace("\n", "\r\n"),
-        ENTRIES.replace("\n", "\r", 2)])
+        ENTRIES.replace("\n", "\r", 2),
+        "# shape: 3 2 2\r\n1 1 1 1.5\r3 2 1 -2\n2 1 2 4e-3\r\n"])
     def test_comments_and_line_ends_keep_the_one_pass_read(self, tmp_path, text):
         want = self._read(tmp_path, self.ENTRIES.encode())
         got = self._read(tmp_path, text.encode())

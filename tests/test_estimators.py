@@ -315,6 +315,18 @@ class TestSaga:
                                   - table_stack(state, mode).mean(axis=0)))
             assert drift <= 1e-10
 
+    def test_estimate_and_average_are_c_ordered(self):
+        # The prox combines the estimate with a C-ordered anchor.
+        tensor, model, spec = make_instance(seed=11, dims=(5, 4, 6))
+        state = EstimatorState("saga", tensor, model, spec, batch=3)
+        state.sync_every = [2, 2, 2]
+        for k in range(4):   # steps before and after a re-sync
+            rows = np.array([0, 2, 3]) + k % 2
+            est = estimate_gradient(state, model.factors, 1, rows)
+            assert est.shape == (4, 2) and est.flags.c_contiguous
+            assert state.table_avg[1].flags.c_contiguous
+        assert all(avg.flags.c_contiguous for avg in state.table_avg)
+
     def test_rank_change_rejected(self):
         tensor, model, spec = make_instance(seed=10)
         state = EstimatorState("saga", tensor, model, spec, batch=3)
