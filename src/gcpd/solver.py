@@ -1,6 +1,6 @@
 """Inertial block-randomized stochastic mirror descent for generalized CP fitting.
 
-Each iteration samples one mode n and a batch of mode-n fibers, forms two
+Each iteration takes one mode n and a batch of mode-n fibers, forms two
 extrapolated points from the one-step momentum direction A^k - A^{k-1}
 (`anchor` for the proximal term with coefficient alpha_k, the gradient point
 with coefficient beta_k), estimates the block gradient at the gradient point,
@@ -12,6 +12,15 @@ function, :func:`step`; the no-inertia baseline is the config c1 = c2 = 0.
 The momentum buffers hold the global previous iterates, so the momentum
 direction for mode n is nonzero only when mode n also moved at the previous
 iteration; this is the literal block-randomized update rule.
+
+The modes and fiber batches are drawn from stream 0 a window of
+`_DRAW_WINDOW` steps at a time: one call draws the window's modes (uniform
+and independent; cyclic order takes mode (k-1) mod N instead), then each
+mode's batches in the window are drawn at once, each a uniform B_n-subset of
+its J_n fibers, independent of the others (Floyd's algorithm, vectorized
+over the batches). The window length is fixed, so the draws of step k are a
+function of the seed and k alone: the evaluation cadence, diagnostics, the
+truth and the iteration budget never move the iterates.
 
 :func:`run` validates its inputs once, at the run boundary: the config
 (`SolverConfig.resolved`), the data against the loss domain, and the initial
@@ -41,6 +50,15 @@ from .losses import LossSpec, check_data_domain, objective
 from .metrics import lyapunov, model_mse
 from .tensors import KruskalModel, TensorShape
 
+
+# Steps whose modes and fiber batches are drawn at once (see the module
+# docstring). Fixed, so the draws never depend on the run's settings.
+_DRAW_WINDOW = 256
+
+# Larger batches are drawn one step at a time by `Generator.choice`: Floyd's
+# duplicate checks cost O(B^2) per batch, and past about 64 rows they cost
+# more than the per-call overhead that drawing a window at a time saves.
+_FLOYD_MAX_BATCH = 64
 
 # Stepsizes of the reference experiments, per loss family.
 _DEFAULT_ETA = {"gaussian": 0.1, "gamma": 0.1, "poisson-identity": 0.2, "poisson-log": 0.2,
@@ -262,7 +280,8 @@ def _streams(seed: int) -> list:
 
 
 class SolverRunState:
-    """Factors plus the one/two-step history and RNG streams of one run."""
+    """Factors plus the one/two-step history, RNG streams and pending
+    (mode, rows) draws of one run."""
 
     def __init__(self, config: SolverConfig, tensor, factors):
         self.tensor = tensor
@@ -276,6 +295,7 @@ class SolverRunState:
         self.last_beta = 0.0
         streams = _streams(config.seed)
         self.rng = np.random.default_rng(streams[0])
+        self.draws = iter(())   # refilled by `_draw_window` when used up
         self.eval_rng = np.random.default_rng(streams[2])
         # Diagnostics draw from their own stream so that turning them on
         # cannot move the sampled objective trace.
@@ -284,6 +304,43 @@ class SolverRunState:
             config.estimator, tensor, KruskalModel(self.factors), config.loss,
             batch=config.batch, p=config.sarah_p,
             rng=np.random.default_rng(streams[1]))
+
+
+def _batches(rng: np.random.Generator, j: int, b: int, m: int) -> np.ndarray:
+    """m independent uniform b-subsets of range(j), one sorted int64 row each.
+
+    Floyd's algorithm, one column per batch row at a time: column t draws
+    from [0, j - b + t] and takes j - b + t instead where it repeats an
+    earlier column of its row, so each row is a uniform subset of range(j)
+    without any redraw, b = j included."""
+    if b > _FLOYD_MAX_BATCH:
+        out = np.array([rng.choice(j, b, replace=False) for _ in range(m)],
+                       dtype=np.int64).reshape(m, b)
+    else:
+        tops = np.arange(j - b, j)
+        out = rng.integers(0, tops + 1, size=(m, b))
+        for t in range(1, b):
+            out[(out[:, :t] == out[:, t, None]).any(axis=1), t] = tops[t]
+    out.sort(axis=1)
+    return out
+
+
+def _draw_window(state: SolverRunState, config: SolverConfig) -> list:
+    """The (mode, rows) draws of steps k + 1 ... k + _DRAW_WINDOW, from stream
+    0: the modes first, then the batches of each mode in turn."""
+    order = state.estimator.order
+    if config.block_order == "cyclic":
+        modes = (state.k + np.arange(_DRAW_WINDOW)) % order
+    else:
+        modes = state.rng.integers(order, size=_DRAW_WINDOW)
+    draws = [None] * _DRAW_WINDOW
+    for n in range(order):
+        steps = np.flatnonzero(modes == n)
+        rows = _batches(state.rng, state.estimator.fiber_counts[n],
+                        state.estimator.batches[n], steps.size)
+        for i, r in zip(steps.tolist(), rows):
+            draws[i] = (n, r)
+    return draws
 
 
 def inertial_coefficients(c1: float, c2: float, k: int) -> tuple[float, float]:
@@ -321,16 +378,16 @@ def extrapolation_guard(config: SolverConfig, a_cur, a_prev, beta: float,
 def step(state: SolverRunState, config: SolverConfig) -> int:
     """One Algorithm step; exactly one mode is updated. Returns that mode.
 
-    `config` is the resolved config the state was built for.
+    `config` is the resolved config the state was built for. The step's mode
+    and fiber rows come from the state's pending draws, which are refilled a
+    window at a time (`_draw_window`) when used up.
     """
     k = state.k + 1
-    if config.block_order == "cyclic":
-        n = (k - 1) % state.estimator.order
-    else:
-        n = int(state.rng.integers(state.estimator.order))
-    j_n = state.estimator.fiber_counts[n]
-    b = state.estimator.batches[n]
-    rows = np.sort(state.rng.choice(j_n, size=b, replace=False))
+    draw = next(state.draws, None)
+    if draw is None:
+        state.draws = iter(_draw_window(state, config))
+        draw = next(state.draws)
+    n, rows = draw
 
     alpha_k, beta_k = inertial_coefficients(config.c1, config.c2, k)
     a_cur = state.factors[n]

@@ -2,9 +2,11 @@
 
 import dataclasses
 import inspect
+import itertools
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from gcpd.bregman import GeneratorSpec, RegularizerSpec, bregman_div
 from gcpd.data import SyntheticSpec, generate
@@ -273,6 +275,77 @@ class TestStepMechanics:
         for _ in range(150):
             step(state, cfg)
             assert min(a.min() for a in state.factors) >= cfg.generator.floor
+
+
+class TestWindowDraws:
+    """Each step's mode and fiber rows come from draws made a window at a time."""
+
+    @staticmethod
+    def _state(dims, **kw):
+        tensor = DenseTensor(np.ones(dims))
+        cfg = gaussian_config(estimator="sgd", **kw).resolved(tensor.shape)
+        return cfg, SolverRunState(cfg, tensor, initial_factors(
+            cfg, tensor.shape, np.random.default_rng(0)))
+
+    def test_modes_and_subsets_are_uniform(self):
+        # Modes 0 and 1 of a 7 x 7 x 1 tensor have J_n = 7 fibers, so their
+        # batches of 3 range over the 35 subsets of C(7, 3).
+        cfg, state = self._state((7, 7, 1), batch=3, seed=17)
+        draws = [d for _ in range(40) for d in solver._draw_window(state, cfg)]
+        modes = np.array([n for n, _ in draws])
+        assert chisquare(np.bincount(modes, minlength=3)).pvalue > 1e-3
+        subsets = {c: i for i, c in enumerate(itertools.combinations(range(7), 3))}
+        for mode in (0, 1):
+            counts = np.zeros(len(subsets))
+            for n, rows in draws:
+                if n == mode:
+                    counts[subsets[tuple(rows.tolist())]] += 1
+            assert counts.sum() > 3000
+            assert chisquare(counts).pvalue > 1e-3
+
+    @pytest.mark.parametrize("dims, batch", [
+        ((6, 5, 4), 1), ((6, 5, 4), 3), ((6, 5, 4), 100),   # B = J_n on every mode
+        ((9, 8, 10), 70), ((9, 8, 10), 1000)])              # past Floyd's batch bound
+    def test_every_handed_out_batch_is_sorted_unique_and_in_range(self, dims, batch,
+                                                                  monkeypatch):
+        tensor = DenseTensor(np.random.default_rng(1).standard_normal(dims))
+        seen = []
+
+        def spy(est_state, factors, mode, rows):
+            seen.append((mode, rows))
+            return np.zeros_like(factors[mode])
+
+        monkeypatch.setattr(solver, "estimate_gradient", spy)
+        run(gaussian_config(estimator="sgd", batch=batch, max_iters=600, tol=0.0, seed=4),
+            tensor)
+        assert len(seen) == 600
+        for mode, rows in seen:
+            j_n = tensor.shape.fiber_count(mode)
+            assert rows.dtype == np.int64 and rows.shape == (min(batch, j_n),)
+            assert np.all(np.diff(rows) > 0) and rows[0] >= 0 and rows[-1] < j_n
+
+    def test_cyclic_order_visits_modes_in_turn(self):
+        cfg, state = self._state((6, 5, 4), batch=2, block_order="cyclic")
+        assert [step(state, cfg) for _ in range(600)] == [k % 3 for k in range(600)]
+
+    def test_draws_depend_on_the_seed_and_k_alone(self):
+        tensor, truth = generate(SyntheticSpec(shape=(8, 7, 6), rank=2,
+                                               distribution="gamma", seed=21))
+        cfg = gamma_config(tol=0.0, max_iters=300, eval_every=7, record_timing=False,
+                           seed=9)
+        init = initial_factors(cfg, tensor.shape, np.random.default_rng(5))
+        _, want = run(cfg, tensor, initial=init)
+        for changed in (dict(eval_every=50), dict(diagnostics=True)):
+            _, got = run(dataclasses.replace(cfg, **changed), tensor, initial=init)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got.factors, want.factors))
+        _, got = run(cfg, tensor, truth=truth, initial=init)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.factors, want.factors))
+        # A state built for a larger budget takes the same first 300 steps.
+        longer = dataclasses.replace(cfg, max_iters=5000).resolved(tensor.shape)
+        state = SolverRunState(longer, tensor, init)
+        for _ in range(300):
+            step(state, longer)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(state.factors, want.factors))
 
 
 class TestExtrapolationGuard:
