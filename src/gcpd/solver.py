@@ -18,7 +18,7 @@ The modes and fiber batches are drawn from stream 0 a window of
 and independent; cyclic order takes mode (k-1) mod N instead), then each
 mode's batches in the window are drawn at once, each a uniform B_n-subset of
 its J_n fibers, independent of the others (Floyd's algorithm, vectorized
-over the batches). The window length is fixed, so the draws of step k are a
+over the batches; see `_batches`). The window length is fixed, so the draws of step k are a
 function of the seed and k alone: the evaluation cadence, diagnostics, the
 truth and the iteration budget never move the iterates.
 
@@ -309,10 +309,11 @@ class SolverRunState:
 def _batches(rng: np.random.Generator, j: int, b: int, m: int) -> np.ndarray:
     """m independent uniform b-subsets of range(j), one sorted int64 row each.
 
-    Floyd's algorithm, one column per batch row at a time: column t draws
-    from [0, j - b + t] and takes j - b + t instead where it repeats an
-    earlier column of its row, so each row is a uniform subset of range(j)
-    without any redraw, b = j included."""
+    Up to _FLOYD_MAX_BATCH rows, Floyd's algorithm for all m batches at once:
+    column t draws from [0, j - b + t] and takes j - b + t instead where it
+    repeats an earlier column of its row, so each row is a uniform subset
+    without any redraw, b = j included. Larger batches take one
+    `Generator.choice` call each."""
     if b > _FLOYD_MAX_BATCH:
         out = np.array([rng.choice(j, b, replace=False) for _ in range(m)],
                        dtype=np.int64).reshape(m, b)
