@@ -18,9 +18,9 @@ The modes and fiber batches are drawn from stream 0 a window of
 and independent; cyclic order takes mode (k-1) mod N instead), then each
 mode's batches in the window are drawn at once, each a uniform B_n-subset of
 its J_n fibers, independent of the others (Floyd's algorithm, vectorized
-over the batches; see `_batches`). The window length is fixed, so the draws of step k are a
-function of the seed and k alone: the evaluation cadence, diagnostics, the
-truth and the iteration budget never move the iterates.
+over the batches; see `_batches`). The window length is fixed, so the draws
+of step k are a function of the seed and k alone: the evaluation cadence,
+diagnostics, the truth and the iteration budget never move the iterates.
 
 :func:`run` validates its inputs once, at the run boundary: the config
 (`SolverConfig.resolved`), the data against the loss domain, and the initial

@@ -334,18 +334,21 @@ class TestWindowDraws:
         cfg = gamma_config(tol=0.0, max_iters=300, eval_every=7, record_timing=False,
                            seed=9)
         init = initial_factors(cfg, tensor.shape, np.random.default_rng(5))
-        _, want = run(cfg, tensor, initial=init)
-        for changed in (dict(eval_every=50), dict(diagnostics=True)):
-            _, got = run(dataclasses.replace(cfg, **changed), tensor, initial=init)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(got.factors, want.factors))
-        _, got = run(cfg, tensor, truth=truth, initial=init)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.factors, want.factors))
+        want = [a.tobytes() for a in run(cfg, tensor, initial=init)[1].factors]
+
+        def ends_as_want(config, truth=None):
+            model = run(config, tensor, truth=truth, initial=init)[1]
+            return [a.tobytes() for a in model.factors] == want
+
+        assert ends_as_want(dataclasses.replace(cfg, eval_every=50))
+        assert ends_as_want(dataclasses.replace(cfg, diagnostics=True))
+        assert ends_as_want(cfg, truth=truth)
         # A state built for a larger budget takes the same first 300 steps.
         longer = dataclasses.replace(cfg, max_iters=5000).resolved(tensor.shape)
         state = SolverRunState(longer, tensor, init)
         for _ in range(300):
             step(state, longer)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(state.factors, want.factors))
+        assert [a.tobytes() for a in state.factors] == want
 
 
 class TestExtrapolationGuard:
