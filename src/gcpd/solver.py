@@ -55,11 +55,6 @@ from .tensors import KruskalModel, TensorShape
 # docstring). Fixed, so the draws never depend on the run's settings.
 _DRAW_WINDOW = 256
 
-# Larger batches are drawn one step at a time by `Generator.choice`: Floyd's
-# duplicate checks cost O(B^2) per batch, and past about 64 rows they cost
-# more than the per-call overhead that drawing a window at a time saves.
-_FLOYD_MAX_BATCH = 64
-
 # Stepsizes of the reference experiments, per loss family.
 _DEFAULT_ETA = {"gaussian": 0.1, "gamma": 0.1, "poisson-identity": 0.2, "poisson-log": 0.2,
                 "bernoulli-odds": 0.2, "bernoulli-logit": 0.2}
@@ -309,19 +304,14 @@ class SolverRunState:
 def _batches(rng: np.random.Generator, j: int, b: int, m: int) -> np.ndarray:
     """m independent uniform b-subsets of range(j), one sorted int64 row each.
 
-    Up to _FLOYD_MAX_BATCH rows, Floyd's algorithm for all m batches at once:
-    column t draws from [0, j - b + t] and takes j - b + t instead where it
-    repeats an earlier column of its row, so each row is a uniform subset
-    without any redraw, b = j included. Larger batches take one
-    `Generator.choice` call each."""
-    if b > _FLOYD_MAX_BATCH:
-        out = np.array([rng.choice(j, b, replace=False) for _ in range(m)],
-                       dtype=np.int64).reshape(m, b)
-    else:
-        tops = np.arange(j - b, j)
-        out = rng.integers(0, tops + 1, size=(m, b))
-        for t in range(1, b):
-            out[(out[:, :t] == out[:, t, None]).any(axis=1), t] = tops[t]
+    Floyd's algorithm for all m batches at once: column t draws from
+    [0, j - b + t] and takes j - b + t instead where it repeats an earlier
+    column of its row, so each row is a uniform subset without any redraw,
+    b = j included. The duplicate checks cost O(b^2) per batch."""
+    tops = np.arange(j - b, j)
+    out = rng.integers(0, tops + 1, size=(m, b))
+    for t in range(1, b):
+        out[(out[:, :t] == out[:, t, None]).any(axis=1), t] = tops[t]
     out.sort(axis=1)
     return out
 

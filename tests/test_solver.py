@@ -305,7 +305,7 @@ class TestWindowDraws:
 
     @pytest.mark.parametrize("dims, batch", [
         ((6, 5, 4), 1), ((6, 5, 4), 3), ((6, 5, 4), 100),   # B = J_n on every mode
-        ((9, 8, 10), 70), ((9, 8, 10), 1000)])              # past Floyd's batch bound
+        ((9, 8, 10), 70), ((9, 8, 10), 1000)])              # B near and at J_n
     def test_every_handed_out_batch_is_sorted_unique_and_in_range(self, dims, batch,
                                                                   monkeypatch):
         tensor = DenseTensor(np.random.default_rng(1).standard_normal(dims))
