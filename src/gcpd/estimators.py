@@ -24,28 +24,38 @@ probability 1/p. Tables for inactive modes go stale when another block
 moves; no eager refresh is done.
 
 Every kind is one oracle, asked for one way: `estimate_gradient(state,
-factors, mode, rows)` gives the state's estimate of the mode-`mode` block
-gradient at `factors` over the fiber rows `rows`, and reads the loss from the
-state. It trusts its arguments, as the solver builds them; any other caller
-uses `checked_gradient`, which normalizes the rows, copies the factors and
-checks both against the state first. The `full` and `sgd` kinds go through
-the checked tensor and loss functions; SAGA and SARAH steps read fibers
-through the per-mode `FiberPlan`s of their state, after their own checked
-full pass.
+factors, mode, rows, fibers)` gives the state's estimate of the mode-`mode`
+block gradient at `factors` over the fiber rows `rows`, whose data fibers are
+`fibers`, and reads the loss from the state. It trusts its arguments, as the
+solver builds them; any other caller uses `checked_gradient`, which
+normalizes the rows, copies the factors, checks both against the state and
+only then reads the fibers.
+
+The data in a batch's fibers never change, so the solver reads them a group
+of batches at a time: `fiber_groups` reads the fibers of the next g_n of a
+mode's drawn batches in one checked `data_fibers` call, when the first of
+them is needed, with g_n = max(1, 2^13 // (B_n I_n)) fixed by the state. The
+`sgd` kind takes its fibers from there and still makes its per-step checked
+`khatri_rao_rows` and `loss_deriv` calls; SAGA and SARAH steps use them with
+the Khatri-Rao rows of the per-mode `FiberPlan`s of their state, after their
+own checked full pass. The `full` kind reads no group: its full passes read
+their own fibers.
 
 A checked pass over a set of fibers (an `sgd` batch; all J_n fibers for the
 `full` kind, SARAH restarts, the SAGA table build and the SAGA diagnostic)
 forms H with one checked `khatri_rao_rows` call and M = H A_n^T with one
-product, then walks row blocks of about 2^13 entries: each block's fibers come
-from one checked `data_fibers` call, and its derivatives, from one checked
-`loss_deriv` call, overwrite its rows of M. So no temporary of the pass is
-larger than M. Both products stay whole, so every value equals that of one
-pass over the same fibers in one piece, bit for bit. An `sgd` batch of
-B I_n <= 2^13 entries is one block.
+product, then walks row blocks of about 2^13 entries: each block's
+derivatives, from one checked `loss_deriv` call, overwrite its rows of M. A
+full pass reads each block's fibers by one checked `data_fibers` call; an
+`sgd` batch slices them from the fibers it was handed, and is one block when
+B I_n <= 2^13. So no temporary of the pass is larger than M. Both products
+stay whole, so every value equals that of one pass over the same fibers in
+one piece, bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -107,24 +117,30 @@ def _batch_mean(d: np.ndarray, kr: np.ndarray) -> np.ndarray:
     return d.T @ kr / (d.shape[1] * d.shape[0])
 
 
-def _terms(tensor, factors, loss: LossSpec, mode: int, rows):
+def _terms(factors, loss: LossSpec, mode: int, rows, read):
     """Loss derivatives D at the given fibers of `mode` and the Khatri-Rao
     rows H, through the checked functions, with the elementwise work done in
-    row blocks (see the module docstring)."""
+    row blocks (see the module docstring). `read(lo, hi)` gives the data
+    fibers of rows[lo:hi]."""
     kr = khatri_rao_rows(factors, mode, rows)
-    rows = np.atleast_1d(np.asarray(rows))
     d = kr @ factors[mode].T   # M, overwritten by D block by block
     step = max(1, _BLOCK_ENTRIES // d.shape[1])
     try:
-        for lo in range(0, rows.size, step):
-            d[lo:lo + step] = loss_deriv(
-                loss, data_fibers(tensor, mode, rows[lo:lo + step]), d[lo:lo + step])
+        for lo in range(0, d.shape[0], step):
+            d[lo:lo + step] = loss_deriv(loss, read(lo, lo + step), d[lo:lo + step])
     except LossDomainError:
         # Name the fault as one check over all the rows does: data faults
         # before model faults, extremes over every fiber.
-        loss_deriv(loss, data_fibers(tensor, mode, rows), kr @ factors[mode].T)
+        loss_deriv(loss, read(0, d.shape[0]), kr @ factors[mode].T)
         raise
     return d, kr
+
+
+def _read_terms(tensor, factors, loss: LossSpec, mode: int, rows):
+    """`_terms` with each block's fibers read by one checked `data_fibers` call."""
+    rows = np.atleast_1d(np.asarray(rows))
+    return _terms(factors, loss, mode, rows,
+                  lambda lo, hi: data_fibers(tensor, mode, rows[lo:hi]))
 
 
 def _all_rows(tensor, mode: int) -> np.ndarray:
@@ -133,7 +149,7 @@ def _all_rows(tensor, mode: int) -> np.ndarray:
 
 def batch_gradient(tensor, factors, loss: LossSpec, mode: int, rows) -> np.ndarray:
     """(1/B) sum over the given fibers of g_j, shape (I_n, R)."""
-    return _batch_mean(*_terms(tensor, factors, loss, mode, rows))
+    return _batch_mean(*_read_terms(tensor, factors, loss, mode, rows))
 
 
 def full_gradient(tensor, factors, loss: LossSpec, mode: int) -> np.ndarray:
@@ -145,8 +161,9 @@ class EstimatorState:
     """Per-run estimator state; exclusively owned by one solver run.
 
     Per-mode constants are fixed here, once per run: J_n, the batch size B_n,
-    the SARAH restart period, the SAGA re-sync period, and a `FiberPlan` for
-    the fiber reads of each mode.
+    the SARAH restart period, the SAGA re-sync period, the number g_n of
+    batches whose fibers one read covers (see `fiber_groups`), and a
+    `FiberPlan` for the Khatri-Rao rows of each mode.
     """
 
     def __init__(self, kind: str, tensor, model: KruskalModel, loss: LossSpec,
@@ -172,6 +189,9 @@ class EstimatorState:
             raise ConfigError("sarah restart period p must be >= 1")
         # The incremental SAGA average drifts; re-sync once per effective pass.
         self.sync_every = [math.ceil(j / b) for j, b in zip(self.fiber_counts, self.batches)]
+        # A group read holds at most one checked pass's row block of entries.
+        self.groups = [max(1, _BLOCK_ENTRIES // (b * i))
+                       for b, i in zip(self.batches, shape.dims)]
         self.plans = [FiberPlan(tensor, n) for n in range(self.order)]
         self.deriv = deriv_kernel(loss)
 
@@ -186,7 +206,7 @@ class EstimatorState:
             self._since_sync = [0] * self.order
             for n in range(self.order):
                 table = np.concatenate(
-                    _terms(tensor, model.factors, loss, n, _all_rows(tensor, n)), axis=1)
+                    _read_terms(tensor, model.factors, loss, n, _all_rows(tensor, n)), axis=1)
                 self.tables.append(table)
                 self.table_avg.append(_table_mean(table, shape.dims[n]))
         elif kind == "sarah":
@@ -194,13 +214,13 @@ class EstimatorState:
             self.snapshots = [None] * self.order
 
 
-def _full(state: EstimatorState, factors, n: int, rows) -> np.ndarray:
+def _full(state: EstimatorState, factors, n: int, rows, fibers) -> np.ndarray:
     return full_gradient(state.tensor, factors, state.loss, n)
 
 
-def _sgd(state: EstimatorState, factors, n: int, rows) -> np.ndarray:
+def _sgd(state: EstimatorState, factors, n: int, rows, fibers) -> np.ndarray:
     """Plain fiber-sampled estimate; unbiased under uniform sampling."""
-    return batch_gradient(state.tensor, factors, state.loss, n, rows)
+    return _batch_mean(*_terms(factors, state.loss, n, rows, lambda lo, hi: fibers[lo:hi]))
 
 
 def _plan_terms(plan: FiberPlan, factors, x, digits, deriv):
@@ -214,11 +234,11 @@ def _plan_terms(plan: FiberPlan, factors, x, digits, deriv):
 # SARAH restart), and the rows are in range (the solver's draws, or rows that
 # `checked_gradient` has checked).
 
-def _saga(state: EstimatorState, factors, n: int, rows) -> np.ndarray:
+def _saga(state: EstimatorState, factors, n: int, rows, fibers) -> np.ndarray:
     """SAGA estimate; replaces the touched table entries and updates the average."""
     plan = state.plans[n]
     digits = plan.digits(rows)
-    d, kr = _plan_terms(plan, factors, plan.fibers(rows, digits), digits, state.deriv)
+    d, kr = _plan_terms(plan, factors, fibers, digits, state.deriv)
     table = state.tables[n]
     b, i_n = d.shape
     # The factors of the touched entries: new in the first B rows, old in
@@ -248,7 +268,7 @@ def _saga(state: EstimatorState, factors, n: int, rows) -> np.ndarray:
     return estimate
 
 
-def _sarah(state: EstimatorState, factors, n: int, rows) -> np.ndarray:
+def _sarah(state: EstimatorState, factors, n: int, rows, fibers) -> np.ndarray:
     """SARAH recursive estimate with probability-1/p restarts."""
     restart = state.estimates[n] is None or state.rng.random() < 1.0 / state.p[n]
     if restart:
@@ -256,9 +276,9 @@ def _sarah(state: EstimatorState, factors, n: int, rows) -> np.ndarray:
     else:
         plan = state.plans[n]
         digits = plan.digits(rows)
-        x = plan.fibers(rows, digits)   # shared by both points
-        g_cur = _batch_mean(*_plan_terms(plan, factors, x, digits, state.deriv))
-        g_prev = _batch_mean(*_plan_terms(plan, state.snapshots[n], x, digits, state.deriv))
+        g_cur = _batch_mean(*_plan_terms(plan, factors, fibers, digits, state.deriv))
+        g_prev = _batch_mean(*_plan_terms(plan, state.snapshots[n], fibers, digits,
+                                          state.deriv))
         estimate = g_cur - g_prev + state.estimates[n]
     state.estimates[n] = estimate
     # Neither the solver nor `checked_gradient` (which passes copies) lets a
@@ -270,22 +290,43 @@ def _sarah(state: EstimatorState, factors, n: int, rows) -> np.ndarray:
 _ESTIMATES = {"full": _full, "sgd": _sgd, "saga": _saga, "sarah": _sarah}
 
 
+def fiber_groups(state: EstimatorState, mode: int, rows: np.ndarray):
+    """The data fibers of each batch in `rows`, an (m, B_mode) array of
+    mode-`mode` batches, in order: a lazy iterator of (B_mode, I_mode) arrays.
+
+    The batches are read g_mode at a time (`EstimatorState.groups`), each
+    group by one checked `data_fibers` call made when its first batch is
+    asked for, so one group of at most one row block of entries is held at a
+    time. The full kind reads no fibers and gets None for each batch.
+    """
+    if state.kind == "full":
+        yield from itertools.repeat(None, len(rows))
+        return
+    g = state.groups[mode]
+    for lo in range(0, len(rows), g):
+        group = rows[lo:lo + g]
+        yield from data_fibers(state.tensor, mode, group.reshape(-1)).reshape(*group.shape, -1)
+
+
 def estimate_gradient(state: EstimatorState, factors, mode: int,
-                      rows: np.ndarray) -> np.ndarray:
+                      rows: np.ndarray, fibers: np.ndarray | None) -> np.ndarray:
     """The state's estimate of the mode-`mode` block gradient at `factors`
     (the active block already replaced by the extrapolated gradient point).
 
     Trusts its arguments, as the solver builds them: factors of the state's
-    shape and rank, and `rows` a sorted, duplicate-free, non-empty int64 array
-    in [0, J_mode). :func:`checked_gradient` checks all of that first.
+    shape and rank, `rows` a sorted, duplicate-free, non-empty int64 array
+    in [0, J_mode), and `fibers` the data fibers at `rows` as
+    :func:`fiber_groups` gives them. :func:`checked_gradient` checks the
+    rows and factors, then reads the fibers.
     """
-    return _ESTIMATES[state.kind](state, factors, mode, rows)
+    return _ESTIMATES[state.kind](state, factors, mode, rows, fibers)
 
 
 def checked_gradient(state: EstimatorState, factors, mode: int, rows) -> np.ndarray:
     """:func:`estimate_gradient` for any caller: rows are sorted and
     de-duplicated, the factors are copied (a SARAH snapshot stays private),
-    and the arguments are checked against the state first."""
+    and the arguments are checked against the state before the fibers are
+    read."""
     rows = np.unique(np.asarray(rows, dtype=np.int64))
     if rows.size == 0:
         raise ConfigError("empty fiber set")
@@ -302,7 +343,8 @@ def checked_gradient(state: EstimatorState, factors, mode: int, rows) -> np.ndar
             f"fiber row out of range [0, {state.fiber_counts[mode]}) for mode {mode}")
     if state.loss.nonnegative and min(a.min() for a in factors) < 0:
         raise LossDomainError(f"{state.loss.kind}: factors must be nonnegative")
-    return estimate_gradient(state, factors, mode, rows)
+    fibers = next(fiber_groups(state, mode, rows[None]))   # a group of one batch
+    return estimate_gradient(state, factors, mode, rows, fibers)
 
 
 def vr_diagnostics(state: EstimatorState, factors, mode: int, rows) -> float:
@@ -315,7 +357,8 @@ def vr_diagnostics(state: EstimatorState, factors, mode: int, rows) -> float:
     if state.kind == "full":
         return 0.0
     if state.kind == "saga":
-        d, kr = _terms(state.tensor, factors, state.loss, mode, _all_rows(state.tensor, mode))
+        d, kr = _read_terms(state.tensor, factors, state.loss, mode,
+                            _all_rows(state.tensor, mode))
         table = state.tables[mode]
         table_d, table_kr = table[:, :d.shape[1]], table[:, d.shape[1]:]
         sq = np.empty(d.shape[0])
@@ -330,6 +373,6 @@ def vr_diagnostics(state: EstimatorState, factors, mode: int, rows) -> float:
             return 0.0
         estimate = state.estimates[mode]
     else:  # sgd
-        estimate = _sgd(state, factors, mode, rows)
+        estimate = batch_gradient(state.tensor, factors, state.loss, mode, rows)
     err = estimate - full_gradient(state.tensor, factors, state.loss, mode)
     return float(np.sum(err * err))

@@ -21,6 +21,9 @@ its J_n fibers, independent of the others (Floyd's algorithm, vectorized
 over the batches; see `_batches`). The window length is fixed, so the draws
 of step k are a function of the seed and k alone: the evaluation cadence,
 diagnostics, the truth and the iteration budget never move the iterates.
+The data fibers of a mode's batches in the window are read a group of
+batches at a time, when the first batch of a group is needed
+(`estimators.fiber_groups`), and handed to the estimator with the rows.
 
 :func:`run` validates its inputs once, at the run boundary: the config
 (`SolverConfig.resolved`), the data against the loss domain, and the initial
@@ -45,7 +48,8 @@ import numpy as np
 from .bregman import (GeneratorSpec, RegularizerSpec, bregman_div, mirror_prox_step,
                       regularizer_value)
 from .errors import ConfigError, DataError, DivergenceError, LossDomainError
-from .estimators import ESTIMATOR_KINDS, EstimatorState, estimate_gradient, vr_diagnostics
+from .estimators import (ESTIMATOR_KINDS, EstimatorState, estimate_gradient, fiber_groups,
+                         vr_diagnostics)
 from .losses import LossSpec, check_data_domain, objective
 from .metrics import lyapunov, model_mse
 from .tensors import KruskalModel, TensorShape
@@ -276,7 +280,7 @@ def _streams(seed: int) -> list:
 
 class SolverRunState:
     """Factors plus the one/two-step history, RNG streams and pending
-    (mode, rows) draws of one run."""
+    (mode, rows, fibers) draws of one run."""
 
     def __init__(self, config: SolverConfig, tensor, factors):
         self.tensor = tensor
@@ -317,8 +321,12 @@ def _batches(rng: np.random.Generator, j: int, b: int, m: int) -> np.ndarray:
 
 
 def _draw_window(state: SolverRunState, config: SolverConfig) -> list:
-    """The (mode, rows) draws of steps k + 1 ... k + _DRAW_WINDOW, from stream
-    0: the modes first, then the batches of each mode in turn."""
+    """The (mode, rows, fibers) draws of steps k + 1 ... k + _DRAW_WINDOW, from
+    stream 0: the modes first, then the batches of each mode in turn.
+
+    `fibers` is the mode's `fiber_groups` iterator over its batches in the
+    window, shared by all of its draws: the step that takes a draw takes the
+    next fibers from it, so the steps must take the draws in order."""
     order = state.estimator.order
     if config.block_order == "cyclic":
         modes = (state.k + np.arange(_DRAW_WINDOW)) % order
@@ -329,8 +337,9 @@ def _draw_window(state: SolverRunState, config: SolverConfig) -> list:
         steps = np.flatnonzero(modes == n)
         rows = _batches(state.rng, state.estimator.fiber_counts[n],
                         state.estimator.batches[n], steps.size)
+        fibers = fiber_groups(state.estimator, n, rows)
         for i, r in zip(steps.tolist(), rows):
-            draws[i] = (n, r)
+            draws[i] = (n, r, fibers)
     return draws
 
 
@@ -371,14 +380,15 @@ def step(state: SolverRunState, config: SolverConfig) -> int:
 
     `config` is the resolved config the state was built for. The step's mode
     and fiber rows come from the state's pending draws, which are refilled a
-    window at a time (`_draw_window`) when used up.
+    window at a time (`_draw_window`) when used up, and the rows' data fibers
+    from the mode's group reads in that window.
     """
     k = state.k + 1
     draw = next(state.draws, None)
     if draw is None:
         state.draws = iter(_draw_window(state, config))
         draw = next(state.draws)
-    n, rows = draw
+    n, rows, fibers = draw
 
     alpha_k, beta_k = inertial_coefficients(config.c1, config.c2, k)
     a_cur = state.factors[n]
@@ -393,7 +403,7 @@ def step(state: SolverRunState, config: SolverConfig) -> int:
 
     request_factors = list(state.factors)
     request_factors[n] = gradient_point
-    grad = estimate_gradient(state.estimator, request_factors, n, rows)
+    grad = estimate_gradient(state.estimator, request_factors, n, rows, next(fibers))
 
     if config.stepsize_rule == "constant":
         eta_k = config.eta

@@ -70,6 +70,7 @@ class DenseTensor:
             raise DataError("dense tensor contains non-finite entries")
         self.values = values
         self.shape = TensorShape(values.shape)
+        self._plans = [None] * self.shape.order   # built by `fiber_rows` on first use
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -78,7 +79,9 @@ class DenseTensor:
     def fiber_rows(self, mode: int, rows) -> np.ndarray:
         """Rows of the mode-`mode` unfolding at the given fiber indices, (B, I_mode)."""
         rows = _check_rows(self.shape.dims, mode, rows)
-        plan = FiberPlan(self, mode)
+        plan = self._plans[mode]
+        if plan is None:
+            plan = self._plans[mode] = FiberPlan(self, mode)
         return plan.fibers(rows, plan.digits(rows))
 
 
@@ -263,9 +266,11 @@ class FiberPlan:
 
     Holds the sizes of the other modes, which split a fiber row into its
     multi-index, and for dense data a view of the values with `mode` moved
-    last (a view: no per-mode copy). The methods trust their rows to lie in
-    [0, J_mode), as a run's own draws do, and skip the checks that
-    :func:`khatri_rao_rows` and :func:`data_fibers` make.
+    last (a view: no per-mode copy). A dense plan holds that view and not the
+    tensor, so the plans a `DenseTensor` keeps form no reference cycle. The
+    methods trust their rows to lie in [0, J_mode), as a run's own draws do,
+    and skip the checks that :func:`khatri_rao_rows` and :func:`data_fibers`
+    make.
     """
 
     def __init__(self, tensor, mode: int):
@@ -273,9 +278,10 @@ class FiberPlan:
         self.mode = mode
         self.others = tuple(m for m in range(tensor.shape.order) if m != mode)
         self.moduli = tuple(tensor.shape.dims[m] for m in self.others)
-        self.tensor = tensor
-        self.moved = (tensor.values.transpose(self.others + (mode,))
-                      if isinstance(tensor, DenseTensor) else None)
+        if isinstance(tensor, DenseTensor):
+            self.sparse, self.moved = None, tensor.values.transpose(self.others + (mode,))
+        else:
+            self.sparse, self.moved = tensor, None
 
     def digits(self, rows: np.ndarray) -> tuple:
         """Per-mode indices of in-range fiber rows (the smallest remaining
@@ -289,7 +295,7 @@ class FiberPlan:
     def fibers(self, rows: np.ndarray, digits) -> np.ndarray:
         """Rows of the data unfolding, (B, I_mode)."""
         if self.moved is None:
-            return self.tensor._gather(self.mode, rows)
+            return self.sparse._gather(self.mode, rows)
         return self.moved[digits]
 
 

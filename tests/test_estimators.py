@@ -12,7 +12,8 @@ from gcpd.estimators import (ESTIMATOR_KINDS, EstimatorState, batch_gradient,
                              checked_gradient, estimate_gradient, full_gradient,
                              vr_diagnostics)
 from gcpd.losses import KINDS, LossSpec, loss_deriv, objective
-from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO, khatri_rao_rows
+from gcpd.tensors import (DenseTensor, KruskalModel, SparseTensorCOO, data_fibers,
+                          khatri_rao_rows)
 from gcpd.verify import fiber_sum_gradient, unfold
 
 
@@ -322,7 +323,8 @@ class TestSaga:
         state.sync_every = [2, 2, 2]
         for k in range(4):   # steps before and after a re-sync
             rows = np.array([0, 2, 3]) + k % 2
-            est = estimate_gradient(state, model.factors, 1, rows)
+            est = estimate_gradient(state, model.factors, 1, rows,
+                                    data_fibers(tensor, 1, rows))
             assert est.shape == (4, 2) and est.flags.c_contiguous
             assert state.table_avg[1].flags.c_contiguous
         assert all(avg.flags.c_contiguous for avg in state.table_avg)
@@ -486,7 +488,8 @@ class TestDispatchAndDeterminism:
                 rows = np.sort(rng.choice(j_n, size=3, replace=False))
                 point = [np.abs(a * (1 + 0.02 * rng.standard_normal(a.shape))) + 1e-9
                          for a in point]
-                seq.append(estimate_gradient(state, point, mode, rows).copy())
+                fibers = data_fibers(tensor, mode, rows)
+                seq.append(estimate_gradient(state, point, mode, rows, fibers).copy())
             outs.append(seq)
         for a, b in zip(*outs):
             assert np.array_equal(a, b)

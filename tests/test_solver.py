@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from gcpd.bregman import GeneratorSpec, RegularizerSpec, bregman_div
 from gcpd.data import SyntheticSpec, generate
 from gcpd.errors import ConfigError, DataError, DivergenceError, LossDomainError
 from gcpd.losses import LossSpec
-from gcpd import solver
+from gcpd import estimators, solver
 from gcpd.solver import (SolverConfig, SolverRunState, extrapolation_guard,
                          inertial_coefficients, initial_factors, run, step)
-from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO, TensorShape
+from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO, TensorShape, data_fibers
 from gcpd.verify import gaussian_block_curvature
 
 
@@ -42,6 +43,12 @@ def small_gaussian_instance(seed=0, dims=(6, 5, 4), rank=2):
                                            distribution="gaussian",
                                            noise_sigma=0.05, seed=seed))
     return tensor, model
+
+
+def as_sparse(tensor):
+    """The nonzero entries of a dense tensor in COO form."""
+    idx = np.argwhere(tensor.values != 0)
+    return SparseTensorCOO(tensor.shape, idx, tensor.values[tuple(idx.T)])
 
 
 class TestSchedules:
@@ -292,33 +299,41 @@ class TestWindowDraws:
         # batches of 3 range over the 35 subsets of C(7, 3).
         cfg, state = self._state((7, 7, 1), batch=3, seed=17)
         draws = [d for _ in range(40) for d in solver._draw_window(state, cfg)]
-        modes = np.array([n for n, _ in draws])
+        modes = np.array([n for n, _, _ in draws])
         assert chisquare(np.bincount(modes, minlength=3)).pvalue > 1e-3
         subsets = {c: i for i, c in enumerate(itertools.combinations(range(7), 3))}
         for mode in (0, 1):
             counts = np.zeros(len(subsets))
-            for n, rows in draws:
+            for n, rows, _ in draws:
                 if n == mode:
                     counts[subsets[tuple(rows.tolist())]] += 1
             assert counts.sum() > 3000
             assert chisquare(counts).pvalue > 1e-3
 
+    @pytest.mark.parametrize("block_order", ["random", "cyclic"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     @pytest.mark.parametrize("dims, batch", [
         ((6, 5, 4), 1), ((6, 5, 4), 3), ((6, 5, 4), 100),   # B = J_n on every mode
-        ((9, 8, 10), 70), ((9, 8, 10), 1000)])              # B near and at J_n
-    def test_every_handed_out_batch_is_sorted_unique_and_in_range(self, dims, batch,
-                                                                  monkeypatch):
+        ((9, 8, 10), 70), ((9, 8, 10), 1000),               # B near and at J_n
+        ((30, 20, 16), 300)])                               # B I_n > 2^13: g_n = 1
+    def test_every_handed_out_batch_is_sorted_unique_and_in_range(
+            self, dims, batch, sparse, block_order, monkeypatch):
         tensor = DenseTensor(np.random.default_rng(1).standard_normal(dims))
+        if sparse:
+            tensor = as_sparse(DenseTensor(np.maximum(tensor.values, 0.0)))
         seen = []
 
-        def spy(est_state, factors, mode, rows):
+        def spy(est_state, factors, mode, rows, fibers):
+            # Checked here: holding every batch's fibers for the end would
+            # take tens of MB at B = 300.
+            assert np.array_equal(fibers, data_fibers(tensor, mode, rows))
             seen.append((mode, rows))
             return np.zeros_like(factors[mode])
 
         monkeypatch.setattr(solver, "estimate_gradient", spy)
-        run(gaussian_config(estimator="sgd", batch=batch, max_iters=600, tol=0.0, seed=4),
-            tensor)
-        assert len(seen) == 600
+        run(gaussian_config(estimator="sgd", batch=batch, max_iters=600, tol=0.0, seed=4,
+                            block_order=block_order), tensor)
+        assert len(seen) == 600   # three windows
         for mode, rows in seen:
             j_n = tensor.shape.fiber_count(mode)
             assert rows.dtype == np.int64 and rows.shape == (min(batch, j_n),)
@@ -349,6 +364,76 @@ class TestWindowDraws:
         for _ in range(300):
             step(state, longer)
         assert [a.tobytes() for a in state.factors] == want
+
+
+class TestFiberGroups:
+    """The step's fibers are read g_n batches at a time, and the group size
+    never moves a run."""
+
+    # B I_n = 480, 360, 240 entries: g_n = 17, 22 and 34 at the default
+    # 2^13-entry block, so a window's ~85 batches of a mode take a few reads.
+    DIMS, BATCH = (40, 30, 20), 12
+
+    def _tensor(self, sparse):
+        tensor, _ = generate(SyntheticSpec(shape=self.DIMS, rank=2, distribution="poisson",
+                                           seed=31))
+        return as_sparse(tensor) if sparse else tensor
+
+    def _config(self, estimator):
+        return SolverConfig(rank=2, loss=LossSpec("poisson-identity"), estimator=estimator,
+                            batch=self.BATCH, max_iters=600, tol=0.0, eval_every=50,
+                            record_timing=False, seed=5)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
+    def test_group_size_never_moves_the_iterates(self, estimator, sparse, monkeypatch):
+        tensor, cfg = self._tensor(sparse), self._config(estimator)
+
+        def outcome():
+            trace, model = run(cfg, tensor)
+            return ([a.tobytes() for a in model.factors], [r.nre for r in trace.records],
+                    trace.eta_history)
+
+        want = outcome()
+        for entries in (1, 1 << 20):   # one batch per read; a whole window per read
+            monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", entries)
+            assert outcome() == want
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_each_group_is_read_once(self, sparse, monkeypatch):
+        tensor = self._tensor(sparse)
+        modes, groups, reads = [], [], []
+        estimate, read = solver.estimate_gradient, estimators.data_fibers
+
+        def spy_estimate(est_state, factors, mode, rows, fibers):
+            modes.append(mode)
+            groups[:] = est_state.groups
+            return estimate(est_state, factors, mode, rows, fibers)
+
+        def spy_read(*args):
+            reads.append(args[1])
+            return read(*args)
+
+        monkeypatch.setattr(solver, "estimate_gradient", spy_estimate)
+        monkeypatch.setattr(estimators, "data_fibers", spy_read)
+        run(self._config("sgd"), tensor)
+        assert len(modes) == 600 and groups == [17, 22, 34]
+        window = solver._DRAW_WINDOW
+        bound = sum(math.ceil(modes[lo:lo + window].count(n) / groups[n])
+                    for lo in range(0, len(modes), window) for n in range(3))
+        assert len(reads) <= bound < 40
+
+    def test_a_full_run_reads_no_group(self, monkeypatch):
+        handed = []
+        estimate = solver.estimate_gradient
+
+        def spy(est_state, factors, mode, rows, fibers):
+            handed.append(fibers)
+            return estimate(est_state, factors, mode, rows, fibers)
+
+        monkeypatch.setattr(solver, "estimate_gradient", spy)
+        run(dataclasses.replace(self._config("full"), max_iters=30), self._tensor(False))
+        assert len(handed) == 30 and all(f is None for f in handed)
 
 
 class TestExtrapolationGuard:

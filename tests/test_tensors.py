@@ -1,10 +1,13 @@
 """Tensor containers, fiber index algebra, and Khatri-Rao row products."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcpd import tensors
 from gcpd.errors import DataError
 from gcpd.tensors import (DenseTensor, FiberPlan, KruskalModel, SparseTensorCOO,
                           TensorShape, data_fibers, khatri_rao_rows)
@@ -360,3 +363,26 @@ class TestFiberPlan:
     def test_dense_plan_is_a_view(self):
         tensor = DenseTensor(np.arange(24.0).reshape(2, 3, 4))
         assert np.shares_memory(FiberPlan(tensor, 1).moved, tensor.values)
+
+    def test_dense_reads_build_one_plan_per_mode(self, monkeypatch):
+        built = []
+
+        class Counted(FiberPlan):
+            def __init__(self, tensor, mode):
+                built.append(mode)
+                super().__init__(tensor, mode)
+
+        monkeypatch.setattr(tensors, "FiberPlan", Counted)
+        rng = np.random.default_rng(6)
+        tensor = DenseTensor(rng.random((4, 3, 5)))
+        for _ in range(3):
+            for mode in range(3):
+                rows = rng.choice(tensor.shape.fiber_count(mode), 4)
+                assert np.array_equal(data_fibers(tensor, mode, rows),
+                                      unfold(tensor, mode)[rows])
+        assert sorted(built) == [0, 1, 2]
+        # The kept plans hold views of the values, not the tensor: dropping
+        # the last reference frees it at once, with no cycle left to collect.
+        gone = weakref.ref(tensor)
+        del tensor
+        assert gone() is None
