@@ -82,7 +82,7 @@ class DenseTensor:
         plan = self._plans[mode]
         if plan is None:
             plan = self._plans[mode] = FiberPlan(self, mode)
-        return plan.fibers(rows, plan.digits(rows))
+        return plan.moved[plan.digits(rows)]
 
 
 class SparseTensorCOO:
@@ -156,11 +156,8 @@ class SparseTensorCOO:
 
     def fiber_rows(self, mode: int, rows) -> np.ndarray:
         """Rows of the mode-`mode` unfolding at the given fiber indices, (B, I_mode)."""
-        return self._gather(mode, _check_rows(self.shape.dims, mode, rows))
-
-    def _gather(self, mode: int, rows: np.ndarray) -> np.ndarray:
-        """`fiber_rows` for rows known to be in range: one gather over the
-        concatenated index slices of the requested fibers."""
+        rows = _check_rows(self.shape.dims, mode, rows)
+        # One gather over the concatenated index slices of the requested fibers.
         starts = self._fiber_starts[mode]
         first = starts.take(rows)
         counts = starts.take(rows + 1) - first
@@ -262,15 +259,15 @@ def _khatri_rao(factors, others, digits) -> np.ndarray:
 
 
 class FiberPlan:
-    """Fiber reads along one mode of one tensor, set up once per run.
+    """Fiber index algebra along one mode of one tensor, set up once.
 
     Holds the sizes of the other modes, which split a fiber row into its
-    multi-index, and for dense data a view of the values with `mode` moved
-    last (a view: no per-mode copy). A dense plan holds that view and not the
-    tensor, so the plans a `DenseTensor` keeps form no reference cycle. The
-    methods trust their rows to lie in [0, J_mode), as a run's own draws do,
-    and skip the checks that :func:`khatri_rao_rows` and :func:`data_fibers`
-    make.
+    multi-index, and for dense data `moved`, a view of the values with `mode`
+    moved last (a view: no per-mode copy), which `DenseTensor.fiber_rows`
+    indexes with the digits. A plan holds no reference to its tensor, so the
+    plans a `DenseTensor` keeps form no reference cycle. The methods trust
+    their rows to lie in [0, J_mode), as a run's own draws do, and skip the
+    checks that :func:`khatri_rao_rows` makes.
     """
 
     def __init__(self, tensor, mode: int):
@@ -278,10 +275,8 @@ class FiberPlan:
         self.mode = mode
         self.others = tuple(m for m in range(tensor.shape.order) if m != mode)
         self.moduli = tuple(tensor.shape.dims[m] for m in self.others)
-        if isinstance(tensor, DenseTensor):
-            self.sparse, self.moved = None, tensor.values.transpose(self.others + (mode,))
-        else:
-            self.sparse, self.moved = tensor, None
+        self.moved = (tensor.values.transpose(self.others + (mode,))
+                      if isinstance(tensor, DenseTensor) else None)
 
     def digits(self, rows: np.ndarray) -> tuple:
         """Per-mode indices of in-range fiber rows (the smallest remaining
@@ -291,12 +286,6 @@ class FiberPlan:
     def khatri_rao(self, factors, digits) -> np.ndarray:
         """Rows of the Khatri-Rao product of the other factors, (B, R)."""
         return _khatri_rao(factors, self.others, digits)
-
-    def fibers(self, rows: np.ndarray, digits) -> np.ndarray:
-        """Rows of the data unfolding, (B, I_mode)."""
-        if self.moved is None:
-            return self.sparse._gather(self.mode, rows)
-        return self.moved[digits]
 
 
 def khatri_rao_rows(factors, mode: int, rows) -> np.ndarray:
