@@ -8,20 +8,21 @@ H the Khatri-Rao rows,
     full         (1/J_n) sum_j g_j
     sampled      (1/B)  sum_{j in F} g_j
 
-so full, SGD with B = J_n, and SAGA with B = J_n coincide exactly.
+so full and SGD with B = J_n coincide exactly.
 
 SAGA keeps one stored gradient per fiber, initialized by one full pass at the
-initial iterate so the first estimate is exact. Each g_j is rank one, so the
-table stores its two factors, row j holding D(j, :) then H(j, :) in one
-(J_n, I_n + R) array per mode: memory O(J_n (I_n + R)) per mode against
-O(J_n I_n R) for the dense stack of the g_j. A step rebuilds the B touched
-entries, old and new, with the dense stack's product and division, and a
-re-sync of the running average rebuilds the whole table chunk by chunk, so
-no (J_n, I_n, R) array is formed.
-Estimates and averages equal the dense stack's bit for bit. SARAH keeps a
-per-mode running estimate and restarts from the full gradient with
-probability 1/p. Tables for inactive modes go stale when another block
-moves; no eager refresh is done.
+initial iterate. Each g_j is rank one, so the table stores its two factors,
+row j holding D(j, :) then H(j, :) in one (J_n, I_n + R) array per mode:
+memory O(J_n (I_n + R)) per mode against O(J_n I_n R) for the dense stack of
+the g_j. Every sum over stored gradients is a product of the stored factors,
+so no per-fiber (I_n, R) array is formed: the average at the table build and
+at each re-sync (once per effective pass) is D^T H / (I_n J_n) of the whole
+table, and a step's change is (D_new^T H_new - D_old^T H_old) / I_n over its
+B rows. The average at the build is the full pass's own product, so it and
+the first estimate at the initial iterate equal the full gradient bit for
+bit. SARAH keeps a per-mode running estimate and restarts from the full
+gradient with probability 1/p. Tables for inactive modes go stale when
+another block moves; no eager refresh is done.
 
 Every kind is one oracle, asked for one way: `estimate_gradient(state,
 factors, mode, rows, fibers)` gives the state's estimate of the mode-`mode`
@@ -73,48 +74,14 @@ ESTIMATOR_KINDS = ("full", "sgd", "saga", "sarah")
 # bytes, against 1.2x here).
 _BLOCK_ENTRIES = 1 << 13
 
-# Stacked entries per chunk when a whole SAGA table is rebuilt (a re-sync,
-# the diagnostic). On a dense-gamma-saga mode a re-sync takes about 0.64 ms
-# at 2^15 against 0.86 ms at 2^13 and 2^16.
-_CHUNK_ENTRIES = 1 << 15
-
-
-def _stack(d: np.ndarray, kr: np.ndarray, axes: str = "bri") -> np.ndarray:
-    """Per-fiber gradients g_j = D(j, :)^T H(j, :) / I_n, stacked with the
-    axes in the given order (b fiber, i coordinate, r rank)."""
-    out = np.einsum("bi,br->" + axes, d, kr)
-    out /= d.shape[1]
-    return out
-
-
-def _chunks(rows: int, entries: int):
-    """Slices over `rows` fibers whose stacks, of `entries` entries per
-    fiber, hold about _CHUNK_ENTRIES entries each."""
-    step = max(1, _CHUNK_ENTRIES // entries)
-    return (slice(lo, lo + step) for lo in range(0, rows, step))
-
-
-def _table_mean(table: np.ndarray, i_n: int) -> np.ndarray:
-    """(1/J_n) sum_j g_j over a SAGA table, shape (I_n, R).
-
-    Equals the mean over axis 0 of the dense stack bit for bit: that is a
-    sum in the order of j, and each chunk's first entry carries the sum of
-    the chunks before it. The sum runs on (R, I_n) stacks, as the step's do;
-    the result is C-ordered, as the step's estimate and the factors are.
-    """
-    d, kr = table[:, :i_n], table[:, i_n:]
-    total = None
-    for rows in _chunks(d.shape[0], d.shape[1] * kr.shape[1]):
-        chunk = _stack(d[rows], kr[rows])
-        if total is not None:
-            chunk[0] += total
-        total = chunk.sum(axis=0)
-    return np.ascontiguousarray((total / d.shape[0]).T)
-
-
 def _batch_mean(d: np.ndarray, kr: np.ndarray) -> np.ndarray:
     """(1/B) sum_j g_j, shape (I_n, R)."""
     return d.T @ kr / (d.shape[1] * d.shape[0])
+
+
+def _halves(table: np.ndarray, i_n: int):
+    """The stored D and H of a SAGA table (or of rows taken from it), as views."""
+    return table[..., :i_n], table[..., i_n:]
 
 
 def _terms(factors, loss: LossSpec, mode: int, rows, read):
@@ -208,7 +175,7 @@ class EstimatorState:
                 table = np.concatenate(
                     _read_terms(tensor, model.factors, loss, n, _all_rows(tensor, n)), axis=1)
                 self.tables.append(table)
-                self.table_avg.append(_table_mean(table, shape.dims[n]))
+                self.table_avg.append(_batch_mean(*_halves(table, shape.dims[n])))
         elif kind == "sarah":
             self.estimates = [None] * self.order
             self.snapshots = [None] * self.order
@@ -240,30 +207,17 @@ def _saga(state: EstimatorState, factors, n: int, rows, fibers) -> np.ndarray:
     digits = plan.digits(rows)
     d, kr = _plan_terms(plan, factors, fibers, digits, state.deriv)
     table = state.tables[n]
-    b, i_n = d.shape
-    # The factors of the touched entries: new in the first B rows, old in
-    # the last B, so one gather, one write and one product serve both.
-    both = np.empty((2 * b, table.shape[1]))
-    both[:b, :i_n] = d
-    both[:b, i_n:] = kr
-    table.take(rows, axis=0, out=both[b:])
-    table[rows] = both[:b]
-    # The entries are rebuilt (2B, R, I_n): the sum over the batch runs in
-    # the order of the rows in any layout. Broadcasting is faster than
-    # `_stack` at this size; where a product is zero it may carry the other
-    # sign than the einsum's +0, and numpy's sums start from +0, so `change`
-    # and all that follows keep the dense stack's bits. `change`, the
-    # estimate and the average are C-ordered, as the anchor of the prox is.
-    stack = both[:, i_n:, None] * both[:, None, :i_n]
-    stack /= float(i_n)
-    diff = stack[:b]
-    diff -= stack[b:]
-    change = np.ascontiguousarray(diff.sum(axis=0).T)
+    i_n = d.shape[1]
+    old_d, old_kr = _halves(table.take(rows, axis=0), i_n)
+    table[rows] = np.concatenate((d, kr), axis=1)
+    change = d.T @ kr   # C-ordered, as the estimate and the prox's anchor must be
+    change -= old_d.T @ old_kr
+    change /= i_n
     estimate = change / rows.size + state.table_avg[n]
     state.table_avg[n] = state.table_avg[n] + change / state.fiber_counts[n]
     state._since_sync[n] += 1
     if state._since_sync[n] >= state.sync_every[n]:
-        state.table_avg[n] = _table_mean(table, i_n)
+        state.table_avg[n] = _batch_mean(*_halves(table, i_n))
         state._since_sync[n] = 0
     return estimate
 
@@ -357,17 +311,21 @@ def vr_diagnostics(state: EstimatorState, factors, mode: int, rows) -> float:
     if state.kind == "full":
         return 0.0
     if state.kind == "saga":
-        d, kr = _read_terms(state.tensor, factors, state.loss, mode,
-                            _all_rows(state.tensor, mode))
-        table = state.tables[mode]
-        table_d, table_kr = table[:, :d.shape[1]], table[:, d.shape[1]:]
-        sq = np.empty(d.shape[0])
-        for rows in _chunks(d.shape[0], d.shape[1] * kr.shape[1]):
-            # The dense stack's (I_n, R) layout sets the order of each fiber's sum.
-            diff = _stack(d[rows], kr[rows], "bir")
-            diff -= _stack(table_d[rows], table_kr[rows], "bir")
-            sq[rows] = np.sum(diff * diff, axis=(1, 2))
-        return float(np.sum(sq) / (state.batches[mode] * state.fiber_counts[mode]))
+        # Per fiber, with d, h its terms at `factors` and t, u the stored ones,
+        # I_n (g - stored g) = d h^T - t u^T = a h^T + t b^T for a = d - t,
+        # b = h - u: its squared norm takes row dot products, and is 0 on a
+        # fresh entry.
+        d, h = _read_terms(state.tensor, factors, state.loss, mode,
+                           _all_rows(state.tensor, mode))
+        i_n = d.shape[1]
+        t, u = _halves(state.tables[mode], i_n)
+        a, b = d - t, h - u
+
+        def dot(x, y):
+            return np.einsum("ji,ji->j", x, y)
+
+        sq = dot(a, a) * dot(h, h) + 2.0 * dot(a, t) * dot(h, b) + dot(t, t) * dot(b, b)
+        return float(np.sum(sq) / (i_n * i_n * state.batches[mode] * state.fiber_counts[mode]))
     if state.kind == "sarah":
         if state.estimates[mode] is None:
             return 0.0

@@ -110,8 +110,10 @@ class SolverConfig:
             raise ConfigError("inertial coefficients c1, c2 must lie in [0, 1]")
         if not (0.0 < self.eps_aux < self.delta < 1.0):
             raise ConfigError("need 1 > delta > eps_aux > 0")
-        if not self.eta > 0:
-            raise ConfigError("eta must be positive")
+        if not 0 < self.eta < math.inf:
+            raise ConfigError("eta must be positive and finite")
+        if self.sarah_p is not None and self.sarah_p < 1:
+            raise ConfigError("sarah_p must be >= 1")
         if self.estimator not in ESTIMATOR_KINDS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.stepsize_rule not in ("constant", "decreasing-bound"):

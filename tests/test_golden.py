@@ -8,12 +8,17 @@ final factors must equal the values in ``golden_traces.json`` exactly.
 
 Regenerate the file only for a change that is meant to alter the arithmetic:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py            # every entry
+    PYTHONPATH=src python tests/test_golden.py saga-      # names starting "saga-"
+
+Given name prefixes, only the entries whose names start with one of them are
+rerun; every other entry keeps its recorded value.
 """
 
 import dataclasses
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +118,10 @@ def test_run_reproduces_golden_trace(name, golden):
 
 
 if __name__ == "__main__":
-    out = {name: _fingerprint(*case) for name, case in _cases().items()}
+    prefixes = tuple(sys.argv[1:])
+    out = json.loads(GOLDEN.read_text()) if prefixes else {}
+    names = [name for name in _cases() if name.startswith(prefixes or "")]
+    for name in names:
+        out[name] = _fingerprint(*_cases()[name])
     GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(out)} golden traces to {GOLDEN}")
+    print(f"wrote {len(names)} of {len(out)} golden traces to {GOLDEN}")

@@ -94,7 +94,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("eval_every", 0), ("eval_every", -3), ("eval_samples", 0),
-        ("init_max", 0.0), ("init_max", -1.0), ("init_max", np.inf), ("seed", -1)])
+        ("init_max", 0.0), ("init_max", -1.0), ("init_max", np.inf), ("seed", -1),
+        ("eta", np.inf), ("eta", np.nan), ("eta", 0.0), ("sarah_p", 0), ("sarah_p", -3)])
     def test_out_of_range_setting_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             gaussian_config(**{field: value}).resolved(SHAPE)
@@ -102,6 +103,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("settings,match", [
         (dict(stepsize_rule="decreasing-bound", l_bar=-1.0), "l_bar"),
         (dict(stepsize_rule="decreasing-bound", l_bar=np.inf), "l_bar"),
+        (dict(eta=np.inf), "eta"),
+        (dict(estimator="sarah", sarah_p=0), "sarah_p"),
+        (dict(estimator="sarah", sarah_p=-3), "sarah_p"),
         (dict(lyapunov=True, diagnostics=True, estimator="saga"), "gamma_bar"),
         # 1 - delta - 2*s*m2 <= 0 with s = (49/52)*0.8 at k = max_iters = 50.
         (dict(stepsize_rule="decreasing-bound", l_bar=4.0, delta=0.5, m2=1.0,
