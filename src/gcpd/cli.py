@@ -325,7 +325,10 @@ def cmd_compare(args) -> int:
         finals_mse = []
         for s in range(n_seeds):
             plain = {} if head == "inertial" else {"c1": 0.0, "c2": 0.0}
-            config = dataclasses.replace(base, estimator=estimator, seed=base.seed + s, **plain)
+            # --p is the sarah restart period; the other methods run without it.
+            config = dataclasses.replace(
+                base, estimator=estimator, seed=base.seed + s,
+                sarah_p=base.sarah_p if estimator == "sarah" else None, **plain)
             trace, _ = run(config, tensor, truth=truth)
             hit = iterations_to_threshold(trace, args.threshold, metric)
             iters.append(hit if hit is not None else float("inf"))

@@ -63,16 +63,10 @@ import numpy as np
 
 from .errors import ConfigError, LossDomainError, StateError
 from .losses import LossSpec, deriv_kernel, loss_deriv
-from .tensors import FiberPlan, KruskalModel, data_fibers, khatri_rao_rows
+from .tensors import BLOCK_ENTRIES, FiberPlan, KruskalModel, data_fibers, khatri_rao_rows
 
 ESTIMATOR_KINDS = ("full", "sgd", "saga", "sarah")
 
-
-# Entries per row block of a checked pass. Smaller blocks pay more checked
-# calls (2^10 more than doubles a dense-bernoulli-full fit); larger ones add
-# per-block temporaries (at 2^15 a dense full pass peaks at 1.6x the tensor's
-# bytes, against 1.2x here).
-_BLOCK_ENTRIES = 1 << 13
 
 def _batch_mean(d: np.ndarray, kr: np.ndarray) -> np.ndarray:
     """(1/B) sum_j g_j, shape (I_n, R)."""
@@ -91,7 +85,7 @@ def _terms(factors, loss: LossSpec, mode: int, rows, read):
     fibers of rows[lo:hi]."""
     kr = khatri_rao_rows(factors, mode, rows)
     d = kr @ factors[mode].T   # M, overwritten by D block by block
-    step = max(1, _BLOCK_ENTRIES // d.shape[1])
+    step = max(1, BLOCK_ENTRIES // d.shape[1])
     try:
         for lo in range(0, d.shape[0], step):
             d[lo:lo + step] = loss_deriv(loss, read(lo, lo + step), d[lo:lo + step])
@@ -128,9 +122,10 @@ class EstimatorState:
     """Per-run estimator state; exclusively owned by one solver run.
 
     Per-mode constants are fixed here, once per run: J_n, the batch size B_n,
-    the SARAH restart period, the SAGA re-sync period, the number g_n of
-    batches whose fibers one read covers (see `fiber_groups`), and a
-    `FiberPlan` for the Khatri-Rao rows of each mode.
+    the SARAH restart period (sarah only; other kinds ignore `p`), the SAGA
+    re-sync period, the number g_n of batches whose fibers one read covers
+    (see `fiber_groups`), and a `FiberPlan` for the Khatri-Rao rows of each
+    mode.
     """
 
     def __init__(self, kind: str, tensor, model: KruskalModel, loss: LossSpec,
@@ -149,19 +144,15 @@ class EstimatorState:
         self.batches = [min(int(batch), j) for j in self.fiber_counts]
         if any(b < 1 for b in self.batches):
             raise ConfigError("batch size must be >= 1")
-        # One expected restart per effective epoch unless overridden.
-        self.p = [int(p) if p is not None else math.ceil(j / b)
-                  for j, b in zip(self.fiber_counts, self.batches)]
-        if any(q < 1 for q in self.p):
-            raise ConfigError("sarah restart period p must be >= 1")
         # The incremental SAGA average drifts; re-sync once per effective pass.
         self.sync_every = [math.ceil(j / b) for j, b in zip(self.fiber_counts, self.batches)]
         # A group read holds at most one checked pass's row block of entries.
-        self.groups = [max(1, _BLOCK_ENTRIES // (b * i))
+        self.groups = [max(1, BLOCK_ENTRIES // (b * i))
                        for b, i in zip(self.batches, shape.dims)]
         self.plans = [FiberPlan(tensor, n) for n in range(self.order)]
         self.deriv = deriv_kernel(loss)
 
+        self.p = None
         self.tables = None
         self.table_avg = None
         self._since_sync = None
@@ -177,6 +168,11 @@ class EstimatorState:
                 self.tables.append(table)
                 self.table_avg.append(_batch_mean(*_halves(table, shape.dims[n])))
         elif kind == "sarah":
+            # One expected restart per effective epoch unless overridden.
+            self.p = [int(p) if p is not None else math.ceil(j / b)
+                      for j, b in zip(self.fiber_counts, self.batches)]
+            if any(q < 1 for q in self.p):
+                raise ConfigError("sarah restart period p must be >= 1")
             self.estimates = [None] * self.order
             self.snapshots = [None] * self.order
 

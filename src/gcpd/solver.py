@@ -74,7 +74,7 @@ class SolverConfig:
     regularizer: RegularizerSpec | tuple | None = None  # default by loss, see resolved
     estimator: str = "saga"
     batch: int | None = None          # default 2 * rank
-    sarah_p: int | None = None        # default: one expected restart per epoch
+    sarah_p: int | None = None        # sarah only; default: one expected restart per epoch
     eta: float | None = None          # default by loss family (_DEFAULT_ETA)
     stepsize_rule: str = "constant"   # or "decreasing-bound" (needs l_bar)
     l_bar: float | None = None        # user upper-curvature estimate
@@ -116,6 +116,9 @@ class SolverConfig:
             raise ConfigError("sarah_p must be >= 1")
         if self.estimator not in ESTIMATOR_KINDS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
+        if self.sarah_p is not None and self.estimator != "sarah":
+            raise ConfigError(f"sarah_p is the sarah estimator's restart period; the "
+                              f"{self.estimator!r} estimator does not read it")
         if self.stepsize_rule not in ("constant", "decreasing-bound"):
             raise ConfigError(f"unknown stepsize rule {self.stepsize_rule!r}")
         if self.extrapolation_check not in ("off", "backtrack"):

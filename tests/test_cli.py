@@ -305,6 +305,38 @@ class TestDecompose:
         assert capsys.readouterr().err.startswith("data error:")
         assert not trace_path.exists()
 
+    @pytest.mark.parametrize("estimator", ["full", "sgd", "saga"])
+    def test_sarah_p_under_another_estimator_is_config_error(self, gamma_files, tmp_path,
+                                                             capsys, estimator):
+        trace_path = tmp_path / "p.csv"
+        code = run_cli("decompose", "--input", str(gamma_files) + ".tns", "--loss", "gamma",
+                       "--rank", "2", "--iters", "5", "--estimator", estimator, "--p", "5",
+                       "--trace", str(trace_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "sarah_p" in err
+        assert not trace_path.exists()
+
+    def test_replayed_sarah_p_under_saga_is_config_error(self, gamma_files, tmp_path, capsys):
+        out = tmp_path / "m"
+        assert run_cli("decompose", "--input", str(gamma_files) + ".tns", "--loss",
+                       "gamma", "--rank", "2", "--iters", "5", "--model-out", str(out)) == 0
+        manifest = Path(str(out) + ".manifest.json")
+        saved = json.loads(manifest.read_text())
+        assert saved["config"]["estimator"] == "saga"
+        saved["config"]["sarah_p"] = 5
+        manifest.write_text(json.dumps(saved))
+        capsys.readouterr()
+        assert run_cli("decompose", "--manifest", str(manifest)) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+    def test_sarah_p_is_recorded_under_sarah(self, gamma_files, tmp_path):
+        trace_path = tmp_path / "s.csv"
+        assert run_cli("decompose", "--input", str(gamma_files) + ".tns", "--loss", "gamma",
+                       "--rank", "2", "--iters", "5", "--estimator", "sarah", "--p", "5",
+                       "--trace", str(trace_path)) == 0
+        assert read_trace_csv(trace_path)[2]["config"]["sarah_p"] == 5
+
     @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"])
     def test_manifest_that_is_not_json_is_data_error(self, tmp_path, capsys, content):
         manifest = tmp_path / "run.manifest.json"
@@ -348,6 +380,18 @@ class TestCompare:
                        "--threshold", "-999", "--out", str(out))
         assert code == 0
         assert out.read_text().splitlines()[1].split(",")[2] == "budget"
+
+    def test_p_reaches_only_the_sarah_methods(self, gamma_files, tmp_path):
+        outs = []
+        for extra in ([], ["--p", "2"]):
+            out = tmp_path / f"p{len(extra)}.csv"
+            assert run_cli("compare", "--input", str(gamma_files) + ".tns",
+                           "--methods", "plain-saga,plain-sarah", "--seeds", "1",
+                           "--loss", "gamma", "--rank", "2", "--iters", "40",
+                           "--threshold", "-999", "--out", str(out), *extra) == 0
+            outs.append(out.read_text().splitlines())
+        assert outs[1][1] == outs[0][1]   # saga runs as without --p
+        assert outs[1][2] != outs[0][2]   # sarah restarts at period 2
 
     def test_bad_method_is_usage_error(self, gamma_files):
         code = run_cli("compare", "--input", str(gamma_files) + ".tns",

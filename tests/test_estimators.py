@@ -109,7 +109,7 @@ class TestBlockedPass:
 
     @pytest.fixture(autouse=True)
     def _block_size(self, monkeypatch):
-        monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", BLOCK_ENTRIES)
+        monkeypatch.setattr(estimators, "BLOCK_ENTRIES", BLOCK_ENTRIES)
 
     def test_dims_span_blocks_with_short_remainders(self):
         tails = set()
@@ -420,7 +420,7 @@ class TestSagaTableReplay:
     def test_replay_equals_dense_table(self, kind, sparse, monkeypatch):
         # Small row blocks, so the whole-table passes span several with a
         # remainder.
-        monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", 70)
+        monkeypatch.setattr(estimators, "BLOCK_ENTRIES", 70)
         dense, model, spec = make_instance(kind, dims=(6, 5, 7), rank=3, seed=27)
         factors = [a.copy() for a in model.factors]
         if kind == "gaussian":
@@ -500,6 +500,15 @@ class TestDispatchAndDeterminism:
         tensor, model, spec = make_instance(seed=14)
         with pytest.raises(ConfigError):
             EstimatorState("adam", tensor, model, spec, batch=2)
+
+    @pytest.mark.parametrize("kind", ["full", "sgd", "saga"])
+    def test_restart_period_is_sarah_only(self, kind):
+        tensor, model, spec = make_instance(seed=14)
+        assert EstimatorState(kind, tensor, model, spec, batch=2, p=0).p is None
+        with pytest.raises(ConfigError, match="restart period"):
+            EstimatorState("sarah", tensor, model, spec, batch=2, p=0)
+        sarah = EstimatorState("sarah", tensor, model, spec, batch=2)
+        assert sarah.p == [math.ceil(j / 2) for j in sarah.fiber_counts]
 
     def test_same_seed_bit_identical(self):
         tensor, model, spec = make_instance(seed=15)

@@ -1,14 +1,16 @@
 """Loss catalog: values, derivatives, domains, and the mean objective."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from gcpd import losses
 from gcpd.errors import ConfigError, LossDomainError
 from gcpd.losses import KINDS, GUARDED_KINDS, LossSpec, loss_deriv, loss_value, objective
-from gcpd.tensors import DenseTensor, KruskalModel
+from gcpd.tensors import BLOCK_ENTRIES, DenseTensor, KruskalModel, SparseTensorCOO
 
 # In-domain (x, m) sample grids per kind, away from kinks.
 DOMAIN_GRIDS = {
@@ -170,3 +172,126 @@ class TestObjective:
         tensor = DenseTensor(np.ones((2, 2, 3)))
         with pytest.raises(LossDomainError):
             objective(LossSpec("gaussian"), tensor, model)
+
+
+def _in_domain(kind, dims, seed, rank=3):
+    """A model and data tensor inside `kind`'s domains."""
+    rng = np.random.default_rng(seed)
+    model = KruskalModel([0.1 + rng.random((d, rank)) for d in dims])
+    if kind in ("bernoulli-odds", "bernoulli-logit"):
+        values = (rng.random(dims) < 0.5).astype(float)
+    elif kind.startswith("poisson"):
+        values = rng.poisson(1.5, size=dims).astype(float)
+    elif kind == "gamma":
+        values = rng.gamma(1.0, 1.0, size=dims)
+    else:
+        values = rng.standard_normal(dims)
+    return DenseTensor(values), model
+
+
+def _whole(spec, tensor, model):
+    """The exact objective as one mean over every entry."""
+    return float(np.mean(loss_value(spec, tensor.values, model.to_dense().values)))
+
+
+# At the default block size a mode-0 slice of these dims holds 600 entries,
+# so a block is 13 slices and mode 0 ends in a 2-slice remainder block.
+MULTI_BLOCK_DIMS = (41, 30, 20)
+
+
+class TestBlockedObjective:
+    """The exact objective walks mode 0 in row blocks of the checked passes'
+    size and must agree with one mean over the whole tensor."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """The entry counts of the `loss_value` calls the objective makes."""
+        sizes = []
+        real = losses.loss_value
+        monkeypatch.setattr(losses, "loss_value",
+                            lambda spec, x, m: sizes.append(np.size(m)) or real(spec, x, m))
+        return sizes
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dims", [(6, 5, 4), (1, 90, 91), (9, 7), (3, 4, 2, 5)])
+    def test_one_block_equals_the_whole_mean(self, kind, dims, blocks):
+        tensor, model = _in_domain(kind, dims, seed=5)
+        spec = LossSpec(kind)
+        got = objective(spec, tensor, model).value
+        assert blocks == [tensor.shape.total]
+        assert got == _whole(spec, tensor, model)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("entries", [1, 700, BLOCK_ENTRIES])
+    def test_many_blocks_agree_with_the_whole_mean(self, kind, entries, blocks, monkeypatch):
+        monkeypatch.setattr(losses, "BLOCK_ENTRIES", entries)
+        tensor, model = _in_domain(kind, MULTI_BLOCK_DIMS, seed=6)
+        spec = LossSpec(kind)
+        got = objective(spec, tensor, model)
+        slice_entries = tensor.shape.total // MULTI_BLOCK_DIMS[0]
+        step = max(1, entries // slice_entries)
+        assert blocks == [min(step, MULTI_BLOCK_DIMS[0] - lo) * slice_entries
+                          for lo in range(0, MULTI_BLOCK_DIMS[0], step)]
+        assert len(blocks) > 1
+        want = _whole(spec, tensor, model)
+        assert got.exact and got.n_terms == tensor.shape.total
+        assert abs(got.value - want) <= 1e-14 * abs(want)
+
+    def test_sparse_tensor_at_full_sample_equals_dense(self):
+        tensor, model = _in_domain("poisson-identity", MULTI_BLOCK_DIMS, seed=7)
+        idx = np.argwhere(tensor.values != 0)
+        sparse = SparseTensorCOO(tensor.shape, idx, tensor.values[tuple(idx.T)])
+        spec = LossSpec("poisson-identity")
+        assert objective(spec, sparse, model).value == objective(spec, tensor, model).value
+
+    def _faulty(self):
+        """A gamma instance of several blocks with a model fault in the first
+        block and data faults in the second and last (the later one larger)."""
+        tensor, model = _in_domain("gamma", MULTI_BLOCK_DIMS, seed=8)
+        factors = [a.copy() for a in model.factors]
+        factors[0][1] = -factors[0][1]
+        values = tensor.values.copy()
+        values[20, 3, 4] = -0.5
+        values[40, 0, 0] = -2.0
+        return LossSpec("gamma"), values, KruskalModel(factors)
+
+    def _whole_error(self, spec, values, model):
+        with pytest.raises(LossDomainError) as err:
+            loss_value(spec, values, model.to_dense().values)
+        return str(err.value)
+
+    def test_data_fault_of_a_later_block_is_named_first(self):
+        spec, values, model = self._faulty()
+        want = self._whole_error(spec, values, model)
+        assert want == "gamma: data value -2.0 < 0"
+        with pytest.raises(LossDomainError) as err:
+            objective(spec, DenseTensor(values), model)
+        assert str(err.value) == want
+
+    def test_model_fault_names_the_smallest_value_over_every_block(self):
+        spec, values, model = self._faulty()
+        values = np.abs(values)
+        factors = [a.copy() for a in model.factors]
+        factors[0][30] = -3.0 * factors[0][30]   # more negative values, in the third block
+        model = KruskalModel(factors)
+        lowest = model.to_dense().values.min()
+        assert model.slab(30, 31).min() == lowest
+        want = self._whole_error(spec, values, model)
+        assert want == f"gamma: model value {lowest} < 0"
+        with pytest.raises(LossDomainError) as err:
+            objective(spec, DenseTensor(values), model)
+        assert str(err.value) == want
+
+    def test_peak_memory_is_a_small_share_of_the_tensor(self):
+        # dense-bernoulli-full's shape; one evaluation over the whole model
+        # and its loss temporaries peaks at about 4x the tensor's bytes.
+        tensor, model = _in_domain("bernoulli-odds", (80, 60, 50), seed=9)
+        spec = LossSpec("bernoulli-odds")
+        objective(spec, tensor, model)
+        tracemalloc.start()
+        try:
+            objective(spec, tensor, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tensor.values.nbytes / 4

@@ -106,6 +106,9 @@ class TestConfigValidation:
         (dict(eta=np.inf), "eta"),
         (dict(estimator="sarah", sarah_p=0), "sarah_p"),
         (dict(estimator="sarah", sarah_p=-3), "sarah_p"),
+        (dict(estimator="saga", sarah_p=5), "sarah_p"),
+        (dict(estimator="full", sarah_p=1), "sarah_p"),
+        (dict(estimator="sgd", sarah_p=3), "sarah_p"),
         (dict(lyapunov=True, diagnostics=True, estimator="saga"), "gamma_bar"),
         # 1 - delta - 2*s*m2 <= 0 with s = (49/52)*0.8 at k = max_iters = 50.
         (dict(stepsize_rule="decreasing-bound", l_bar=4.0, delta=0.5, m2=1.0,
@@ -400,7 +403,7 @@ class TestFiberGroups:
 
         want = outcome()
         for entries in (1, 1 << 20):   # one batch per read; a whole window per read
-            monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(estimators, "BLOCK_ENTRIES", entries)
             assert outcome() == want
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
@@ -525,6 +528,34 @@ class TestRun:
                               regularizer=RegularizerSpec("zero"))
         with pytest.raises(DivergenceError):
             run(cfg, tensor)
+
+    def test_non_finite_block_guard(self):
+        # The evaluations come too late to see the blow-up first.
+        tensor, _ = small_gaussian_instance(seed=10)
+        cfg = gaussian_config(eta=1e9, max_iters=200, eval_every=1000,
+                              regularizer=RegularizerSpec("zero"))
+        with pytest.raises(DivergenceError, match="non-finite factor entries after iteration"):
+            run(cfg, tensor)
+
+    def test_factor_magnitude_guard(self):
+        # One capped step moves entries by up to 1e85, finite but above the
+        # order-3 bound 10^(250/3), before the objective is evaluated.
+        tensor, _ = small_gaussian_instance(seed=10)
+        cfg = gaussian_config(eta=1e90, max_step=1e85, max_iters=5, eval_every=1,
+                              regularizer=RegularizerSpec("zero"))
+        with pytest.raises(DivergenceError, match="factor magnitude .* overflow bound") as err:
+            run(cfg, tensor)
+        assert err.value.iteration == 1 and err.value.value > 10.0 ** (250 / 3)
+
+    def test_objective_guard(self):
+        tensor, _ = small_gaussian_instance(seed=10)
+        cfg = gaussian_config(eta=1e9, max_iters=5, eval_every=1,
+                              regularizer=RegularizerSpec("zero"))
+        nre0 = run(dataclasses.replace(cfg, max_iters=0), tensor)[0].records[0].nre
+        with pytest.raises(DivergenceError, match="exceeded the divergence guard") as err:
+            run(cfg, tensor)
+        assert err.value.iteration == 1
+        assert np.isfinite(err.value.value) and err.value.value > 1e6 * max(1.0, abs(nre0))
 
     def test_stopping_rule_two_consecutive(self):
         tensor, _ = small_gaussian_instance(seed=11)

@@ -143,6 +143,22 @@ class TestKruskalModel:
         for idx in [(0, 0, 0), (3, 2, 1), (1, 3, 2)]:
             assert abs(dense[idx] - entry(model, idx)) <= 1e-12
 
+    def test_slabs_and_dense_equal_einsum_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            order = int(rng.integers(2, 5))
+            rank = int(rng.integers(1, 6))
+            factors = [rng.standard_normal((int(d), rank))
+                       for d in rng.integers(1, 9, size=order)]
+            model = KruskalModel(factors)
+            args = [x for mode, a in enumerate(factors) for x in (a, [mode, order])]
+            whole = np.einsum(*args, list(range(order)))
+            assert model.to_dense().values.tobytes() == whole.tobytes()
+            i_0 = factors[0].shape[0]
+            for step in range(1, i_0 + 1):
+                slabs = [model.slab(lo, lo + step) for lo in range(0, i_0, step)]
+                assert np.concatenate(slabs).tobytes() == whole.tobytes()
+
     def test_scaling_indeterminacy(self):
         rng = np.random.default_rng(4)
         factors = [rng.random((3, 2)) + 0.1 for _ in range(3)]
