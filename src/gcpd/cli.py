@@ -43,7 +43,11 @@ def _read_config_file(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise DataError(f"config file not found: {p}")
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    try:
+        text = p.read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{p} is not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -199,7 +203,10 @@ def _solver_config_from_args(args) -> SolverConfig:
 def _load_tensor(path, shape):
     if path is None:
         raise UsageError("--input is required")
-    tensor = gdata.read_tns(path, shape=shape)
+    try:
+        tensor = gdata.read_tns(path, shape=shape)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
     # Small tensors are densified once: exact objectives and vectorized fibers.
     if tensor.shape.total <= DESK_SCALE:
         return tensor.to_dense()
@@ -390,7 +397,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (DataError, GcpdError, FileNotFoundError) as exc:
+    except (GcpdError, OSError) as exc:   # OSError: an input that cannot be read
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

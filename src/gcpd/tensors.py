@@ -96,12 +96,14 @@ class DenseTensor:
 class SparseTensorCOO:
     """Sparse coordinate tensor with implicit-zero semantics.
 
-    Entries are kept in linear order (mode-0 fastest). A per-mode fiber index
-    (fiber row -> slice of nonzeros) is built once at construction so fiber
-    extraction is O(nnz in fiber), not O(nnz total). Instances are immutable
-    after construction. Entries already in strictly rising linear order, as
-    `data.write_tns` writes them, are kept as given when they are C-contiguous
-    int64 and float64 arrays, so the caller hands those arrays over.
+    Entries are kept in linear order (mode-0 fastest). A mode's fiber index
+    (fiber row -> slice of nonzeros) is built by the first read of that
+    mode's fibers, so fiber extraction is O(nnz in fiber), not O(nnz total),
+    and a tensor that is only densified never builds one. The entries are
+    immutable after construction. Entries already in strictly rising linear
+    order, as `data.write_tns` writes them, are kept as given when they are
+    C-contiguous int64 and float64 arrays, so the caller hands those arrays
+    over.
     """
 
     def __init__(self, shape, indices, values):
@@ -133,7 +135,7 @@ class SparseTensorCOO:
         self.indices = indices
         self.values = values
         self._linear = linear
-        self._build_fiber_index()
+        self._fibers = [None] * self.shape.order   # built by `fiber_index` on first use
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -143,15 +145,17 @@ class SparseTensorCOO:
     def nnz(self) -> int:
         return int(self.values.size)
 
-    def _build_fiber_index(self):
-        # Fiber f's entries are slots starts[f]:starts[f + 1] of order, by
-        # rising mode-`mode` index. Within a fiber the entries differ only in
-        # that index, so sorting the unique key fid * I_mode + i_mode gives the
-        # stable sort of fid over entries in linear order.
-        self._fiber_order = []
-        self._fiber_starts = []
-        dims = self.shape.dims
-        for mode in range(self.shape.order):
+    def fiber_index(self, mode: int) -> tuple[np.ndarray, np.ndarray]:
+        """(order, starts) of mode `mode`, built on the first call: fiber f's
+        entries are slots starts[f]:starts[f + 1] of order, by rising
+        mode-`mode` index."""
+        self.shape._check_mode(mode)
+        index = self._fibers[mode]
+        if index is None:
+            # Within a fiber the entries differ only in the mode-`mode` index,
+            # so sorting the unique key fid * I_mode + i_mode gives the stable
+            # sort of fid over entries in linear order.
+            dims = self.shape.dims
             others = [m for m in range(self.shape.order) if m != mode]
             fid = np.ravel_multi_index(tuple(self.indices[:, m] for m in others),
                                        [dims[m] for m in others], order="F")
@@ -159,20 +163,20 @@ class SparseTensorCOO:
             np.cumsum(np.bincount(fid, minlength=starts.size - 1), out=starts[1:])
             fid *= dims[mode]
             fid += self.indices[:, mode]
-            self._fiber_order.append(np.argsort(fid))
-            self._fiber_starts.append(starts)
+            index = self._fibers[mode] = (np.argsort(fid), starts)
+        return index
 
     def fiber_rows(self, mode: int, rows) -> np.ndarray:
         """Rows of the mode-`mode` unfolding at the given fiber indices, (B, I_mode)."""
         rows = _check_rows(self.shape.dims, mode, rows)
         # One gather over the concatenated index slices of the requested fibers.
-        starts = self._fiber_starts[mode]
+        order, starts = self.fiber_index(mode)
         first = starts.take(rows)
         counts = starts.take(rows + 1) - first
         # Slot t of fiber b's run lies at first[b] + (t - offset[b]).
         offsets = np.cumsum(counts) - counts
         slots = np.arange(counts.sum()) + np.repeat(first - offsets, counts)
-        sel = self._fiber_order[mode].take(slots)
+        sel = order.take(slots)
         out = np.zeros((rows.size, self.shape.dims[mode]))
         out[np.repeat(np.arange(rows.size), counts), self.indices[sel, mode]] = \
             self.values.take(sel)
@@ -193,9 +197,10 @@ class SparseTensorCOO:
         return out
 
     def to_dense(self) -> DenseTensor:
-        flat = np.zeros(self.shape.total)
-        flat[self._linear] = self.values
-        return DenseTensor(flat.reshape(self.shape.dims, order="F"))
+        """The dense tensor, filled in place in C order: no copy of it is made."""
+        values = np.zeros(self.shape.dims)
+        values[tuple(self.indices.T)] = self.values
+        return DenseTensor(values)
 
 
 class KruskalModel:

@@ -207,8 +207,7 @@ def fiber_rows_loop(tensor: SparseTensorCOO, mode: int, rows) -> np.ndarray:
     index (oracle for the vectorized `SparseTensorCOO.fiber_rows`)."""
     rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
     out = np.zeros((rows.size, tensor.shape.dims[mode]))
-    order = tensor._fiber_order[mode]
-    starts = tensor._fiber_starts[mode]
+    order, starts = tensor.fiber_index(mode)
     for b, j in enumerate(rows):
         sel = order[starts[j]:starts[j + 1]]
         out[b, tensor.indices[sel, mode]] = tensor.values[sel]

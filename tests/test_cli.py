@@ -357,6 +357,49 @@ class TestDecompose:
         assert not trace_path.exists()
 
 
+class TestUnreadableInputs:
+    """An input that cannot be read as text is a data error (exit 2) naming
+    the file, not a traceback."""
+
+    @staticmethod
+    def _data_error(capsys, *argv):
+        capsys.readouterr()
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("data error:")
+        return err
+
+    def test_input_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tns"
+        bad.write_bytes(b"# shape: 2 2 2\n1 1 1 1.5\xff\n")
+        err = self._data_error(capsys, "decompose", "--input", str(bad),
+                               "--loss", "gamma", "--rank", "2")
+        assert str(bad) in err
+
+    def test_input_that_is_a_directory(self, tmp_path, capsys):
+        err = self._data_error(capsys, "decompose", "--input", str(tmp_path),
+                               "--loss", "gamma", "--rank", "2")
+        assert str(tmp_path) in err
+
+    def test_config_that_is_not_utf8(self, gamma_files, tmp_path, capsys):
+        conf = tmp_path / "dec.conf"
+        conf.write_bytes(b"rank=2\n# caf\xe9\n")
+        err = self._data_error(capsys, "decompose", "--config", str(conf),
+                               "--input", str(gamma_files) + ".tns", "--loss", "gamma")
+        assert str(conf) in err
+
+    @pytest.mark.parametrize("content", [b"0.5,\xff\n", b"0.5,x\n"])
+    def test_truth_that_is_not_a_factor_csv(self, gamma_files, tmp_path, capsys, content):
+        truth = tmp_path / "t"
+        for n in range(3):
+            text = Path(f"{gamma_files}.factor{n}.csv").read_bytes()
+            Path(f"{truth}.factor{n}.csv").write_bytes(content if n == 1 else text)
+        err = self._data_error(capsys, "decompose", "--input", str(gamma_files) + ".tns",
+                               "--loss", "gamma", "--rank", "2", "--iters", "5",
+                               "--truth", str(truth))
+        assert f"{truth}.factor1.csv" in err
+
+
 class TestCompare:
     def test_summary_structure(self, gamma_files, tmp_path):
         out = tmp_path / "summary.csv"

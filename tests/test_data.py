@@ -290,9 +290,8 @@ def _both_readers(text, shape):
 class TestVectorizedTnsReader:
     """`read_tns` against its per-line reader alone."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_valid_files_match_per_line_reader(self, data):
+    @staticmethod
+    def _valid_file_matches(data):
         text, shape = _tns_case(data)
         got, want = _both_readers(text, shape)
         assert got == want
@@ -302,12 +301,53 @@ class TestVectorizedTnsReader:
                                    side_effect=AssertionError("per-line reader")):
                 assert _outcomes(text, shape, read_tns) == (got,)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.data(), st.sampled_from(FAULTS))
-    def test_faulty_files_fail_on_the_same_line(self, data, fault):
+    @staticmethod
+    def _faulty_file_fails_alike(data, fault):
         got, want = _both_readers(*_tns_case(data, fault))
         assert want[0] == "ParseError"
         assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_valid_files_match_per_line_reader(self, data):
+        self._valid_file_matches(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(FAULTS))
+    def test_faulty_files_fail_on_the_same_line(self, data, fault):
+        self._faulty_file_fails_alike(data, fault)
+
+    # Chunks of 2-3 rows put comment lines, blank lines and faults on either
+    # side of chunk boundaries.
+    @pytest.mark.parametrize("chunk", [2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_valid_files_match_across_chunks(self, chunk, data):
+        with mock.patch.object(gdata, "CHUNK", chunk):
+            self._valid_file_matches(data)
+
+    @pytest.mark.parametrize("chunk", [2, 3])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), fault=st.sampled_from(FAULTS))
+    def test_faulty_files_fail_on_the_same_line_across_chunks(self, chunk, data, fault):
+        with mock.patch.object(gdata, "CHUNK", chunk):
+            self._faulty_file_fails_alike(data, fault)
+
+    @pytest.mark.parametrize("fault,line_text", [
+        ("non-numeric", "1 2 x 1.0"), ("beyond-shape", "1 9 1 1.0"),
+        ("field-count", "1 2 1"), ("trailing-comment", "1 2 1 1.0 # late")])
+    def test_fault_in_a_late_chunk(self, tmp_path, fault, line_text):
+        # Three full chunks and part of a fourth, which holds the fault.
+        entries = 3 * gdata.CHUNK + 100
+        lines = ["# shape: 4 4 %d" % entries] + [
+            f"{1 + k % 4} {1 + k // 4 % 4} {1 + k // 16} {k}.5" for k in range(entries)]
+        at = 3 * gdata.CHUNK + 50
+        lines[at] = line_text
+        p = tmp_path / "late.tns"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_tns(p)
+        assert err.value.line == at + 1
 
     @pytest.mark.parametrize("text,line", [
         ("1 1 1 1.0 # trailing\n", 1),
@@ -362,17 +402,38 @@ class TestTnsMemory:
     @pytest.mark.parametrize("shape,distribution", [
         ((30, 20, 10), "gamma"), ((64, 50, 25), "poisson"), ((20, 15, 10, 8), "gaussian")])
     def test_read_holds_about_one_copy_of_the_entries(self, tmp_path, shape, distribution):
-        # The bytes, the parsed block and the tensor's own arrays; a read
-        # that copies the text into a StringIO peaks at 2.2-2.9x.
+        # The bytes, the parsed block and the tensor's own arrays, its fiber
+        # index built; a read that copies the text into a StringIO peaks at
+        # 2.2-2.9x.
         tensor, _ = generate(SyntheticSpec(shape=shape, rank=3,
                                            distribution=distribution, seed=7))
         path = tmp_path / "m.tns"
         write_tns(tensor, path)
+
+        def read_indexed():
+            back = read_tns(path)
+            for mode in range(back.shape.order):
+                back.fiber_index(mode)
+            return back
+
+        read_indexed()
+        back, peak = _traced_peak(read_indexed)
+        arrays = [back.indices, back.values, back._linear] + [
+            a for mode in range(back.shape.order) for a in back.fiber_index(mode)]
+        assert peak <= 1.6 * sum(a.nbytes for a in arrays)
+
+    def test_read_peaks_at_the_bytes_and_one_copy_of_the_entries(self, tmp_path):
+        # The parse writes each chunk straight into the tensor's arrays; one
+        # `np.loadtxt` block beside them, and copies out of it, peak at 1.6x.
+        tensor, _ = generate(SyntheticSpec(shape=(60, 50, 40), rank=3,
+                                           distribution="gamma", seed=7))
+        path = tmp_path / "m.tns"
+        write_tns(tensor, path)
         read_tns(path)
         back, peak = _traced_peak(lambda: read_tns(path))
-        arrays = ([back.indices, back.values, back._linear]
-                  + back._fiber_order + back._fiber_starts)
-        assert peak <= 1.6 * sum(a.nbytes for a in arrays)
+        arrays = [back.indices, back.values, back._linear]
+        assert peak <= path.stat().st_size + 1.2 * sum(a.nbytes for a in arrays)
+        assert back._fibers == [None] * 3
 
     def test_dense_write_copies_no_whole_tensor(self, tmp_path):
         # A whole-tensor search for nonzeros peaks at about 1.8x its bytes.
