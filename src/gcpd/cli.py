@@ -151,7 +151,6 @@ def _add_solver_flags(p, include_outputs=True):
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--p", type=int, default=None, help="sarah restart period")
     p.add_argument("--eval-every", type=int, default=None)
     p.add_argument("--eval-samples", type=int, default=None,
                    help="sampled objective size (required above desk scale)")
@@ -196,7 +195,7 @@ def _solver_config_from_args(args) -> SolverConfig:
         record_timing=not args.no_timing,
         **_given(args, "estimator", "batch", "eta", "c1", "c2", "tol", "seed", "eval_every",
                  "eval_samples", "init_max", "max_step", "diagnostics", "lyapunov",
-                 sarah_p="p", max_iters="iters"),
+                 max_iters="iters"),
     )
 
 
@@ -246,8 +245,17 @@ def cmd_decompose(args) -> int:
             raise DataError(f"{args.manifest} is not a run manifest: needs {parts} and input.path")
         config = SolverConfig.from_dict(saved["config"])
         input_path = saved["input"]["path"]
-        shape = tuple(saved["input"]["shape"]) if saved["input"].get("shape") else None
+        shape = saved["input"].get("shape")
         truth_path = saved.get("truth")
+        if not isinstance(input_path, str):
+            raise DataError(f"{args.manifest}: input.path is {input_path!r}, not a string")
+        if shape is not None and not (isinstance(shape, list) and all(
+                isinstance(d, int) and not isinstance(d, bool) for d in shape)):
+            raise DataError(f"{args.manifest}: input.shape is {shape!r}, "
+                            "not null or a list of ints")
+        if truth_path is not None and not isinstance(truth_path, str):
+            raise DataError(f"{args.manifest}: truth is {truth_path!r}, not null or a string")
+        shape = tuple(shape) if shape else None
         trace_path = args.trace or saved["outputs"].get("trace")
         trace_format = args.trace_format or saved["outputs"].get("trace_format", "csv")
         model_out = args.model_out or saved["outputs"].get("model")
@@ -317,6 +325,8 @@ def cmd_compare(args) -> int:
             raise UsageError(f"--{flag} is required")
     methods = _parse_methods(args.methods)
     n_seeds = args.seeds if args.seeds is not None else 5
+    if n_seeds < 1:
+        raise UsageError("--seeds must be >= 1")
     metric = args.metric or "nre"
     base = _solver_config_from_args(args)
     tensor = _load_tensor(args.input, args.shape)
@@ -332,10 +342,8 @@ def cmd_compare(args) -> int:
         finals_mse = []
         for s in range(n_seeds):
             plain = {} if head == "inertial" else {"c1": 0.0, "c2": 0.0}
-            # --p is the sarah restart period; the other methods run without it.
-            config = dataclasses.replace(
-                base, estimator=estimator, seed=base.seed + s,
-                sarah_p=base.sarah_p if estimator == "sarah" else None, **plain)
+            config = dataclasses.replace(base, estimator=estimator, seed=base.seed + s,
+                                         **plain)
             trace, _ = run(config, tensor, truth=truth)
             hit = iterations_to_threshold(trace, args.threshold, metric)
             iters.append(hit if hit is not None else float("inf"))

@@ -1,4 +1,4 @@
-"""Stochastic block-gradient estimators: full, fiber-sampled SGD, SAGA, SARAH.
+"""Stochastic block-gradient estimators: full, fiber-sampled SGD, SAGA.
 
 The block partial gradient of the mean elementwise loss decomposes over
 mode-n fibers: with D(j, i) the loss derivative at fiber j, coordinate i, and
@@ -20,9 +20,8 @@ at each re-sync (once per effective pass) is D^T H / (I_n J_n) of the whole
 table, and a step's change is (D_new^T H_new - D_old^T H_old) / I_n over its
 B rows. The average at the build is the full pass's own product, so it and
 the first estimate at the initial iterate equal the full gradient bit for
-bit. SARAH keeps a per-mode running estimate and restarts from the full
-gradient with probability 1/p. Tables for inactive modes go stale when
-another block moves; no eager refresh is done.
+bit. Tables for inactive modes go stale when another block moves; no eager
+refresh is done.
 
 Every kind is one oracle, asked for one way: `estimate_gradient(state,
 factors, mode, rows, fibers)` gives the state's estimate of the mode-`mode`
@@ -37,13 +36,13 @@ of batches at a time: `fiber_groups` reads the fibers of the next g_n of a
 mode's drawn batches in one checked `data_fibers` call, when the first of
 them is needed, with g_n = max(1, 2^13 // (B_n I_n)) fixed by the state. The
 `sgd` kind takes its fibers from there and still makes its per-step checked
-`khatri_rao_rows` and `loss_deriv` calls; SAGA and SARAH steps use them with
-the Khatri-Rao rows of the per-mode `FiberPlan`s of their state, after their
-own checked full pass. The `full` kind reads no group: its full passes read
-their own fibers.
+`khatri_rao_rows` and `loss_deriv` calls; SAGA steps use them with the
+Khatri-Rao rows of the per-mode `FiberPlan`s of their state, after the
+checked full pass of the table build. The `full` kind reads no group: its
+full passes read their own fibers.
 
 A checked pass over a set of fibers (an `sgd` batch; all J_n fibers for the
-`full` kind, SARAH restarts, the SAGA table build and the SAGA diagnostic)
+`full` kind, the SAGA table build and the SAGA diagnostic)
 forms H with one checked `khatri_rao_rows` call and M = H A_n^T with one
 product, then walks row blocks of about 2^13 entries: each block's
 derivatives, from one checked `loss_deriv` call, overwrite its rows of M. A
@@ -65,7 +64,7 @@ from .errors import ConfigError, LossDomainError, StateError
 from .losses import LossSpec, deriv_kernel, loss_deriv
 from .tensors import BLOCK_ENTRIES, FiberPlan, KruskalModel, data_fibers, khatri_rao_rows
 
-ESTIMATOR_KINDS = ("full", "sgd", "saga", "sarah")
+ESTIMATOR_KINDS = ("full", "sgd", "saga")
 
 
 def _batch_mean(d: np.ndarray, kr: np.ndarray) -> np.ndarray:
@@ -122,22 +121,19 @@ class EstimatorState:
     """Per-run estimator state; exclusively owned by one solver run.
 
     Per-mode constants are fixed here, once per run: J_n, the batch size B_n,
-    the SARAH restart period (sarah only; other kinds ignore `p`), the SAGA
-    re-sync period, the number g_n of batches whose fibers one read covers
-    (see `fiber_groups`), and a `FiberPlan` for the Khatri-Rao rows of each
-    mode.
+    the SAGA re-sync period, the number g_n of batches whose fibers one read
+    covers (see `fiber_groups`), and a `FiberPlan` for the Khatri-Rao rows of
+    each mode.
     """
 
     def __init__(self, kind: str, tensor, model: KruskalModel, loss: LossSpec,
-                 batch: int, p: int | None = None,
-                 rng: np.random.Generator | None = None):
+                 batch: int):
         if kind not in ESTIMATOR_KINDS:
             raise ConfigError(f"unknown estimator {kind!r}; choose from {ESTIMATOR_KINDS}")
         self.kind = kind
         self.tensor = tensor
         self.loss = loss
         self.rank = model.rank
-        self.rng = rng if rng is not None else np.random.default_rng()
         shape = tensor.shape
         self.order = shape.order
         self.fiber_counts = [shape.fiber_count(n) for n in range(shape.order)]
@@ -152,12 +148,9 @@ class EstimatorState:
         self.plans = [FiberPlan(tensor, n) for n in range(self.order)]
         self.deriv = deriv_kernel(loss)
 
-        self.p = None
         self.tables = None
         self.table_avg = None
         self._since_sync = None
-        self.estimates = None
-        self.snapshots = None
         if kind == "saga":
             self.tables = []
             self.table_avg = []
@@ -167,14 +160,6 @@ class EstimatorState:
                     _read_terms(tensor, model.factors, loss, n, _all_rows(tensor, n)), axis=1)
                 self.tables.append(table)
                 self.table_avg.append(_batch_mean(*_halves(table, shape.dims[n])))
-        elif kind == "sarah":
-            # One expected restart per effective epoch unless overridden.
-            self.p = [int(p) if p is not None else math.ceil(j / b)
-                      for j, b in zip(self.fiber_counts, self.batches)]
-            if any(q < 1 for q in self.p):
-                raise ConfigError("sarah restart period p must be >= 1")
-            self.estimates = [None] * self.order
-            self.snapshots = [None] * self.order
 
 
 def _full(state: EstimatorState, factors, n: int, rows, fibers) -> np.ndarray:
@@ -186,22 +171,15 @@ def _sgd(state: EstimatorState, factors, n: int, rows, fibers) -> np.ndarray:
     return _batch_mean(*_terms(factors, state.loss, n, rows, lambda lo, hi: fibers[lo:hi]))
 
 
-def _plan_terms(plan: FiberPlan, factors, x, digits, deriv):
-    """Loss derivatives D at the planned fibers and the Khatri-Rao rows H."""
-    kr = plan.khatri_rao(factors, digits)
-    return deriv(x, kr @ factors[plan.mode].T), kr
-
-
-# SAGA and SARAH steps run on the per-mode plans: each state has been through
-# a checked full pass over the data first (the SAGA table build, the first
-# SARAH restart), and the rows are in range (the solver's draws, or rows that
-# `checked_gradient` has checked).
-
 def _saga(state: EstimatorState, factors, n: int, rows, fibers) -> np.ndarray:
-    """SAGA estimate; replaces the touched table entries and updates the average."""
+    """SAGA estimate; replaces the touched table entries and updates the average.
+
+    Runs on the mode's plan and the unchecked derivative kernel: the table
+    build was a checked full pass over the data, and the rows are in range
+    (the solver's draws, or rows that `checked_gradient` has checked)."""
     plan = state.plans[n]
-    digits = plan.digits(rows)
-    d, kr = _plan_terms(plan, factors, fibers, digits, state.deriv)
+    kr = plan.khatri_rao(factors, plan.digits(rows))
+    d = state.deriv(fibers, kr @ factors[n].T)
     table = state.tables[n]
     i_n = d.shape[1]
     old_d, old_kr = _halves(table.take(rows, axis=0), i_n)
@@ -218,26 +196,7 @@ def _saga(state: EstimatorState, factors, n: int, rows, fibers) -> np.ndarray:
     return estimate
 
 
-def _sarah(state: EstimatorState, factors, n: int, rows, fibers) -> np.ndarray:
-    """SARAH recursive estimate with probability-1/p restarts."""
-    restart = state.estimates[n] is None or state.rng.random() < 1.0 / state.p[n]
-    if restart:
-        estimate = full_gradient(state.tensor, factors, state.loss, n)
-    else:
-        plan = state.plans[n]
-        digits = plan.digits(rows)
-        g_cur = _batch_mean(*_plan_terms(plan, factors, fibers, digits, state.deriv))
-        g_prev = _batch_mean(*_plan_terms(plan, state.snapshots[n], fibers, digits,
-                                          state.deriv))
-        estimate = g_cur - g_prev + state.estimates[n]
-    state.estimates[n] = estimate
-    # Neither the solver nor `checked_gradient` (which passes copies) lets a
-    # caller write into these arrays later, so the snapshot can share them.
-    state.snapshots[n] = list(factors)
-    return estimate
-
-
-_ESTIMATES = {"full": _full, "sgd": _sgd, "saga": _saga, "sarah": _sarah}
+_ESTIMATES = {"full": _full, "sgd": _sgd, "saga": _saga}
 
 
 def fiber_groups(state: EstimatorState, mode: int, rows: np.ndarray):
@@ -274,9 +233,8 @@ def estimate_gradient(state: EstimatorState, factors, mode: int,
 
 def checked_gradient(state: EstimatorState, factors, mode: int, rows) -> np.ndarray:
     """:func:`estimate_gradient` for any caller: rows are sorted and
-    de-duplicated, the factors are copied (a SARAH snapshot stays private),
-    and the arguments are checked against the state before the fibers are
-    read."""
+    de-duplicated, the factors are taken as float arrays, and the arguments
+    are checked against the state before the fibers are read."""
     rows = np.unique(np.asarray(rows, dtype=np.int64))
     if rows.size == 0:
         raise ConfigError("empty fiber set")
@@ -300,9 +258,9 @@ def checked_gradient(state: EstimatorState, factors, mode: int, rows) -> np.ndar
 def vr_diagnostics(state: EstimatorState, factors, mode: int, rows) -> float:
     """Realized variance-reduction diagnostic Gamma, a squared Frobenius norm.
 
-    SAGA measures table staleness at `factors` over all fibers; SARAH and SGD
-    measure the current estimate (SGD's over `rows`) against the exact
-    gradient. Desk scale only (SAGA walks the whole table).
+    SAGA measures table staleness at `factors` over all fibers; SGD measures
+    its estimate over `rows` against the exact gradient. Desk scale only
+    (SAGA walks the whole table).
     """
     if state.kind == "full":
         return 0.0
@@ -322,11 +280,6 @@ def vr_diagnostics(state: EstimatorState, factors, mode: int, rows) -> float:
 
         sq = dot(a, a) * dot(h, h) + 2.0 * dot(a, t) * dot(h, b) + dot(t, t) * dot(b, b)
         return float(np.sum(sq) / (i_n * i_n * state.batches[mode] * state.fiber_counts[mode]))
-    if state.kind == "sarah":
-        if state.estimates[mode] is None:
-            return 0.0
-        estimate = state.estimates[mode]
-    else:  # sgd
-        estimate = batch_gradient(state.tensor, factors, state.loss, mode, rows)
-    err = estimate - full_gradient(state.tensor, factors, state.loss, mode)
+    err = (batch_gradient(state.tensor, factors, state.loss, mode, rows)   # sgd
+           - full_gradient(state.tensor, factors, state.loss, mode))
     return float(np.sum(err * err))

@@ -74,7 +74,6 @@ class SolverConfig:
     regularizer: RegularizerSpec | tuple | None = None  # default by loss, see resolved
     estimator: str = "saga"
     batch: int | None = None          # default 2 * rank
-    sarah_p: int | None = None        # sarah only; default: one expected restart per epoch
     eta: float | None = None          # default by loss family (_DEFAULT_ETA)
     stepsize_rule: str = "constant"   # or "decreasing-bound" (needs l_bar)
     l_bar: float | None = None        # user upper-curvature estimate
@@ -112,13 +111,8 @@ class SolverConfig:
             raise ConfigError("need 1 > delta > eps_aux > 0")
         if not 0 < self.eta < math.inf:
             raise ConfigError("eta must be positive and finite")
-        if self.sarah_p is not None and self.sarah_p < 1:
-            raise ConfigError("sarah_p must be >= 1")
         if self.estimator not in ESTIMATOR_KINDS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
-        if self.sarah_p is not None and self.estimator != "sarah":
-            raise ConfigError(f"sarah_p is the sarah estimator's restart period; the "
-                              f"{self.estimator!r} estimator does not read it")
         if self.stepsize_rule not in ("constant", "decreasing-bound"):
             raise ConfigError(f"unknown stepsize rule {self.stepsize_rule!r}")
         if self.extrapolation_check not in ("off", "backtrack"):
@@ -278,8 +272,9 @@ class IterationTrace:
 
 
 def _streams(seed: int) -> list:
-    """Independent child seeds of one run: 0 mode and fiber draws, 1 the
-    estimator, 2 sampled evaluation, 3 initial factors, 4 diagnostics."""
+    """Independent child seeds of one run: 0 mode and fiber draws, 2 sampled
+    evaluation, 3 initial factors, 4 diagnostics. Stream 1 is unused; it stays
+    spawned so that the others keep their indices, and so their seeds."""
     return np.random.SeedSequence(seed).spawn(5)
 
 
@@ -306,8 +301,7 @@ class SolverRunState:
         self.diag_rng = np.random.default_rng(streams[4])
         self.estimator = EstimatorState(
             config.estimator, tensor, KruskalModel(self.factors), config.loss,
-            batch=config.batch, p=config.sarah_p,
-            rng=np.random.default_rng(streams[1]))
+            batch=config.batch)
 
 
 def _batches(rng: np.random.Generator, j: int, b: int, m: int) -> np.ndarray:
@@ -531,8 +525,6 @@ def run(config: SolverConfig, tensor, truth: KruskalModel | None = None,
     trace = IterationTrace(manifest={
         "config": config.to_dict(),
         "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "extrapolation_check": config.extrapolation_check,
     })
     t0 = time.perf_counter()
     first = _evaluate(state, config, truth, t0)

@@ -20,6 +20,18 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def edited_manifest(gamma_files, tmp_path, edit):
+    """The manifest of a short saved run on `gamma_files`, changed by `edit`."""
+    out = tmp_path / "m"
+    assert run_cli("decompose", "--input", str(gamma_files) + ".tns", "--loss",
+                   "gamma", "--rank", "2", "--iters", "5", "--model-out", str(out)) == 0
+    manifest = Path(str(out) + ".manifest.json")
+    saved = json.loads(manifest.read_text())
+    edit(saved)
+    manifest.write_text(json.dumps(saved))
+    return manifest
+
+
 @pytest.fixture(scope="module")
 def gamma_files(tmp_path_factory):
     """One synthesized gamma instance shared by the decompose tests."""
@@ -203,7 +215,7 @@ class TestDecompose:
     @pytest.mark.parametrize("flag,value", [
         ("--eval-every", "0"), ("--eval-every", "-3"), ("--eval-samples", "0"),
         ("--init-max", "0"), ("--init-max", "-1"), ("--init-max", "inf"), ("--seed", "-1"),
-        ("--eta", "inf"), ("--p", "0")])
+        ("--eta", "inf")])
     def test_out_of_range_setting_is_configuration_error(self, gamma_files, tmp_path,
                                                          capsys, flag, value):
         trace_path = tmp_path / "t.csv"
@@ -291,13 +303,7 @@ class TestDecompose:
         lambda m: m["config"].update(rank="2"),
     ])
     def test_malformed_manifest_is_data_error(self, gamma_files, tmp_path, capsys, edit):
-        out = tmp_path / "m"
-        assert run_cli("decompose", "--input", str(gamma_files) + ".tns", "--loss",
-                       "gamma", "--rank", "2", "--iters", "5", "--model-out", str(out)) == 0
-        manifest = Path(str(out) + ".manifest.json")
-        saved = json.loads(manifest.read_text())
-        edit(saved)
-        manifest.write_text(json.dumps(saved))
+        manifest = edited_manifest(gamma_files, tmp_path, edit)
         capsys.readouterr()
         trace_path = tmp_path / "replay.csv"
         code = run_cli("decompose", "--manifest", str(manifest), "--trace", str(trace_path))
@@ -305,37 +311,37 @@ class TestDecompose:
         assert capsys.readouterr().err.startswith("data error:")
         assert not trace_path.exists()
 
-    @pytest.mark.parametrize("estimator", ["full", "sgd", "saga"])
-    def test_sarah_p_under_another_estimator_is_config_error(self, gamma_files, tmp_path,
-                                                             capsys, estimator):
-        trace_path = tmp_path / "p.csv"
-        code = run_cli("decompose", "--input", str(gamma_files) + ".tns", "--loss", "gamma",
-                       "--rank", "2", "--iters", "5", "--estimator", estimator, "--p", "5",
-                       "--trace", str(trace_path))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and "sarah_p" in err
-        assert not trace_path.exists()
-
-    def test_replayed_sarah_p_under_saga_is_config_error(self, gamma_files, tmp_path, capsys):
-        out = tmp_path / "m"
-        assert run_cli("decompose", "--input", str(gamma_files) + ".tns", "--loss",
-                       "gamma", "--rank", "2", "--iters", "5", "--model-out", str(out)) == 0
-        manifest = Path(str(out) + ".manifest.json")
-        saved = json.loads(manifest.read_text())
-        assert saved["config"]["estimator"] == "saga"
-        saved["config"]["sarah_p"] = 5
-        manifest.write_text(json.dumps(saved))
+    @pytest.mark.parametrize("edit,field", [
+        (lambda m: m["input"].update(path=5), "input.path"),
+        (lambda m: m["input"].update(shape="abc"), "input.shape"),
+        (lambda m: m["input"].update(shape=[8, "7", 6]), "input.shape"),
+        (lambda m: m.update(truth=5), "truth"),
+        (lambda m: m["config"].update(sarah_p=5), "sarah_p"),
+    ], ids=["path", "shape-text", "shape-item", "truth", "config-sarah_p"])
+    def test_malformed_manifest_field_is_named(self, gamma_files, tmp_path, capsys,
+                                               edit, field):
+        manifest = edited_manifest(gamma_files, tmp_path, edit)
         capsys.readouterr()
-        assert run_cli("decompose", "--manifest", str(manifest)) == 1
-        assert capsys.readouterr().err.startswith("configuration error:")
+        assert run_cli("decompose", "--manifest", str(manifest)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and field in err
 
-    def test_sarah_p_is_recorded_under_sarah(self, gamma_files, tmp_path):
-        trace_path = tmp_path / "s.csv"
-        assert run_cli("decompose", "--input", str(gamma_files) + ".tns", "--loss", "gamma",
-                       "--rank", "2", "--iters", "5", "--estimator", "sarah", "--p", "5",
-                       "--trace", str(trace_path)) == 0
-        assert read_trace_csv(trace_path)[2]["config"]["sarah_p"] == 5
+    @pytest.mark.parametrize("command,extra,conf", [
+        ("decompose", ["--estimator", "sarah"], None),
+        ("decompose", ["--p", "5"], None),
+        ("decompose", [], "p=5\n"),
+        ("compare", ["--methods", "plain-sarah", "--threshold", "0"], None),
+    ], ids=["estimator", "p-flag", "p-config-key", "method"])
+    def test_sarah_settings_are_usage_errors(self, gamma_files, tmp_path, capsys,
+                                             command, extra, conf):
+        if conf is not None:
+            path = tmp_path / "run.conf"
+            path.write_text(conf)
+            extra = ["--config", str(path)]
+        code = run_cli(command, "--input", str(gamma_files) + ".tns", "--loss", "gamma",
+                       "--rank", "2", "--iters", "5", *extra)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error:")
 
     @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"])
     def test_manifest_that_is_not_json_is_data_error(self, tmp_path, capsys, content):
@@ -424,17 +430,13 @@ class TestCompare:
         assert code == 0
         assert out.read_text().splitlines()[1].split(",")[2] == "budget"
 
-    def test_p_reaches_only_the_sarah_methods(self, gamma_files, tmp_path):
-        outs = []
-        for extra in ([], ["--p", "2"]):
-            out = tmp_path / f"p{len(extra)}.csv"
-            assert run_cli("compare", "--input", str(gamma_files) + ".tns",
-                           "--methods", "plain-saga,plain-sarah", "--seeds", "1",
-                           "--loss", "gamma", "--rank", "2", "--iters", "40",
-                           "--threshold", "-999", "--out", str(out), *extra) == 0
-            outs.append(out.read_text().splitlines())
-        assert outs[1][1] == outs[0][1]   # saga runs as without --p
-        assert outs[1][2] != outs[0][2]   # sarah restarts at period 2
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seed_count_below_one_is_usage_error(self, gamma_files, capsys, seeds):
+        code = run_cli("compare", "--input", str(gamma_files) + ".tns",
+                       "--methods", "plain-sgd", "--seeds", seeds, "--loss", "gamma",
+                       "--rank", "2", "--iters", "5", "--threshold", "0")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: --seeds must be >= 1")
 
     def test_bad_method_is_usage_error(self, gamma_files):
         code = run_cli("compare", "--input", str(gamma_files) + ".tns",

@@ -1,4 +1,4 @@
-"""Gradient estimators: exactness, unbiasedness, SAGA/SARAH state, diagnostics."""
+"""Gradient estimators: exactness, unbiasedness, SAGA state, diagnostics."""
 
 import math
 import tracemalloc
@@ -452,70 +452,17 @@ class TestSagaTableReplay:
         assert min(want.resyncs) >= 1
 
 
-class TestSarah:
-    def test_p_one_is_always_full(self):
-        tensor, model, spec = make_instance(seed=11)
-        state = EstimatorState("sarah", tensor, model, spec, batch=3, p=1,
-                               rng=np.random.default_rng(0))
-        rng = np.random.default_rng(4)
-        point = list(model.factors)
-        for _ in range(5):
-            point = [np.abs(a * (1 + 0.05 * rng.standard_normal(a.shape))) + 1e-6
-                     for a in point]
-            est = checked_gradient(state, point, 0, np.array([0, 1]))
-            full = full_gradient(tensor, point, spec, 0)
-            assert np.max(np.abs(est - full)) <= 1e-12
-
-    def test_stationary_recursive_branch_unchanged(self):
-        tensor, model, spec = make_instance(seed=12)
-        # Huge p so the restart coin essentially never fires after the first call.
-        state = EstimatorState("sarah", tensor, model, spec, batch=3, p=10**9,
-                               rng=np.random.default_rng(1))
-        point = list(model.factors)
-        first = checked_gradient(state, point, 0, np.array([0, 1]))
-        second = checked_gradient(state, point, 0, np.array([2, 3]))
-        assert np.array_equal(first, second)
-
-    def test_error_decays_with_shrinking_movement(self):
-        tensor, model, spec = make_instance("gamma", dims=(4, 3, 4), seed=13)
-        state = EstimatorState("sarah", tensor, model, spec, batch=4, p=10,
-                               rng=np.random.default_rng(2))
-        rng = np.random.default_rng(5)
-        point = list(model.factors)
-        errors = []
-        for k in range(1, 301):
-            scale = 0.05 / k  # shrinking movement
-            point = [np.abs(a * (1 + scale * rng.standard_normal(a.shape))) + 1e-9
-                     for a in point]
-            j_n = tensor.shape.fiber_count(0)
-            rows = np.sort(rng.choice(j_n, size=4, replace=False))
-            est = checked_gradient(state, point, 0, rows)
-            full = full_gradient(tensor, point, spec, 0)
-            errors.append(float(np.linalg.norm(est - full)))
-        assert np.mean(errors[-30:]) < 0.1 * max(np.mean(errors[:30]), 1e-12) + 1e-12
-
-
 class TestDispatchAndDeterminism:
     def test_unknown_kind(self):
         tensor, model, spec = make_instance(seed=14)
         with pytest.raises(ConfigError):
             EstimatorState("adam", tensor, model, spec, batch=2)
 
-    @pytest.mark.parametrize("kind", ["full", "sgd", "saga"])
-    def test_restart_period_is_sarah_only(self, kind):
-        tensor, model, spec = make_instance(seed=14)
-        assert EstimatorState(kind, tensor, model, spec, batch=2, p=0).p is None
-        with pytest.raises(ConfigError, match="restart period"):
-            EstimatorState("sarah", tensor, model, spec, batch=2, p=0)
-        sarah = EstimatorState("sarah", tensor, model, spec, batch=2)
-        assert sarah.p == [math.ceil(j / 2) for j in sarah.fiber_counts]
-
     def test_same_seed_bit_identical(self):
         tensor, model, spec = make_instance(seed=15)
         outs = []
         for _ in range(2):
-            state = EstimatorState("sarah", tensor, model, spec, batch=3, p=3,
-                                   rng=np.random.default_rng(42))
+            state = EstimatorState("saga", tensor, model, spec, batch=3)
             rng = np.random.default_rng(7)
             seq = []
             point = list(model.factors)
@@ -543,15 +490,6 @@ class TestDiagnostics:
         state = EstimatorState("saga", tensor, model, spec, batch=2)
         gamma = vr_diagnostics(state, model.factors, 0, np.array([0]))
         assert gamma == 0.0
-
-    def test_sarah_after_restart_zero(self):
-        tensor, model, spec = make_instance(seed=18)
-        state = EstimatorState("sarah", tensor, model, spec, batch=2, p=1,
-                               rng=np.random.default_rng(0))
-        rows = np.array([0, 1])
-        checked_gradient(state, model.factors, 0, rows)
-        gamma = vr_diagnostics(state, model.factors, 0, rows)
-        assert gamma <= 1e-28
 
 
 class TestPublicEstimatorGuards:
@@ -595,7 +533,7 @@ class TestPublicEstimatorGuards:
 
     def test_negative_factors_rejected_under_nonnegative_loss(self):
         tensor, model, spec = make_instance(seed=10)
-        for kind in ("saga", "sarah", "sgd", "full"):
+        for kind in ("saga", "sgd", "full"):
             state = EstimatorState(kind, tensor, model, spec, batch=3)
             point = [a.copy() for a in model.factors]
             point[1][0, 0] = -0.5
@@ -608,24 +546,7 @@ class TestPublicEstimatorGuards:
         moved = [a * 1.1 for a in model.factors]
         estimates = []
         for rows in ([5, 0, 3, 0, 5], [0, 3, 5]):
-            # p so large that SARAH's second call takes the recursive branch.
-            state = EstimatorState(kind, tensor, model, spec, batch=3, p=10**9,
-                                   rng=np.random.default_rng(0))
+            state = EstimatorState(kind, tensor, model, spec, batch=3)
             checked_gradient(state, model.factors, 1, [0])
             estimates.append(checked_gradient(state, moved, 1, rows))
-        assert np.array_equal(*estimates)
-
-    def test_sarah_snapshot_survives_caller_writes(self):
-        tensor, model, spec = make_instance(seed=20)
-        moved = [a * 1.1 for a in model.factors]
-        estimates = []
-        for write in (False, True):
-            state = EstimatorState("sarah", tensor, model, spec, batch=3, p=10**9,
-                                   rng=np.random.default_rng(0))
-            point = [a.copy() for a in model.factors]
-            checked_gradient(state, point, 0, [0, 1])
-            if write:
-                for a in point:
-                    a *= 2.0
-            estimates.append(checked_gradient(state, moved, 0, [2, 3]))
         assert np.array_equal(*estimates)

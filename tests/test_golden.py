@@ -1,6 +1,6 @@
 """Golden traces: solver runs must reproduce recorded results bit for bit.
 
-Every estimator (full, sgd, saga, sarah) runs on a dense and a sparse input
+Every estimator (full, sgd, saga) runs on a dense and a sparse input
 under both geometries (negative-entropy with a poisson loss, squared-euclidean
 with a gaussian loss), SAGA runs once per remaining loss kind, and a few runs
 exercise the optional solver branches. The objective trace, the stepsize history and the bytes of the
@@ -12,7 +12,8 @@ Regenerate the file only for a change that is meant to alter the arithmetic:
     PYTHONPATH=src python tests/test_golden.py saga-      # names starting "saga-"
 
 Given name prefixes, only the entries whose names start with one of them are
-rerun; every other entry keeps its recorded value.
+rerun; every other entry keeps its recorded value. Either way, an entry whose
+case no longer exists is dropped, and its name is printed.
 """
 
 import dataclasses
@@ -61,7 +62,7 @@ def _config(kind: str, estimator: str, storage: str) -> SolverConfig:
 def _cases() -> dict:
     """name -> (loss kind, storage, config)."""
     cases = {}
-    for estimator in ("full", "sgd", "saga", "sarah"):
+    for estimator in ("full", "sgd", "saga"):
         for storage in ("dense", "sparse"):
             for geometry, kind in (("entropy", "poisson-identity"),
                                    ("euclidean", "gaussian")):
@@ -73,9 +74,9 @@ def _cases() -> dict:
     base = _config("poisson-identity", "saga", "dense")
     cases["saga-dense-entropy-backtrack"] = ("poisson-identity", "dense", dataclasses.replace(
         base, extrapolation_check="backtrack", l_lower=0.5, delta=0.3, eps_aux=0.25))
-    cases["sarah-dense-euclidean-decreasing-cyclic"] = (
+    cases["sgd-dense-euclidean-decreasing-cyclic"] = (
         "gaussian", "dense", dataclasses.replace(
-            _config("gaussian", "sarah", "dense"), stepsize_rule="decreasing-bound",
+            _config("gaussian", "sgd", "dense"), stepsize_rule="decreasing-bound",
             l_bar=4.0, gamma_bar=0.1, delta=0.5, eps_aux=0.1, m2=0.1,
             block_order="cyclic"))
     cases["sgd-dense-euclidean-l1-plain"] = ("gaussian", "dense", dataclasses.replace(
@@ -119,9 +120,13 @@ def test_run_reproduces_golden_trace(name, golden):
 
 if __name__ == "__main__":
     prefixes = tuple(sys.argv[1:])
-    out = json.loads(GOLDEN.read_text()) if prefixes else {}
-    names = [name for name in _cases() if name.startswith(prefixes or "")]
+    cases = _cases()
+    out = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for name in sorted(out.keys() - cases.keys()):
+        del out[name]
+        print(f"dropped {name}: no such case")
+    names = [name for name in cases if name.startswith(prefixes or "")]
     for name in names:
-        out[name] = _fingerprint(*_cases()[name])
+        out[name] = _fingerprint(*cases[name])
     GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(names)} of {len(out)} golden traces to {GOLDEN}")

@@ -95,7 +95,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("eval_every", 0), ("eval_every", -3), ("eval_samples", 0),
         ("init_max", 0.0), ("init_max", -1.0), ("init_max", np.inf), ("seed", -1),
-        ("eta", np.inf), ("eta", np.nan), ("eta", 0.0), ("sarah_p", 0), ("sarah_p", -3)])
+        ("eta", np.inf), ("eta", np.nan), ("eta", 0.0)])
     def test_out_of_range_setting_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             gaussian_config(**{field: value}).resolved(SHAPE)
@@ -104,11 +104,6 @@ class TestConfigValidation:
         (dict(stepsize_rule="decreasing-bound", l_bar=-1.0), "l_bar"),
         (dict(stepsize_rule="decreasing-bound", l_bar=np.inf), "l_bar"),
         (dict(eta=np.inf), "eta"),
-        (dict(estimator="sarah", sarah_p=0), "sarah_p"),
-        (dict(estimator="sarah", sarah_p=-3), "sarah_p"),
-        (dict(estimator="saga", sarah_p=5), "sarah_p"),
-        (dict(estimator="full", sarah_p=1), "sarah_p"),
-        (dict(estimator="sgd", sarah_p=3), "sarah_p"),
         (dict(lyapunov=True, diagnostics=True, estimator="saga"), "gamma_bar"),
         # 1 - delta - 2*s*m2 <= 0 with s = (49/52)*0.8 at k = max_iters = 50.
         (dict(stepsize_rule="decreasing-bound", l_bar=4.0, delta=0.5, m2=1.0,
@@ -392,7 +387,7 @@ class TestFiberGroups:
                             record_timing=False, seed=5)
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-    @pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
+    @pytest.mark.parametrize("estimator", ["sgd", "saga"])
     def test_group_size_never_moves_the_iterates(self, estimator, sparse, monkeypatch):
         tensor, cfg = self._tensor(sparse), self._config(estimator)
 
@@ -570,12 +565,6 @@ class TestRun:
         trace, _ = run(cfg, tensor)
         values = [r.lyapunov for r in trace.records[1:]]
         assert all(v is not None for v in values)
-
-    def test_sarah_runs(self):
-        tensor, _ = small_gaussian_instance(seed=13)
-        cfg = gaussian_config(estimator="sarah", batch=3, max_iters=200)
-        trace, _ = run(cfg, tensor)
-        assert trace.records[-1].nre < trace.records[0].nre
 
     @pytest.mark.parametrize("dims", [(8, 6), (4, 3, 2, 3)])
     def test_order_generality(self, dims):
