@@ -10,6 +10,7 @@ import pytest
 from gcpd import solver
 from gcpd.cli import _build_parser, _solver_config_from_args, main
 from gcpd.data import SyntheticSpec, read_factors, read_tns, read_trace_csv
+from gcpd.estimators import ESTIMATOR_KINDS
 from gcpd.losses import KINDS as LOSS_KINDS
 from gcpd.losses import LossSpec
 from gcpd.solver import SolverConfig
@@ -20,11 +21,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def edited_manifest(gamma_files, tmp_path, edit):
-    """The manifest of a short saved run on `gamma_files`, changed by `edit`."""
+def edited_manifest(gamma_files, tmp_path, edit, *flags):
+    """The manifest of a short saved run on `gamma_files`, with any extra
+    `flags`, changed by `edit`."""
     out = tmp_path / "m"
     assert run_cli("decompose", "--input", str(gamma_files) + ".tns", "--loss",
-                   "gamma", "--rank", "2", "--iters", "5", "--model-out", str(out)) == 0
+                   "gamma", "--rank", "2", "--iters", "5", "--model-out", str(out),
+                   *flags) == 0
     manifest = Path(str(out) + ".manifest.json")
     saved = json.loads(manifest.read_text())
     edit(saved)
@@ -158,12 +161,13 @@ class TestDecompose:
         nres = [float(r[col]) for r in rows]
         assert all(b <= a + 1e-12 for a, b in zip(nres, nres[1:]))
 
-    def test_manifest_replay_bit_for_bit(self, gamma_files, tmp_path):
+    @pytest.mark.parametrize("estimator", ESTIMATOR_KINDS)
+    def test_manifest_replay_bit_for_bit(self, gamma_files, tmp_path, estimator):
         out1 = tmp_path / "r1"
         trace1 = tmp_path / "t1.json"
         code = run_cli("decompose", "--input", str(gamma_files) + ".tns",
                        "--loss", "gamma", "--rank", "2", "--iters", "150",
-                       "--seed", "9", "--no-timing",
+                       "--seed", "9", "--no-timing", "--estimator", estimator,
                        "--trace", str(trace1), "--trace-format", "json",
                        "--model-out", str(out1))
         assert code == 0
@@ -176,6 +180,7 @@ class TestDecompose:
         assert code == 0
         payload1 = json.loads(trace1.read_text())
         payload2 = json.loads(trace2.read_text())
+        assert json.loads(manifest_path.read_text())["config"]["estimator"] == estimator
         assert payload1["records"] == payload2["records"]
         m1 = read_factors(out1)
         m2 = read_factors(out2)
@@ -316,8 +321,7 @@ class TestDecompose:
         (lambda m: m["input"].update(shape="abc"), "input.shape"),
         (lambda m: m["input"].update(shape=[8, "7", 6]), "input.shape"),
         (lambda m: m.update(truth=5), "truth"),
-        (lambda m: m["config"].update(sarah_p=5), "sarah_p"),
-    ], ids=["path", "shape-text", "shape-item", "truth", "config-sarah_p"])
+    ], ids=["path", "shape-text", "shape-item", "truth"])
     def test_malformed_manifest_field_is_named(self, gamma_files, tmp_path, capsys,
                                                edit, field):
         manifest = edited_manifest(gamma_files, tmp_path, edit)
@@ -325,6 +329,24 @@ class TestDecompose:
         assert run_cli("decompose", "--manifest", str(manifest)) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and field in err
+
+    @pytest.mark.parametrize("estimator", ESTIMATOR_KINDS)
+    def test_replayed_sarah_p_is_data_error(self, gamma_files, tmp_path, capsys, estimator):
+        manifest = edited_manifest(gamma_files, tmp_path,
+                                   lambda m: m["config"].update(sarah_p=5),
+                                   "--estimator", estimator)
+        capsys.readouterr()
+        assert run_cli("decompose", "--manifest", str(manifest)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "sarah_p" in err
+
+    def test_manifest_states_each_fact_once(self, gamma_files, tmp_path):
+        saved = json.loads(edited_manifest(gamma_files, tmp_path, lambda m: None,
+                                           "--seed", "3").read_text())
+        assert sorted(saved) == ["command", "config", "config_hash", "input",
+                                 "outputs", "truth"]
+        assert saved["config"]["seed"] == 3
+        assert "sarah_p" not in saved["config"]
 
     @pytest.mark.parametrize("command,extra,conf", [
         ("decompose", ["--estimator", "sarah"], None),
@@ -437,6 +459,17 @@ class TestCompare:
                        "--rank", "2", "--iters", "5", "--threshold", "0")
         assert code == 1
         assert capsys.readouterr().err.startswith("usage error: --seeds must be >= 1")
+
+    def test_every_method_runs(self, gamma_files, tmp_path):
+        out = tmp_path / "all.csv"
+        methods = [f"{head}-{kind}" for head in ("inertial", "plain")
+                   for kind in ESTIMATOR_KINDS]
+        code = run_cli("compare", "--input", str(gamma_files) + ".tns",
+                       "--methods", ",".join(methods), "--seeds", "1", "--loss", "gamma",
+                       "--rank", "2", "--iters", "10", "--threshold", "-1.0",
+                       "--out", str(out))
+        assert code == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == methods
 
     def test_bad_method_is_usage_error(self, gamma_files):
         code = run_cli("compare", "--input", str(gamma_files) + ".tns",

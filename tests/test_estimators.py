@@ -458,11 +458,12 @@ class TestDispatchAndDeterminism:
         with pytest.raises(ConfigError):
             EstimatorState("adam", tensor, model, spec, batch=2)
 
-    def test_same_seed_bit_identical(self):
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_same_seed_bit_identical(self, kind):
         tensor, model, spec = make_instance(seed=15)
         outs = []
         for _ in range(2):
-            state = EstimatorState("saga", tensor, model, spec, batch=3)
+            state = EstimatorState(kind, tensor, model, spec, batch=3)
             rng = np.random.default_rng(7)
             seq = []
             point = list(model.factors)
@@ -490,6 +491,70 @@ class TestDiagnostics:
         state = EstimatorState("saga", tensor, model, spec, batch=2)
         gamma = vr_diagnostics(state, model.factors, 0, np.array([0]))
         assert gamma == 0.0
+
+    def test_sgd_over_all_fibers_zero(self):
+        tensor, model, spec = make_instance(seed=16)
+        state = EstimatorState("sgd", tensor, model, spec, batch=2)
+        rows = np.arange(tensor.shape.fiber_count(1))
+        assert vr_diagnostics(state, model.factors, 1, rows) == 0.0
+
+    def test_sgd_is_the_squared_error_of_the_batch_estimate(self):
+        tensor, model, spec = make_instance("gamma", seed=16)
+        state = EstimatorState("sgd", tensor, model, spec, batch=2)
+        rows = np.array([1, 4])
+        err = (batch_gradient(tensor, model.factors, spec, 2, rows)
+               - full_gradient(tensor, model.factors, spec, 2))
+        gamma = vr_diagnostics(state, model.factors, 2, rows)
+        assert gamma > 0
+        assert gamma == pytest.approx(float(np.sum(err * err)), rel=1e-12)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_saga_equals_the_dense_stack_after_moves(self, sparse):
+        # Gamma = sum_j ||g_j(x) - stored g_j||^2 / (B J_n), with each stored
+        # g_j the one of the last point at which fiber j was drawn.
+        tensor, model, spec = make_instance("gamma", seed=17)
+        if sparse:
+            idx = np.argwhere(tensor.values != 0)
+            tensor = SparseTensorCOO(tensor.shape.dims, idx, tensor.values[tuple(idx.T)])
+        batch, mode = 2, 1
+        state = EstimatorState("saga", tensor, model, spec, batch=batch)
+        j_n = tensor.shape.fiber_count(mode)
+        i_n = tensor.shape.dims[mode]
+        stored = [None] * j_n
+
+        def per_fiber(point, j):
+            rows = np.array([j])
+            d = loss_deriv(spec, data_fibers(tensor, mode, rows),
+                           khatri_rao_rows(point, mode, rows) @ point[mode].T)
+            return d.T @ khatri_rao_rows(point, mode, rows) / i_n
+
+        for j in range(j_n):
+            stored[j] = per_fiber(model.factors, j)
+        rng = np.random.default_rng(3)
+        point = list(model.factors)
+        for _ in range(4):
+            point = [a * (1 + 0.05 * rng.random(a.shape)) for a in point]
+            rows = np.sort(rng.choice(j_n, size=batch, replace=False))
+            checked_gradient(state, point, mode, rows)
+            for j in rows:
+                stored[j] = per_fiber(point, j)
+        moved = [a * 1.03 for a in point]
+        want = sum(float(np.sum((per_fiber(moved, j) - stored[j]) ** 2))
+                   for j in range(j_n)) / (batch * j_n)
+        gamma = vr_diagnostics(state, moved, mode, np.array([0]))
+        assert want > 0
+        assert gamma == pytest.approx(want, rel=1e-10)
+
+    def test_saga_leaves_the_table_unchanged(self):
+        tensor, model, spec = make_instance(seed=17)
+        state = EstimatorState("saga", tensor, model, spec, batch=2)
+        tables = [t.copy() for t in state.tables]
+        averages = [a.copy() for a in state.table_avg]
+        moved = [a * 1.1 for a in model.factors]
+        for mode in range(3):
+            assert vr_diagnostics(state, moved, mode, np.array([0])) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(tables, state.tables))
+        assert all(np.array_equal(a, b) for a, b in zip(averages, state.table_avg))
 
 
 class TestPublicEstimatorGuards:
@@ -531,14 +596,25 @@ class TestPublicEstimatorGuards:
             with pytest.raises(StateError):
                 checked_gradient(state, bad, 0, [0])
 
-    def test_negative_factors_rejected_under_nonnegative_loss(self):
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_negative_factors_rejected_under_nonnegative_loss(self, kind):
         tensor, model, spec = make_instance(seed=10)
-        for kind in ("saga", "sgd", "full"):
+        state = EstimatorState(kind, tensor, model, spec, batch=3)
+        point = [a.copy() for a in model.factors]
+        point[1][0, 0] = -0.5
+        with pytest.raises(LossDomainError):
+            checked_gradient(state, point, 0, np.array([0, 1]))
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_integer_factors_are_taken_as_floats(self, kind):
+        tensor, model, spec = make_instance(seed=21)
+        whole = [np.rint(1 + 2 * a).astype(np.int64) for a in model.factors]
+        estimates = []
+        for point in (whole, [a.astype(float) for a in whole]):
             state = EstimatorState(kind, tensor, model, spec, batch=3)
-            point = [a.copy() for a in model.factors]
-            point[1][0, 0] = -0.5
-            with pytest.raises(LossDomainError):
-                checked_gradient(state, point, 0, np.array([0, 1]))
+            estimates.append(checked_gradient(state, point, 2, [1, 3]))
+        assert estimates[0].dtype == np.float64
+        assert np.array_equal(*estimates)
 
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
     def test_unsorted_duplicate_rows_give_the_sorted_unique_estimate(self, kind):

@@ -118,15 +118,38 @@ def test_run_reproduces_golden_trace(name, golden):
     assert got["factors_sha256"] == want["factors_sha256"]
 
 
+def _refresh(recorded: dict, cases: dict, prefixes: tuple, fingerprint=_fingerprint):
+    """`recorded` with the entries of every case whose name starts with one of
+    `prefixes` (all of them when there are none) rerun, and the entries of
+    cases that no longer exist dropped; returns (entries, rerun, dropped)."""
+    out = {name: value for name, value in recorded.items() if name in cases}
+    dropped = sorted(recorded.keys() - cases.keys())
+    rerun = [name for name in cases if name.startswith(prefixes or "")]
+    for name in rerun:
+        out[name] = fingerprint(*cases[name])
+    return out, rerun, dropped
+
+
+def test_refresh_drops_entries_of_removed_cases():
+    cases = {"sgd-a": ("k", "dense", None), "saga-b": ("k", "dense", None)}
+    recorded = {"sgd-a": "old a", "saga-b": "old b", "sarah-c": "old c"}
+    out, rerun, dropped = _refresh(recorded, cases, ("saga-",), lambda *case: "new")
+    assert out == {"sgd-a": "old a", "saga-b": "new"}
+    assert (rerun, dropped) == (["saga-b"], ["sarah-c"])
+
+
+def test_refresh_without_prefixes_reruns_every_case():
+    cases = {"sgd-a": ("k", "dense", None), "saga-b": ("k", "sparse", None)}
+    out, rerun, dropped = _refresh({"sgd-a": "old a"}, cases, (),
+                                   lambda kind, storage, config: storage)
+    assert out == {"sgd-a": "dense", "saga-b": "sparse"}
+    assert (rerun, dropped) == (["sgd-a", "saga-b"], [])
+
+
 if __name__ == "__main__":
-    prefixes = tuple(sys.argv[1:])
-    cases = _cases()
-    out = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    for name in sorted(out.keys() - cases.keys()):
-        del out[name]
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    out, names, dropped = _refresh(recorded, _cases(), tuple(sys.argv[1:]))
+    for name in dropped:
         print(f"dropped {name}: no such case")
-    names = [name for name in cases if name.startswith(prefixes or "")]
-    for name in names:
-        out[name] = _fingerprint(*cases[name])
     GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(names)} of {len(out)} golden traces to {GOLDEN}")

@@ -167,6 +167,7 @@ class TestConfigValidation:
         (lambda d: d["loss"].pop("epsilon"), "LossSpec lacks"),
         (lambda d: d["regularizer"][1].update(scale=2), "RegularizerSpec"),
         (lambda d: d.update(generator="negative-entropy"), "GeneratorSpec is not an object"),
+        (lambda d: d.update(sarah_p=5), r"unknown fields \['sarah_p'\]"),
     ])
     def test_from_dict_rejects_missing_or_unknown_fields(self, edit, match):
         saved = gaussian_config().resolved(SHAPE).to_dict()
@@ -566,6 +567,22 @@ class TestRun:
         values = [r.lyapunov for r in trace.records[1:]]
         assert all(v is not None for v in values)
 
+    @pytest.mark.parametrize("estimator", estimators.ESTIMATOR_KINDS)
+    def test_every_estimator_reduces_the_objective(self, estimator):
+        tensor, _ = small_gaussian_instance(seed=13)
+        cfg = gaussian_config(estimator=estimator, batch=3, max_iters=200)
+        trace, _ = run(cfg, tensor)
+        assert trace.manifest["config"]["estimator"] == estimator
+        assert trace.records[-1].nre < trace.records[0].nre
+
+    def test_manifest_states_each_setting_once(self):
+        tensor, _ = small_gaussian_instance(seed=13)
+        cfg = gaussian_config(max_iters=0, seed=4, extrapolation_check="backtrack")
+        trace, _ = run(cfg, tensor)
+        assert sorted(trace.manifest) == ["config", "config_hash"]
+        assert trace.manifest["config"]["seed"] == 4
+        assert trace.manifest["config"]["extrapolation_check"] == "backtrack"
+
     @pytest.mark.parametrize("dims", [(8, 6), (4, 3, 2, 3)])
     def test_order_generality(self, dims):
         # Matrices (order 2) and order-4 tensors go through the same machinery.
@@ -649,6 +666,28 @@ class TestRunBoundaryGuards:
         init = [np.full((d, 2), -0.3) for d in tensor.dims]
         trace, _ = run(cfg, tensor, initial=init)
         assert trace.records[-1].iteration == 5
+
+
+class TestStreams:
+    """Each consumer of randomness keeps its child of the run seed; child 1
+    is spawned and read by nothing."""
+
+    @pytest.mark.parametrize("attr,index", [("rng", 0), ("eval_rng", 2), ("diag_rng", 4)])
+    def test_run_state_stream_keeps_its_index(self, attr, index):
+        tensor, _ = small_gaussian_instance()
+        cfg = gaussian_config(seed=31).resolved(tensor.shape)
+        state = SolverRunState(cfg, tensor, initial_factors(
+            cfg, tensor.shape, np.random.default_rng(0)))
+        seq = getattr(state, attr).bit_generator.seed_seq
+        assert (seq.entropy, seq.spawn_key) == (31, (index,))
+
+    def test_initial_factors_come_from_stream_three(self):
+        tensor, _ = small_gaussian_instance()
+        cfg = gaussian_config(seed=31, max_iters=0)
+        _, model = run(cfg, tensor)
+        want = initial_factors(cfg.resolved(tensor.shape), tensor.shape,
+                               np.random.default_rng(np.random.SeedSequence(31).spawn(5)[3]))
+        assert all(np.array_equal(a, b) for a, b in zip(model.factors, want))
 
 
 class TestObservationDoesNotPerturb:
