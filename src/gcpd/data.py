@@ -8,8 +8,9 @@ The .tns text format, exactly as `read_tns` accepts it:
 * A comment line has '#' as its first non-whitespace character. A '#'
   anywhere else, such as a trailing comment after an entry, is an error.
 * The first comment line of the form "# shape: I_1 ... I_N" (one or more
-  '#', then sizes as integers) declares the mode sizes, unless `shape=` is
-  given; later ones are plain comments. A malformed first one is an error.
+  '#', then sizes as integers of at least 1) declares the mode sizes, unless
+  `shape=` is given; later ones are plain comments. A malformed first one is
+  an error, and so is a `shape=` with a size below 1.
 * An entry line is N >= 2 indices and one real value, separated by
   whitespace. An index is an ASCII decimal integer (optional sign) within
   int64; the value is an ASCII decimal or exponent-notation real, or inf/nan
@@ -173,6 +174,9 @@ def read_tns(path, shape=None) -> SparseTensorCOO:
     is at fault and raises the `ParseError`. So a faulty file is parsed again
     line by line up to its fault, and a valid one never is.
     """
+    declared = tuple(int(d) for d in shape) if shape is not None else None
+    if declared is not None and min(declared, default=1) < 1:
+        raise DataError(f"declared shape {declared} has a mode size below 1")
     path = Path(path)
     buf = path.read_bytes()
     if not buf.isascii():
@@ -180,7 +184,6 @@ def read_tns(path, shape=None) -> SparseTensorCOO:
     if b"\r" in buf and buf.count(b"\r") != buf.count(b"\r\n"):
         # Lines ending in a bare CR, which `np.loadtxt` does not split.
         buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    declared = tuple(int(d) for d in shape) if shape is not None else None
     parsed = _read_well_formed(buf, declared)
     if parsed is None:
         return _read_lines(buf.decode(), declared, path)
@@ -328,11 +331,14 @@ def _read_lines(text, declared, path) -> SparseTensorCOO:
 
 def _header_shape(comment: str):
     """The sizes a '# shape:' comment declares, or None for another comment;
-    ValueError when they are not integers."""
+    ValueError when they are not integers of at least 1."""
     body = comment.lstrip("#").strip()
     if not body.startswith("shape:"):
         return None
-    return tuple(int(t) for t in body[len("shape:"):].split())
+    dims = tuple(int(t) for t in body[len("shape:"):].split())
+    if min(dims, default=1) < 1:
+        raise ValueError(f"mode size below 1 in {dims}")
+    return dims
 
 
 def _is_index(token: str) -> bool:

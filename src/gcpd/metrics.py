@@ -5,6 +5,11 @@ MSE between an estimated and a planted factor normalizes every column to unit
 2-norm, matches columns by a minimum-cost assignment, and averages the matched
 squared residuals; it is invariant to column order and positive column
 scaling.
+
+The Lyapunov potential is the one of a constant-stepsize run with no
+variance-reduction (Gamma) term: eta * Phi plus forward and backward Bregman
+terms. A stochastic estimator's variance is not in it, so its monotone
+decrease certifies descent only under the `full` estimator.
 """
 
 from __future__ import annotations
@@ -29,13 +34,12 @@ class MseReport:
 
 @dataclass(frozen=True)
 class LyapunovRecord:
-    """Composite potential value and its four summands."""
+    """Composite potential value and its three summands."""
 
     value: float
     objective_gap: float
     forward_bregman: float
     backward_bregman: float
-    gamma_term: float
 
 
 def _normalized_columns(a: np.ndarray, name: str) -> np.ndarray:
@@ -88,33 +92,25 @@ def model_mse(estimate: KruskalModel, truth: KruskalModel) -> dict:
     return {"per_mode": reports, "mean": float(np.mean([r.value for r in reports]))}
 
 
-def lyapunov(gen: GeneratorSpec, current, previous, previous2, phi: float,
-             gamma: float, eta: float, *, v0: float = 0.0, alpha_weak: float = 0.0,
-             gamma_bar: float = 0.0, gamma_k: float = 0.0, eps_aux: float = 0.1,
-             tau: float = 1.0) -> LyapunovRecord:
-    """Composite potential at one iteration from the last three factor lists.
+def lyapunov(gen: GeneratorSpec, current, previous, previous2, phi: float, eta: float,
+             *, gamma_k: float, eps_aux: float) -> LyapunovRecord:
+    """Composite potential eta * phi + (1 - gamma_k - eps/3) D_fwd + (eps/3) D_bwd
+    of a run with the constant stepsize `eta`.
 
     current/previous/previous2 are the factor lists A^{k+1}, A^k, A^{k-1};
-    `phi` is the full objective at `current`, `gamma` the estimator diagnostic,
-    `gamma_k` the |alpha_k - beta_k| * M2 surrogate. Requires a constant
-    stepsize run; the forward coefficient must be nonnegative.
+    `phi` is the full objective at `current`, and `gamma_k` the inertia gap
+    |alpha_k - beta_k| of the step that made `current`. The forward
+    coefficient must be nonnegative.
     """
-    coeff_fwd = 1.0 - eta * alpha_weak - eta * gamma_bar - gamma_k - eps_aux / 3.0
+    coeff_fwd = 1.0 - gamma_k - eps_aux / 3.0
     if coeff_fwd < 0:
-        raise ConfigError(
-            "Lyapunov forward coefficient is negative; lower eta, gamma_bar or eps_aux")
+        raise ConfigError("Lyapunov forward coefficient is negative; lower the inertia gap "
+                          "|c1 - c2| or eps_aux")
     d_fwd = sum(bregman_div(gen, b, a) for a, b in zip(current, previous))
     d_bwd = sum(bregman_div(gen, b, a) for a, b in zip(previous, previous2))
-    objective_gap = eta * (phi - v0)
+    objective_gap = eta * phi
     forward = coeff_fwd * d_fwd
-    backward = (eta * gamma_bar / 2.0 + eps_aux / 3.0) * d_bwd
-    if gamma_bar > 0:
-        gamma_term = eta / (2.0 * tau * gamma_bar) * gamma
-    elif gamma == 0.0:
-        gamma_term = 0.0
-    else:
-        raise ConfigError("nonzero Gamma diagnostic requires gamma_bar > 0")
-    value = objective_gap + forward + backward + gamma_term
-    return LyapunovRecord(value=value, objective_gap=objective_gap,
-                          forward_bregman=forward, backward_bregman=backward,
-                          gamma_term=gamma_term)
+    backward = eps_aux / 3.0 * d_bwd
+    return LyapunovRecord(value=objective_gap + forward + backward,
+                          objective_gap=objective_gap, forward_bregman=forward,
+                          backward_bregman=backward)

@@ -74,13 +74,8 @@ class SolverConfig:
     regularizer: RegularizerSpec | tuple | None = None  # default by loss, see resolved
     estimator: str = "saga"
     batch: int | None = None          # default 2 * rank
-    eta: float | None = None          # default by loss family (_DEFAULT_ETA)
-    stepsize_rule: str = "constant"   # or "decreasing-bound" (needs l_bar)
-    l_bar: float | None = None        # user upper-curvature estimate
-    l_lower: float = 0.0              # user lower-curvature stand-in for the guard
-    m2: float = 1.0                   # Lipschitz modulus surrogate for grad psi
-    gamma_bar: float = 0.0            # variance-reduction surrogate constant
-    alpha_weak: float = 0.0           # weak-convexity parameter of h
+    eta: float | None = None          # constant stepsize; default _DEFAULT_ETA[loss]
+    l_lower: float = 0.0              # lower-curvature stand-in of the backtrack test
     c1: float = 0.6
     c2: float = 0.8
     extrapolation_check: str = "off"  # or "backtrack"
@@ -97,9 +92,7 @@ class SolverConfig:
                                       # (log-ratio trust region), inf otherwise
     block_order: str = "random"       # "cyclic" for ablation
     diagnostics: bool = False         # per-mode Gamma tracking at eval points
-    lyapunov: bool = False
-    lyapunov_v0: float = 0.0
-    lyapunov_tau: float = 1.0
+    lyapunov: bool = False            # composite potential at eval points
     record_timing: bool = True
 
     def _validate(self):
@@ -113,8 +106,6 @@ class SolverConfig:
             raise ConfigError("eta must be positive and finite")
         if self.estimator not in ESTIMATOR_KINDS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
-        if self.stepsize_rule not in ("constant", "decreasing-bound"):
-            raise ConfigError(f"unknown stepsize rule {self.stepsize_rule!r}")
         if self.extrapolation_check not in ("off", "backtrack"):
             raise ConfigError(f"unknown extrapolation check {self.extrapolation_check!r}")
         if self.block_order not in ("random", "cyclic"):
@@ -136,32 +127,16 @@ class SolverConfig:
                 "negative-entropy generator or nonnegative regularizers")
         if self.generator.entropic and any(r.kind == "squared-l2" for r in self.regularizer):
             raise ConfigError("no closed-form prox for (negative-entropy, squared-l2)")
-        # s bounds |alpha_k - beta_k| for k <= max_iters; backtracking can
-        # halve beta_k down to 0, which leaves alpha_k.
-        ratio, _ = inertial_coefficients(1.0, 0.0, max(self.max_iters, 1))
-        gap = abs(self.c1 - self.c2)
-        s = ratio * (max(self.c1, gap) if self.extrapolation_check == "backtrack" else gap)
-        if self.stepsize_rule == "decreasing-bound":
-            if self.l_bar is None or not 0 < self.l_bar < math.inf:
-                raise ConfigError(
-                    "the decreasing-bound stepsize rule needs a positive, finite l_bar")
-            numer = 1.0 - self.delta - 2.0 * s * self.m2
-            if self.alpha_weak + 2.0 * self.gamma_bar > 0 and numer <= 0:
-                raise ConfigError(
-                    f"decreasing-bound stepsize is nonpositive: 1 - delta - 2*s*m2 = "
-                    f"{numer:.3g} (s = {s:.3g}); relax delta/m2 surrogates")
         if self.lyapunov:
-            if self.stepsize_rule != "constant":
-                raise ConfigError("the Lyapunov diagnostic requires a constant stepsize")
-            if self.diagnostics and self.estimator != "full" and not self.gamma_bar > 0:
-                raise ConfigError("the Lyapunov and Gamma diagnostics together need "
-                                  f"gamma_bar > 0 under the {self.estimator!r} estimator")
-            coeff = (1.0 - self.eta * self.alpha_weak - self.eta * self.gamma_bar
-                     - s * self.m2 - self.eps_aux / 3.0)
+            # s bounds |alpha_k - beta_k| for k <= max_iters; backtracking can
+            # halve beta_k down to 0, which leaves alpha_k.
+            ratio, _ = inertial_coefficients(1.0, 0.0, max(self.max_iters, 1))
+            gap = abs(self.c1 - self.c2)
+            s = ratio * (max(self.c1, gap) if self.extrapolation_check == "backtrack" else gap)
+            coeff = 1.0 - s - self.eps_aux / 3.0
             if coeff < 0:
-                raise ConfigError(
-                    "Lyapunov forward coefficient negative at configuration: "
-                    f"1 - eta*alpha - eta*gamma_bar - s*m2 - eps/3 = {coeff:.3g} (s = {s:.3g})")
+                raise ConfigError("Lyapunov forward coefficient negative at configuration: "
+                                  f"1 - s - eps/3 = {coeff:.3g} (s = {s:.3g})")
 
     def resolved(self, shape: TensorShape) -> "SolverConfig":
         """Fill every default and check every setting against the tensor shape.
@@ -288,8 +263,6 @@ class SolverRunState:
         self.prev = list(factors)      # A^{-1} := A^0
         self.prev2 = list(factors)
         self.k = 0
-        self.eta_prev = config.eta
-        self.eta_history = []
         self.last_alpha = 0.0
         self.last_beta = 0.0
         streams = _streams(config.seed)
@@ -356,16 +329,15 @@ def _clamp_gradient_point(config: SolverConfig, point: np.ndarray) -> np.ndarray
     return point
 
 
-def extrapolation_guard(config: SolverConfig, a_cur, a_prev, beta: float,
-                        eta_prev: float) -> float:
+def extrapolation_guard(config: SolverConfig, a_cur, a_prev, beta: float) -> float:
     """Backtrack beta (halving, at most 30 times, then 0) until the
     extrapolated point satisfies the trust inequality
-    D(A^k, point) <= (delta - eps)/(1 + l_lower * eta_prev) * D(A^{k-1}, A^k)."""
+    D(A^k, point) <= (delta - eps)/(1 + l_lower * eta) * D(A^{k-1}, A^k)."""
     if config.extrapolation_check != "backtrack":
         return beta
     gen = config.generator
     target = ((config.delta - config.eps_aux)
-              / (1.0 + config.l_lower * eta_prev)) * bregman_div(gen, a_prev, a_cur)
+              / (1.0 + config.l_lower * config.eta)) * bregman_div(gen, a_prev, a_cur)
     for _ in range(31):
         point = _clamp_gradient_point(config, a_cur + beta * (a_cur - a_prev))
         if bregman_div(gen, a_cur, point) <= target:
@@ -392,7 +364,7 @@ def step(state: SolverRunState, config: SolverConfig) -> int:
     alpha_k, beta_k = inertial_coefficients(config.c1, config.c2, k)
     a_cur = state.factors[n]
     a_prev = state.prev[n]
-    beta_k = extrapolation_guard(config, a_cur, a_prev, beta_k, state.eta_prev)
+    beta_k = extrapolation_guard(config, a_cur, a_prev, beta_k)
 
     momentum = a_cur - a_prev
     anchor = a_cur + alpha_k * momentum
@@ -404,25 +376,15 @@ def step(state: SolverRunState, config: SolverConfig) -> int:
     request_factors[n] = gradient_point
     grad = estimate_gradient(state.estimator, request_factors, n, rows, next(fibers))
 
-    if config.stepsize_rule == "constant":
-        eta_k = config.eta
-    else:
-        candidates = [state.eta_prev, 1.0 / config.l_bar]
-        denom = config.alpha_weak + 2.0 * config.gamma_bar
-        if denom > 0:
-            numer = 1.0 - config.delta - 2.0 * abs(alpha_k - beta_k) * config.m2
-            candidates.append(numer / denom)
-        eta_k = min(candidates)
-
     # Trust region: cap |eta * grad| per coordinate. Loss barriers (x/(m+eps)
     # near m = 0) produce ~1/eps^2-scale derivatives that would otherwise turn
     # one update into an overflow. The cap also binds on high-variance
     # estimates away from the barriers (a few percent of SAGA's coordinates).
     if config.max_step < math.inf:
-        bound = config.max_step / eta_k
+        bound = config.max_step / config.eta
         grad = np.minimum(np.maximum(grad, -bound), bound)  # np.clip, minus its dispatch
 
-    new_block = mirror_prox_step(config.generator, config.regularizer[n], anchor, grad, eta_k)
+    new_block = mirror_prox_step(config.generator, config.regularizer[n], anchor, grad, config.eta)
     if not np.isfinite(new_block).all():
         raise DivergenceError(
             f"non-finite factor entries after iteration {k} (mode {n}); "
@@ -434,8 +396,6 @@ def step(state: SolverRunState, config: SolverConfig) -> int:
     state.factors = list(state.factors)
     state.factors[n] = new_block
     state.k = k
-    state.eta_prev = eta_k
-    state.eta_history.append(eta_k)
     state.last_alpha = alpha_k
     state.last_beta = beta_k
     return n
@@ -493,14 +453,10 @@ def _evaluate(state: SolverRunState, config: SolverConfig, truth, t0) -> TraceRe
     if config.lyapunov and state.k >= 1:
         phi = nre_val + sum(regularizer_value(r, a)
                             for r, a in zip(config.regularizer, state.factors))
-        gamma_next = rec.gamma if rec.gamma is not None else 0.0
-        gamma_k = abs(state.last_alpha - state.last_beta) * config.m2
-        record = lyapunov(config.generator, state.factors, state.prev, state.prev2,
-                          phi, gamma_next, config.eta, v0=config.lyapunov_v0,
-                          alpha_weak=config.alpha_weak, gamma_bar=config.gamma_bar,
-                          gamma_k=gamma_k, eps_aux=config.eps_aux,
-                          tau=config.lyapunov_tau)
-        rec.lyapunov = record.value
+        rec.lyapunov = lyapunov(config.generator, state.factors, state.prev, state.prev2,
+                                phi, config.eta,
+                                gamma_k=abs(state.last_alpha - state.last_beta),
+                                eps_aux=config.eps_aux).value
     return rec
 
 
@@ -557,5 +513,5 @@ def run(config: SolverConfig, tensor, truth: KruskalModel | None = None,
             prev_nre = rec.nre
             if consecutive_small >= 2:
                 break
-    trace.eta_history = list(state.eta_history)
+    trace.eta_history = [config.eta] * state.k
     return trace, KruskalModel(state.factors)

@@ -17,6 +17,12 @@ from gcpd.solver import SolverConfig
 from gcpd.verify import check_gradient_fd
 
 
+# Fields that saved configs used to hold, with the values every CLI run saved.
+REMOVED_FIELDS = {"sarah_p": 5, "stepsize_rule": "constant", "l_bar": None, "m2": 1.0,
+                  "gamma_bar": 0.0, "alpha_weak": 0.0, "lyapunov_v0": 0.0,
+                  "lyapunov_tau": 1.0}
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -242,20 +248,47 @@ class TestDecompose:
         assert "--reg-weight needs --regularizer" in capsys.readouterr().err
         assert not trace_path.exists()
 
-    def test_lyapunov_with_diagnostics_fails_before_the_run(self, gamma_files, tmp_path,
-                                                            capsys, monkeypatch):
+    @pytest.mark.parametrize("estimator", ["saga", "sgd"])
+    def test_diagnostics_keep_the_lyapunov_column(self, gamma_files, tmp_path, estimator):
+        columns = {}
+        for name, extra in (("plain", []), ("diagnostics", ["--diagnostics"])):
+            trace_path = tmp_path / f"{name}.csv"
+            code = run_cli("decompose", "--input", str(gamma_files) + ".tns",
+                           "--loss", "gamma", "--rank", "2", "--iters", "50",
+                           "--estimator", estimator, "--no-timing", "--lyapunov",
+                           "--trace", str(trace_path), *extra)
+            assert code == 0
+            header, rows, _ = read_trace_csv(trace_path)
+            columns[name] = [(r[header.index("lyapunov")], r[header.index("gamma_k")])
+                             for r in rows]
+        assert all(lyap for lyap, _ in columns["plain"][1:])
+        assert all(gamma for _, gamma in columns["diagnostics"])
+        assert [lyap for lyap, _ in columns["diagnostics"]] == \
+            [lyap for lyap, _ in columns["plain"]]
+
+    def test_negative_lyapunov_forward_coefficient_fails_before_the_run(
+            self, gamma_files, tmp_path, capsys, monkeypatch):
         built = []
         real = solver.EstimatorState
         monkeypatch.setattr(solver, "EstimatorState",
                             lambda *a, **k: built.append(a) or real(*a, **k))
         trace_path = tmp_path / "t.csv"
         code = run_cli("decompose", "--input", str(gamma_files) + ".tns",
-                       "--loss", "gamma", "--rank", "2", "--iters", "50",
-                       "--lyapunov", "--diagnostics", "--trace", str(trace_path))
+                       "--loss", "gamma", "--rank", "2", "--lyapunov", "--c1", "1",
+                       "--c2", "0", "--iters", "100", "--trace", str(trace_path))
         assert code == 1
-        assert capsys.readouterr().err.startswith("configuration error:")
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "Lyapunov forward coefficient" in err
         assert not trace_path.exists()
         assert built == []
+
+    def test_nonpositive_shape_flag_is_data_error(self, gamma_files, capsys):
+        code = run_cli("decompose", "--input", str(gamma_files) + ".tns",
+                       "--shape", "8,-7,6", "--loss", "gamma", "--rank", "2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "declared shape (8, -7, 6) has a mode size below 1" in err
 
     def test_truth_with_zeroed_column_keeps_running(self, tmp_path):
         prefix = tmp_path / "gs"
@@ -320,8 +353,10 @@ class TestDecompose:
         (lambda m: m["input"].update(path=5), "input.path"),
         (lambda m: m["input"].update(shape="abc"), "input.shape"),
         (lambda m: m["input"].update(shape=[8, "7", 6]), "input.shape"),
+        (lambda m: m["input"].update(shape=[8, -7, 6]),
+         "declared shape (8, -7, 6) has a mode size below 1"),
         (lambda m: m.update(truth=5), "truth"),
-    ], ids=["path", "shape-text", "shape-item", "truth"])
+    ], ids=["path", "shape-text", "shape-item", "shape-size", "truth"])
     def test_malformed_manifest_field_is_named(self, gamma_files, tmp_path, capsys,
                                                edit, field):
         manifest = edited_manifest(gamma_files, tmp_path, edit)
@@ -330,15 +365,14 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and field in err
 
-    @pytest.mark.parametrize("estimator", ESTIMATOR_KINDS)
-    def test_replayed_sarah_p_is_data_error(self, gamma_files, tmp_path, capsys, estimator):
+    @pytest.mark.parametrize("field", REMOVED_FIELDS)
+    def test_replayed_removed_field_is_data_error(self, gamma_files, tmp_path, capsys, field):
         manifest = edited_manifest(gamma_files, tmp_path,
-                                   lambda m: m["config"].update(sarah_p=5),
-                                   "--estimator", estimator)
+                                   lambda m: m["config"].update({field: REMOVED_FIELDS[field]}))
         capsys.readouterr()
         assert run_cli("decompose", "--manifest", str(manifest)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and "sarah_p" in err
+        assert err.startswith("data error:") and repr(field) in err
 
     def test_manifest_states_each_fact_once(self, gamma_files, tmp_path):
         saved = json.loads(edited_manifest(gamma_files, tmp_path, lambda m: None,
@@ -346,7 +380,7 @@ class TestDecompose:
         assert sorted(saved) == ["command", "config", "config_hash", "input",
                                  "outputs", "truth"]
         assert saved["config"]["seed"] == 3
-        assert "sarah_p" not in saved["config"]
+        assert not saved["config"].keys() & REMOVED_FIELDS.keys()
 
     @pytest.mark.parametrize("command,extra,conf", [
         ("decompose", ["--estimator", "sarah"], None),

@@ -239,7 +239,8 @@ def _tns_case(data, fault=None):
         sep = draw(st.sampled_from(["# shape: ", "#shape:", "##  shape:  "]))
         text = sep + " ".join(map(str, header_dims))
         if fault == "malformed-header":
-            text = sep + draw(st.sampled_from(["2 x 3", "2.5 3", "3,4", "1 2 three"]))
+            text = sep + draw(st.sampled_from(["2 x 3", "2.5 3", "3,4", "1 2 three",
+                                               "3 0 3", "2 -1 2"]))
         # On top, as write_tns puts it; in a valid file sometimes below the
         # entries, where it bounds only the entries after it.
         at = 0 if fault else draw(st.sampled_from([0, 0, len(lines)]))
@@ -361,6 +362,8 @@ class TestVectorizedTnsReader:
         ("1 1 1 1_0\n", 1),
         ("# shape: 2 2 2\n1 1 99999999999999999999 1.0\n", 2),
         ("3 1 1.0\n# shape: 2 2\n1 1 1.0\n", 1),
+        ("# shape: 3 0 3\n1 1 1 1.0\n", 1),
+        ("1 1 1 1.0\n# shape: 3 -1 3\n", 2),
     ])
     def test_fault_lines(self, tmp_path, text, line):
         p = tmp_path / "f.tns"

@@ -74,11 +74,8 @@ def _cases() -> dict:
     base = _config("poisson-identity", "saga", "dense")
     cases["saga-dense-entropy-backtrack"] = ("poisson-identity", "dense", dataclasses.replace(
         base, extrapolation_check="backtrack", l_lower=0.5, delta=0.3, eps_aux=0.25))
-    cases["sgd-dense-euclidean-decreasing-cyclic"] = (
-        "gaussian", "dense", dataclasses.replace(
-            _config("gaussian", "sgd", "dense"), stepsize_rule="decreasing-bound",
-            l_bar=4.0, gamma_bar=0.1, delta=0.5, eps_aux=0.1, m2=0.1,
-            block_order="cyclic"))
+    cases["sgd-dense-euclidean-cyclic"] = ("gaussian", "dense", dataclasses.replace(
+        _config("gaussian", "sgd", "dense"), block_order="cyclic"))
     cases["sgd-dense-euclidean-l1-plain"] = ("gaussian", "dense", dataclasses.replace(
         _config("gaussian", "sgd", "dense"), c1=0.0, c2=0.0,
         regularizer=RegularizerSpec("l1", weight=0.05), max_step=0.05))

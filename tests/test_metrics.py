@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gcpd.bregman import GeneratorSpec
+from gcpd.bregman import GeneratorSpec, bregman_div
 from gcpd.errors import ConfigError, DataError
 from gcpd.losses import LossSpec, objective
 from gcpd.metrics import _cost_matrix, lyapunov, match_columns, model_mse, mse
@@ -131,36 +131,31 @@ class TestNre:
 class TestLyapunov:
     GEN = GeneratorSpec("squared-euclidean")
 
-    def test_stationary_run_is_zero(self):
+    def test_stationary_zero_objective_is_zero(self):
         a = [np.ones((3, 2)), np.ones((2, 2))]
-        rec = lyapunov(self.GEN, a, a, a, phi=1.5, gamma=0.0, eta=0.1, v0=1.5)
+        rec = lyapunov(self.GEN, a, a, a, phi=0.0, eta=0.1, gamma_k=0.0, eps_aux=0.1)
         assert rec.value == 0.0
 
-    def test_reduces_to_objective_gap(self):
+    def test_reduces_to_scaled_objective(self):
         a = [np.ones((3, 2))]
-        rec = lyapunov(self.GEN, a, a, a, phi=2.0, gamma=0.0, eta=0.25, v0=0.5)
+        rec = lyapunov(self.GEN, a, a, a, phi=1.5, eta=0.25, gamma_k=0.3, eps_aux=0.1)
         assert rec.value == pytest.approx(0.25 * 1.5, rel=1e-15)
         assert rec.forward_bregman == 0.0 and rec.backward_bregman == 0.0
-        assert rec.gamma_term == 0.0
 
-    def test_summands_nonnegative(self):
+    def test_summands_match_the_formula(self):
         rng = np.random.default_rng(10)
-        cur = [rng.random((3, 2))]
-        prev = [rng.random((3, 2))]
-        prev2 = [rng.random((3, 2))]
-        rec = lyapunov(self.GEN, cur, prev, prev2, phi=1.0, gamma=0.5, eta=0.1,
-                       gamma_bar=0.2, eps_aux=0.1, tau=0.5)
-        assert rec.forward_bregman >= 0
-        assert rec.backward_bregman >= 0
-        assert rec.gamma_term >= 0
+        cur, prev, prev2 = ([rng.random((3, 2))] for _ in range(3))
+        rec = lyapunov(self.GEN, cur, prev, prev2, phi=1.0, eta=0.1, gamma_k=0.2,
+                       eps_aux=0.1)
+        d_fwd = bregman_div(self.GEN, prev[0], cur[0])
+        d_bwd = bregman_div(self.GEN, prev2[0], prev[0])
+        assert d_fwd > 0 and d_bwd > 0
+        assert rec.objective_gap == pytest.approx(0.1)
+        assert rec.forward_bregman == pytest.approx((1 - 0.2 - 0.1 / 3) * d_fwd)
+        assert rec.backward_bregman == pytest.approx(0.1 / 3 * d_bwd)
+        assert rec.value == pytest.approx(0.1 + rec.forward_bregman + rec.backward_bregman)
 
     def test_negative_forward_coefficient_rejected(self):
         a = [np.ones((2, 2))]
-        with pytest.raises(ConfigError):
-            lyapunov(self.GEN, a, a, a, phi=0.0, gamma=0.0, eta=1.0,
-                     gamma_k=2.0, eps_aux=0.1)
-
-    def test_gamma_without_gamma_bar_rejected(self):
-        a = [np.ones((2, 2))]
-        with pytest.raises(ConfigError):
-            lyapunov(self.GEN, a, a, a, phi=0.0, gamma=1.0, eta=0.1, gamma_bar=0.0)
+        with pytest.raises(ConfigError, match="forward coefficient"):
+            lyapunov(self.GEN, a, a, a, phi=0.0, eta=1.0, gamma_k=0.98, eps_aux=0.1)
