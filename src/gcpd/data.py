@@ -25,14 +25,15 @@ The .tns text format, exactly as `read_tns` accepts it:
 
 `read_tns` reads a file once, as bytes, and parses it in one of two ways. A
 well-formed file becomes a tensor in one pass of `np.loadtxt` over those
-bytes, `CHUNK` rows per call, each chunk written straight into the index and
-value arrays the tensor keeps, which are then checked as arrays. So a read
-peaks at the file's bytes plus about one copy of the entries (0.9x the
-tensor's arrays above the bytes on a 60x50x40 gamma file), and the tensor
-builds a mode's fiber index only when that mode's fibers are first read. Any
-doubt sends the same text, decoded, to the per-line reader, the one
-authority on faults, which raises a `ParseError` naming the first faulty
-line. Only faulty files pay for the second, line-by-line parse.
+bytes, `CHUNK` rows per call, each chunk written straight into an int64
+index block and the float64 value array the tensor keeps, which are then
+checked as arrays. The tensor turns the block into one linear id per entry
+and drops it. So a read peaks at the file's bytes plus about one copy of the
+entries, and the tensor builds a mode's fiber index only when that mode's
+fibers are first read. Any doubt sends the same text, decoded, to the
+per-line reader, the one authority on faults, which raises a `ParseError`
+naming the first faulty line. Only faulty files pay for the second,
+line-by-line parse.
 
 Files written here carry the shape header, so reads recover the declared
 shape even when trailing slices are empty.
@@ -147,11 +148,14 @@ def write_tns(tensor, path, manifest: dict | None = None):
 
 def _entry_blocks(tensor):
     """(0-based indices, values) of the nonzero entries in linear order, at
-    most `_WRITE_CHUNK` at a time. A dense tensor is searched one last-mode
-    slab at a time, so no copy of the whole tensor is made."""
+    most `_WRITE_CHUNK` at a time. A sparse tensor's indices are computed
+    from its linear ids a block at a time; a dense tensor is searched one
+    last-mode slab at a time, so no copy of the whole tensor is made."""
     if isinstance(tensor, SparseTensorCOO):
         for lo in range(0, tensor.nnz, _WRITE_CHUNK):
-            yield tensor.indices[lo:lo + _WRITE_CHUNK], tensor.values[lo:lo + _WRITE_CHUNK]
+            at = tensor._linear[lo:lo + _WRITE_CHUNK]
+            yield (np.column_stack(np.unravel_index(at, tensor.dims, order="F")),
+                   tensor.values[lo:lo + _WRITE_CHUNK])
         return
     *lead, last = tensor.dims
     for k in range(last):

@@ -76,6 +76,17 @@ class DenseTensor:
             raise DataError("dense tensor must have order >= 2")
         if not np.all(np.isfinite(values)):
             raise DataError("dense tensor contains non-finite entries")
+        self._keep(values)
+
+    @classmethod
+    def _of_finite(cls, values) -> "DenseTensor":
+        """A tensor over `values`, a C-contiguous float64 array of order >= 2
+        whose entries are known to be finite, kept without a check or a copy."""
+        tensor = cls.__new__(cls)
+        tensor._keep(values)
+        return tensor
+
+    def _keep(self, values):
         self.values = values
         self.shape = TensorShape(values.shape)
         self._plans = [None] * self.shape.order   # built by `fiber_rows` on first use
@@ -96,19 +107,29 @@ class DenseTensor:
 class SparseTensorCOO:
     """Sparse coordinate tensor with implicit-zero semantics.
 
-    Entries are kept in linear order (mode-0 fastest). A mode's fiber index
-    (fiber row -> slice of nonzeros) is built by the first read of that
-    mode's fibers, so fiber extraction is O(nnz in fiber), not O(nnz total),
-    and a tensor that is only densified never builds one. The entries are
-    immutable after construction. Entries already in strictly rising linear
-    order, as `data.write_tns` writes them, are kept as given when they are
-    C-contiguous int64 and float64 arrays, so the caller hands those arrays
-    over.
+    Each stored entry is held once, as its linear id (int64, mode-0 fastest)
+    and its value, in rising linear order; multi-indices are computed from
+    the linear ids where they are needed. A mode's fiber index (fiber row ->
+    slice of nonzeros) is built by the first read of that mode's fibers, so
+    fiber extraction is O(nnz in fiber), not O(nnz total), and a tensor that
+    is only densified never builds one. The entries are immutable after
+    construction. Values already in strictly rising linear order, as
+    `data.write_tns` writes them, are kept as given when they are a
+    C-contiguous float64 array, so the caller hands that array over.
     """
 
     def __init__(self, shape, indices, values):
         self.shape = shape if isinstance(shape, TensorShape) else TensorShape(tuple(shape))
-        indices = np.ascontiguousarray(indices, dtype=np.int64).reshape(-1, self.shape.order)
+        dims = self.shape.dims
+        if self.shape.total > np.iinfo(np.int64).max:
+            raise DataError(f"shape {dims} has {self.shape.total} positions, more than "
+                            "int64 linear ids can number")
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size == 0:
+            indices = indices.reshape(0, len(dims))
+        if indices.ndim != 2 or indices.shape[1] != len(dims):
+            raise DataError(f"indices must have shape (nnz, {len(dims)}) for shape {dims}, "
+                            f"got {indices.shape}")
         values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
         if indices.shape[0] != values.shape[0]:
             raise DataError("indices and values length mismatch")
@@ -116,23 +137,19 @@ class SparseTensorCOO:
             raise DataError("more stored entries than tensor positions")
         if values.size and not np.all(np.isfinite(values)):
             raise DataError("sparse tensor contains non-finite values")
-        dims = np.array(self.shape.dims, dtype=np.int64)
-        if values.size:
-            if indices.min() < 0 or np.any(indices >= dims[None, :]):
-                raise DataError("sparse index out of bounds")
-        # Linear ids (mode-0 fastest) detect duplicates and support random reads.
-        linear = np.ravel_multi_index(tuple(indices.T), self.shape.dims, order="F")
+        try:
+            linear = np.ravel_multi_index(tuple(indices.T), dims, order="F")
+        except ValueError:
+            raise DataError("sparse index out of bounds") from None
         if not np.all(linear[1:] > linear[:-1]):
             order = np.argsort(linear, kind="stable")
             linear = linear[order]
             repeated = np.flatnonzero(linear[1:] == linear[:-1])
             if repeated.size:
-                dup = indices[order[repeated[0] + 1]]
+                dup = np.unravel_index(linear[repeated[0]], dims, order="F")
                 raise DataError(
                     f"duplicate coordinate {tuple(int(i) for i in dup)} in sparse input")
-            indices = indices[order]
             values = values[order]
-        self.indices = indices
         self.values = values
         self._linear = linear
         self._fibers = [None] * self.shape.order   # built by `fiber_index` on first use
@@ -145,41 +162,64 @@ class SparseTensorCOO:
     def nnz(self) -> int:
         return int(self.values.size)
 
-    def fiber_index(self, mode: int) -> tuple[np.ndarray, np.ndarray]:
+    def fiber_index(self, mode: int) -> tuple[np.ndarray | None, np.ndarray]:
         """(order, starts) of mode `mode`, built on the first call: fiber f's
         entries are slots starts[f]:starts[f + 1] of order, by rising
-        mode-`mode` index."""
+        mode-`mode` index. Mode 0 has no order (None): its fibers are runs of
+        the linear order, so a slot is the entry's own position. Both arrays
+        are int32 below 2^31 entries."""
         self.shape._check_mode(mode)
-        index = self._fibers[mode]
-        if index is None:
-            # Within a fiber the entries differ only in the mode-`mode` index,
-            # so sorting the unique key fid * I_mode + i_mode gives the stable
-            # sort of fid over entries in linear order.
-            dims = self.shape.dims
-            others = [m for m in range(self.shape.order) if m != mode]
-            fid = np.ravel_multi_index(tuple(self.indices[:, m] for m in others),
-                                       [dims[m] for m in others], order="F")
-            starts = np.zeros(self.shape.fiber_count(mode) + 1, dtype=np.int64)
-            np.cumsum(np.bincount(fid, minlength=starts.size - 1), out=starts[1:])
-            fid *= dims[mode]
-            fid += self.indices[:, mode]
-            index = self._fibers[mode] = (np.argsort(fid), starts)
-        return index
+        if self._fibers[mode] is None:
+            self._fibers[mode] = self._build_fiber_index(mode)
+        return self._fibers[mode]
+
+    def _build_fiber_index(self, mode: int):
+        dims = self.shape.dims
+        dtype = _index_dtype(self.nnz)
+        starts = np.zeros(self.shape.fiber_count(mode) + 1, dtype=dtype)
+        if mode == 0:
+            # Mode-0 fiber f holds the linear ids [f * I_0, (f + 1) * I_0).
+            starts[1:] = np.searchsorted(self._linear, np.arange(1, starts.size) * dims[0])
+            return None, starts
+        # Linear id a + lo * (i + I * b), with a < lo = I_0 ... I_{mode-1} and
+        # I = I_mode, lies at index i of fiber a + lo * b. Within a fiber the
+        # entries differ only in i, so sorting the unique key fid * I + i
+        # gives the stable sort of fid over the entries. The key is built in
+        # place, beside at most one temporary.
+        lo, size = math.prod(dims[:mode]), dims[mode]
+        key = self._linear // (lo * size)
+        key *= lo
+        key += self._linear % lo
+        np.cumsum(np.bincount(key, minlength=starts.size - 1), out=starts[1:])
+        key *= size
+        digit = self._linear // lo
+        digit %= size
+        key += digit
+        del digit
+        order = np.argsort(key)
+        del key
+        return order.astype(dtype), starts
 
     def fiber_rows(self, mode: int, rows) -> np.ndarray:
         """Rows of the mode-`mode` unfolding at the given fiber indices, (B, I_mode)."""
         rows = _check_rows(self.shape.dims, mode, rows)
         # One gather over the concatenated index slices of the requested fibers.
+        # The int32 index is widened once, so that no later step mixes types.
         order, starts = self.fiber_index(mode)
-        first = starts.take(rows)
+        first = starts.take(rows).astype(np.int64)
         counts = starts.take(rows + 1) - first
         # Slot t of fiber b's run lies at first[b] + (t - offset[b]).
         offsets = np.cumsum(counts) - counts
         slots = np.arange(counts.sum()) + np.repeat(first - offsets, counts)
-        sel = order.take(slots)
-        out = np.zeros((rows.size, self.shape.dims[mode]))
-        out[np.repeat(np.arange(rows.size), counts), self.indices[sel, mode]] = \
-            self.values.take(sel)
+        sel = slots if order is None else order.take(slots).astype(np.int64)
+        # Each entry's index along `mode` is a digit of its linear id.
+        size = self.shape.dims[mode]
+        at = self._linear.take(sel)
+        if mode:
+            at //= math.prod(self.shape.dims[:mode])
+        at %= size
+        out = np.zeros((rows.size, size))
+        out[np.repeat(np.arange(rows.size), counts), at] = self.values.take(sel)
         return out
 
     def values_at_linear(self, linear_ids) -> np.ndarray:
@@ -197,10 +237,52 @@ class SparseTensorCOO:
         return out
 
     def to_dense(self) -> DenseTensor:
-        """The dense tensor, filled in place in C order: no copy of it is made."""
-        values = np.zeros(self.shape.dims)
-        values[tuple(self.indices.T)] = self.values
-        return DenseTensor(values)
+        """The dense tensor in C order. A fully stored tensor is one copy of
+        its values; any other fills one zero array, a block of entries at a
+        time, so no copy of the tensor and no (nnz, N) index array is made."""
+        dims = self.shape.dims
+        if self.nnz == self.shape.total:
+            # Every position is stored, so the values are the tensor in F order.
+            values = self.values.reshape(dims, order="F").copy(order="C")
+        else:
+            values = np.zeros(dims)
+            flat = values.reshape(-1)
+            for lo in range(0, self.nnz, _FILL_BLOCK):
+                flat[_c_positions(self._linear[lo:lo + _FILL_BLOCK], dims)] = \
+                    self.values[lo:lo + _FILL_BLOCK]
+        # The values were checked finite when the tensor was built.
+        return DenseTensor._of_finite(values)
+
+
+# Entries per block of `SparseTensorCOO.to_dense`. Its three block-sized
+# int64 temporaries take 96 KiB, a twentieth of a 240k-entry dense tensor;
+# larger blocks save no measurable time.
+_FILL_BLOCK = 1 << 12
+
+
+def _index_dtype(nnz: int):
+    """Integer type of a fiber index over `nnz` entries: int32 while every
+    slot and run end (0..nnz) fits in it, int64 beyond."""
+    return np.int32 if nnz < 1 << 31 else np.int64
+
+
+def _c_positions(linear, dims) -> np.ndarray:
+    """C-order (last mode fastest) positions of mode-0-fastest linear ids."""
+    # Peel the digits i_0, i_1, ... off the linear ids and fold them in as
+    # pos = ((i_0 * I_1 + i_1) * I_2 + i_2) ..., with two temporaries.
+    quot = linear // dims[0]
+    pos = quot * dims[0]
+    np.subtract(linear, pos, out=pos)
+    for d in dims[1:-1]:
+        nxt = quot // d
+        pos *= d
+        pos += quot
+        np.multiply(nxt, d, out=quot)
+        pos -= quot
+        quot = nxt
+    pos *= dims[-1]
+    pos += quot
+    return pos
 
 
 class KruskalModel:

@@ -209,8 +209,11 @@ def fiber_rows_loop(tensor: SparseTensorCOO, mode: int, rows) -> np.ndarray:
     out = np.zeros((rows.size, tensor.shape.dims[mode]))
     order, starts = tensor.fiber_index(mode)
     for b, j in enumerate(rows):
-        sel = order[starts[j]:starts[j + 1]]
-        out[b, tensor.indices[sel, mode]] = tensor.values[sel]
+        sel = np.arange(starts[j], starts[j + 1])
+        if order is not None:
+            sel = order[sel]
+        at = np.unravel_index(tensor._linear[sel], tensor.shape.dims, order="F")[mode]
+        out[b, at] = tensor.values[sel]
     return out
 
 

@@ -293,7 +293,7 @@ class TestCriterion9InputOutput:
         write_tns(sp, path)
         back = read_tns(path)
         ok = (back.shape.dims == dims
-              and np.array_equal(back.indices, sp.indices)
+              and np.array_equal(back._linear, sp._linear)
               and np.array_equal(back.values, sp.values))
         report("9a", ok, ".tns round trip on 1000 random entries is exact")
         assert ok

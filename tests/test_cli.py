@@ -290,6 +290,20 @@ class TestDecompose:
         assert err.startswith("data error:")
         assert "declared shape (8, -7, 6) has a mode size below 1" in err
 
+    @pytest.mark.parametrize("entries", ["1 1 1 2.5\n", "1 1 1 2.5\n# x\n2 2 2 1\n"])
+    def test_shape_beyond_int64_linear_ids_is_data_error(self, tmp_path, capsys, entries):
+        # One reader per entry text: the one-pass parse, and the per-line
+        # reader that a comment after the data sends the file to.
+        big = tmp_path / "big.tns"
+        big.write_text("# shape: 10000000 10000000 10000000\n" + entries)
+        capsys.readouterr()
+        code = run_cli("decompose", "--input", str(big), "--loss", "gamma",
+                       "--rank", "2", "--eval-samples", "10")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "shape (10000000, 10000000, 10000000)" in err
+
     def test_truth_with_zeroed_column_keeps_running(self, tmp_path):
         prefix = tmp_path / "gs"
         run_cli("synthesize", "--shape", "8,7,6", "--rank", "2",

@@ -113,7 +113,7 @@ class TestTnsFormat:
         write_tns(sp, path)
         back = read_tns(path)
         assert back.shape.dims == (5, 4, 3)
-        assert np.array_equal(back.indices, sp.indices)
+        assert np.array_equal(back._linear, sp._linear)
         assert np.array_equal(back.values, sp.values)
 
     def test_dense_round_trip_through_sparse(self, tmp_path):
@@ -150,11 +150,11 @@ class TestTnsFormat:
         dense = DenseTensor(values)
         flat = values.ravel(order="F")
         nz = np.flatnonzero(flat)
-        sparse = SparseTensorCOO((6, 5, 4), np.column_stack(
-            np.unravel_index(nz, (6, 5, 4), order="F")), -flat[nz] / 3)
+        at = np.column_stack(np.unravel_index(nz, (6, 5, 4), order="F"))
+        sparse = SparseTensorCOO((6, 5, 4), at, -flat[nz] / 3)
         for tensor, indices, entries in (
-                (dense, sparse.indices, flat[nz]),
-                (sparse, sparse.indices, sparse.values),
+                (dense, at, flat[nz]),
+                (sparse, at, sparse.values),
                 (SparseTensorCOO((3, 2), np.zeros((0, 2)), []), np.zeros((0, 2)), [])):
             got, want = tmp_path / "got.tns", tmp_path / "want.tns"
             write_tns(tensor, got, manifest)
@@ -268,7 +268,7 @@ def _outcome(reader, path, shape):
         return ("ParseError", exc.line)
     except GcpdError as exc:
         return (type(exc).__name__, str(exc))
-    return ("tensor", t.dims, t.indices.tobytes(), t.values.tobytes())
+    return ("tensor", t.dims, t._linear.tobytes(), t.values.tobytes())
 
 
 def _read_per_line(path, shape=None):
@@ -392,6 +392,11 @@ class TestVectorizedTnsReader:
         assert got == _outcome(_read_per_line, path, None)
 
 
+def _fiber_slots(shape):
+    """Sum over the modes of J_n + 1: the length of every mode's starts."""
+    return sum(shape.fiber_count(mode) + 1 for mode in range(shape.order))
+
+
 def _traced_peak(call):
     """(result, tracemalloc peak in bytes) of `call()`."""
     tracemalloc.start()
@@ -401,41 +406,69 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
+def _read_indexed(path):
+    """A read of `path` with every mode's fiber index built."""
+    back = read_tns(path)
+    for mode in range(back.shape.order):
+        back.fiber_index(mode)
+    return back
+
+
+MEMORY_CASES = [((30, 20, 10), "gamma"), ((64, 50, 25), "poisson"),
+                ((20, 15, 10, 8), "gaussian")]
+
+
 class TestTnsMemory:
-    @pytest.mark.parametrize("shape,distribution", [
-        ((30, 20, 10), "gamma"), ((64, 50, 25), "poisson"), ((20, 15, 10, 8), "gaussian")])
+    @pytest.mark.parametrize("shape,distribution", MEMORY_CASES)
     def test_read_holds_about_one_copy_of_the_entries(self, tmp_path, shape, distribution):
         # The bytes, the parsed block and the tensor's own arrays, its fiber
         # index built; a read that copies the text into a StringIO peaks at
-        # 2.2-2.9x.
+        # 2.2-2.9x. The bound is 1.6x what a tensor held when it kept an int64
+        # (nnz, N) index block and linear ids, values, and an int64 order and
+        # starts per mode.
         tensor, _ = generate(SyntheticSpec(shape=shape, rank=3,
                                            distribution=distribution, seed=7))
         path = tmp_path / "m.tns"
         write_tns(tensor, path)
+        _read_indexed(path)
+        back, peak = _traced_peak(lambda: _read_indexed(path))
+        n, fibers = back.shape.order, _fiber_slots(back.shape)
+        assert peak <= 1.6 * ((16 * n + 16) * back.nnz + 8 * fibers)
 
-        def read_indexed():
-            back = read_tns(path)
-            for mode in range(back.shape.order):
-                back.fiber_index(mode)
-            return back
-
-        read_indexed()
-        back, peak = _traced_peak(read_indexed)
-        arrays = [back.indices, back.values, back._linear] + [
-            a for mode in range(back.shape.order) for a in back.fiber_index(mode)]
-        assert peak <= 1.6 * sum(a.nbytes for a in arrays)
+    @pytest.mark.parametrize("shape,distribution", MEMORY_CASES)
+    def test_read_holds_linear_ids_values_and_an_int32_index(self, tmp_path, shape,
+                                                            distribution):
+        # Linear ids and values at 8 bytes an entry, an int32 order for every
+        # mode but mode 0, and int32 starts: no (nnz, N) block is kept.
+        tensor, _ = generate(SyntheticSpec(shape=shape, rank=3,
+                                           distribution=distribution, seed=7))
+        path = tmp_path / "m.tns"
+        write_tns(tensor, path)
+        _read_indexed(path)
+        tracemalloc.start()
+        try:
+            back = _read_indexed(path)
+            arrays = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        finally:
+            tracemalloc.stop()
+        held = sum(trace.size for trace in arrays.traces)
+        n = back.shape.order
+        assert held <= (16 + 4 * (n - 1)) * back.nnz + 4 * _fiber_slots(back.shape)
 
     def test_read_peaks_at_the_bytes_and_one_copy_of_the_entries(self, tmp_path):
-        # The parse writes each chunk straight into the tensor's arrays; one
-        # `np.loadtxt` block beside them, and copies out of it, peak at 1.6x.
+        # The parse writes each chunk straight into the arrays the tensor is
+        # built from; one `np.loadtxt` block beside them, and copies out of
+        # it, peak at 1.6x. The bound is 1.2x what a tensor held when it kept
+        # an int64 (nnz, N) index block, values and linear ids.
         tensor, _ = generate(SyntheticSpec(shape=(60, 50, 40), rank=3,
                                            distribution="gamma", seed=7))
         path = tmp_path / "m.tns"
         write_tns(tensor, path)
         read_tns(path)
         back, peak = _traced_peak(lambda: read_tns(path))
-        arrays = [back.indices, back.values, back._linear]
-        assert peak <= path.stat().st_size + 1.2 * sum(a.nbytes for a in arrays)
+        entry_bytes = 8 * back.shape.order + 16
+        assert peak <= path.stat().st_size + 1.2 * entry_bytes * back.nnz
         assert back._fibers == [None] * 3
 
     def test_dense_write_copies_no_whole_tensor(self, tmp_path):
@@ -465,7 +498,7 @@ class TestTnsEncoding:
         want = self._read(tmp_path, self.ENTRIES.encode())
         got = self._read(tmp_path, text.encode())
         assert got.dims == want.dims == (3, 2, 2)
-        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got._linear, want._linear)
         assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("raw", [b"\xff\xfe" + ENTRIES.encode(),

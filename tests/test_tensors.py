@@ -251,11 +251,40 @@ class TestSparseValidation:
         with pytest.raises(DataError):
             SparseTensorCOO((2, 2), idx, np.ones(5))
 
+    @pytest.mark.parametrize("idx,values", [
+        ([[0, 0, 0], [1, 1, 1]], [1.0, 2.0, 3.0]),   # one flat run of 3 pairs
+        ([[0, 0, 0]], [1.0]),
+        ([0, 1], [1.0]),
+        (np.zeros((1, 2, 2)), [1.0]),
+    ])
+    def test_indices_must_be_nnz_by_order(self, idx, values):
+        with pytest.raises(DataError, match=r"shape \(nnz, 2\)"):
+            SparseTensorCOO((2, 2), idx, values)
+
+    @pytest.mark.parametrize("idx", [[], np.empty((0, 2)), np.empty((0, 5))])
+    def test_empty_indices_of_any_shape_give_an_empty_tensor(self, idx):
+        tensor = SparseTensorCOO((2, 2), idx, [])
+        assert tensor.nnz == 0 and tensor._linear.shape == (0,)
+
+    def test_shapes_beyond_int64_linear_ids_are_rejected(self):
+        dims = (10_000_000,) * 3
+        with pytest.raises(DataError, match=r"\(10000000, 10000000, 10000000\)"):
+            SparseTensorCOO(dims, [[0, 0, 0]], [1.0])
+        # 2^63 - 1 positions still number: ids reach 2^63 - 2.
+        edge = SparseTensorCOO((7, 7, 73, 127, 337, 92737, 649657),
+                               [[6, 6, 72, 126, 336, 92736, 649656]], [1.0])
+        assert edge._linear.tolist() == [2 ** 63 - 2]
+
 
 def _coo_arrays(tensor):
-    """Every array a SparseTensorCOO holds, its fiber index built first."""
-    return [tensor.indices, tensor.values, tensor._linear] + [
-        a for mode in range(tensor.shape.order) for a in tensor.fiber_index(mode)]
+    """Every array a SparseTensorCOO holds, its fiber index built first;
+    mode 0 has no order."""
+    arrays = [tensor._linear, tensor.values]
+    for mode in range(tensor.shape.order):
+        order, starts = tensor.fiber_index(mode)
+        assert (order is None) == (mode == 0)
+        arrays += [starts] if order is None else [order, starts]
+    return arrays
 
 
 class TestSparseLayout:
@@ -276,22 +305,49 @@ class TestSparseLayout:
         for a, b in zip(_coo_arrays(built), _coo_arrays(shuffled), strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
-    @pytest.mark.parametrize("dims,nnz", [((6, 5, 4), 40), ((4, 3, 5, 2), 70)])
+    @pytest.mark.parametrize("dims,nnz", [((6, 5, 4), 40), ((4, 3, 5, 2), 70),
+                                          ((1, 7, 3), 15), ((5, 1, 1), 3)])
     def test_fiber_index_is_the_stable_sort_of_fiber_ids(self, dims, nnz):
         # The reference: a stable argsort of each entry's fiber id, and each
-        # fiber's first slot by binary search.
+        # fiber's first slot by binary search. Mode 0's stable sort is the
+        # identity, so it keeps no order and a slot is the entry's position.
         idx, values = self._entries(dims, nnz, seed=3)
         tensor = SparseTensorCOO(dims, idx[::-1], values[::-1])
+        held = np.column_stack(np.unravel_index(tensor._linear, dims, order="F"))
+        assert np.array_equal(held, idx)
         for mode in range(len(dims)):
             others = [m for m in range(len(dims)) if m != mode]
-            fid = np.ravel_multi_index(tuple(tensor.indices[:, others].T),
+            fid = np.ravel_multi_index(tuple(held[:, others].T),
                                        [dims[m] for m in others], order="F")
             order = np.argsort(fid, kind="stable")
             starts = np.searchsorted(fid[order],
                                      np.arange(tensor.shape.fiber_count(mode) + 1))
             got_order, got_starts = tensor.fiber_index(mode)
-            assert np.array_equal(got_order, order)
+            if mode == 0:
+                assert got_order is None
+                assert np.array_equal(order, np.arange(nnz))
+            else:
+                assert got_order.dtype == np.int32
+                assert np.array_equal(got_order, order)
+            assert got_starts.dtype == np.int32
             assert np.array_equal(got_starts, starts)
+
+    def test_index_type_is_int32_below_2_to_the_31_entries(self):
+        # Every slot and run end, 0..nnz, must fit the type.
+        assert tensors._index_dtype(0) is np.int32
+        assert tensors._index_dtype(2 ** 31 - 1) is np.int32
+        assert tensors._index_dtype(2 ** 31) is np.int64
+        assert tensors._index_dtype(3 * 2 ** 32) is np.int64
+
+    def test_holds_no_index_block(self):
+        # Each entry is held once, as a linear id and a value.
+        idx, values = self._entries((6, 5, 4), 40, seed=8)
+        tensor = SparseTensorCOO((6, 5, 4), idx, values)
+        held = [v for v in vars(tensor).values() if isinstance(v, np.ndarray)]
+        assert [(a.shape, a.dtype) for a in held] == [((40,), np.float64),
+                                                      ((40,), np.int64)]
+        assert np.array_equal(tensor._linear, np.ravel_multi_index(
+            tuple(idx.T), (6, 5, 4), order="F"))
 
     def test_fiber_index_is_built_by_the_first_read_of_its_mode(self):
         idx, values = self._entries((6, 5, 4), 40, seed=6)
@@ -308,9 +364,12 @@ class TestSparseLayout:
         with pytest.raises(IndexError):
             tensor.fiber_index(-1)
 
-    @pytest.mark.parametrize("dims,nnz", [((60, 50, 40), 120_000), ((64, 50, 25), 20_000)])
+    @pytest.mark.parametrize("dims,nnz", [((60, 50, 40), 120_000), ((64, 50, 25), 20_000),
+                                          ((64, 50, 25), 6000)])
     def test_to_dense_fills_one_array_in_place(self, dims, nnz):
-        # Filling in Fortran order and copying to C order peaks at 2.1x.
+        # Filling in Fortran order and copying to C order peaks at 2.1x. A
+        # fully stored tensor is one copy of its values; the blocks of any
+        # other add three int64 temporaries of `_FILL_BLOCK` entries.
         idx, values = self._entries(dims, nnz, seed=7)
         tensor = SparseTensorCOO(dims, idx, values)
         tensor.to_dense()
@@ -320,11 +379,38 @@ class TestSparseLayout:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * dense.values.nbytes
+        assert peak <= (1.01 if nnz == math.prod(dims) else 1.2) * dense.values.nbytes
         assert dense.values.flags.c_contiguous
         want = np.zeros(math.prod(dims))
         want[tensor._linear] = values
         assert np.array_equal(dense.values, want.reshape(dims, order="F"))
+
+    @pytest.mark.parametrize("dims,nnz", [((7, 3), 21), ((1, 9), 9), ((9, 1), 9),
+                                          ((4, 3, 5, 2), 120), ((4, 3, 5, 2), 50)])
+    def test_to_dense_places_every_entry_in_a_new_array(self, dims, nnz):
+        # A (1, 9) view in Fortran order is C-contiguous too: still copied.
+        idx, values = self._entries(dims, nnz, seed=10)
+        tensor = SparseTensorCOO(dims, idx, values)
+        dense = tensor.to_dense()
+        assert dense.values.flags.c_contiguous
+        assert not np.shares_memory(dense.values, tensor.values)
+        want = np.zeros(dims)
+        want[tuple(idx.T)] = values
+        assert np.array_equal(dense.values, want)
+
+    def test_to_dense_checks_no_entry_again(self, monkeypatch):
+        # The sparse constructor checked the values finite; densifying does
+        # not pass over them again.
+        idx, values = self._entries((6, 5, 4), 40, seed=9)
+        tensor = SparseTensorCOO((6, 5, 4), idx, values)
+        monkeypatch.setattr(tensors.np, "isfinite", None)
+        dense = tensor.to_dense()
+        monkeypatch.undo()
+        want = np.zeros((6, 5, 4))
+        want[tuple(idx.T)] = values
+        assert np.array_equal(dense.values, want)
+        assert dense.shape.dims == (6, 5, 4)
+        assert np.array_equal(data_fibers(dense, 1, [0, 7]), unfold(dense, 1)[[0, 7]])
 
     def test_arrays_are_contiguous_whatever_the_input_layout(self):
         # Strided views, as fields of a structured array, and lists.
@@ -336,6 +422,8 @@ class TestSparseLayout:
             tensor = SparseTensorCOO((6, 5, 4), *args)
             assert all(a.flags.c_contiguous for a in _coo_arrays(tensor))
             assert np.array_equal(tensor.values, values)
+            assert np.array_equal(tensor._linear, np.ravel_multi_index(
+                tuple(idx.T), (6, 5, 4), order="F"))
 
     def test_values_at_linear_in_the_callers_order(self):
         idx, values = self._entries((6, 5, 4), 40, seed=4)
@@ -370,6 +458,16 @@ class TestVectorizedSparseFibers:
         got = tensor.fiber_rows(mode, rows)
         assert np.array_equal(got, fiber_rows_loop(tensor, mode, rows))
         assert got.shape == (len(rows), dims[mode])
+        # The reads come from the held layout: sorted linear ids, no order
+        # for mode 0 and int32 orders for the others.
+        assert np.array_equal(tensor._linear, np.sort(linear))
+        order, starts = tensor.fiber_index(mode)
+        assert (order is None) == (mode == 0) and starts.dtype == np.int32
+        # Each stored entry lands at its own fiber row and index.
+        want = np.zeros((j_n, dims[mode]))
+        for at, v in zip(idx.tolist(), values):
+            want[multi_index_to_fiber(shape, mode, at[:mode] + at[mode + 1:]), at[mode]] = v
+        assert np.array_equal(got, want[rows])
 
 
 class TestRowRangeGuards:
