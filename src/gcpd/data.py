@@ -25,15 +25,18 @@ The .tns text format, exactly as `read_tns` accepts it:
 
 `read_tns` reads a file once, as bytes, and parses it in one of two ways. A
 well-formed file becomes a tensor in one pass of `np.loadtxt` over those
-bytes, `CHUNK` rows per call, each chunk written straight into an int64
-index block and the float64 value array the tensor keeps, which are then
-checked as arrays. The tensor turns the block into one linear id per entry
-and drops it. So a read peaks at the file's bytes plus about one copy of the
-entries, and the tensor builds a mode's fiber index only when that mode's
-fibers are first read. Any doubt sends the same text, decoded, to the
+bytes, `CHUNK` rows per call. Under a declared shape (a header anywhere in
+the file, or `shape=`), each chunk's indices are checked against it and
+folded into the int64 linear ids the tensor keeps, and its values written
+into the float64 array the tensor keeps. So a read peaks at the file's bytes,
+16 bytes an entry and one chunk, and the tensor builds a mode's fiber index
+only when that mode's fibers are first read. A file with no declared shape
+holds its indices as an int64 (nnz, N) block until the last row gives the
+shape, then folds them. Any doubt sends the same text, decoded, to the
 per-line reader, the one authority on faults, which raises a `ParseError`
-naming the first faulty line. Only faulty files pay for the second,
-line-by-line parse.
+naming the first faulty line. Only faulty files, and files whose shape has
+more positions than int64 linear ids can number (a `DataError`), pay for the
+second, line-by-line parse.
 
 Files written here carry the shape header, so reads recover the declared
 shape even when trailing slices are empty.
@@ -48,6 +51,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -173,10 +177,11 @@ def read_tns(path, shape=None) -> SparseTensorCOO:
     `shape` (or the first '# shape:' header) declares mode sizes; otherwise
     they are inferred as the largest index seen per mode. The file is read
     once, as bytes, and must be UTF-8 text. A well-formed file becomes a
-    tensor in one chunked `np.loadtxt` pass over those bytes; at any doubt
-    they are decoded for the per-line reader, which alone decides which line
-    is at fault and raises the `ParseError`. So a faulty file is parsed again
-    line by line up to its fault, and a valid one never is.
+    tensor in one chunked `np.loadtxt` pass over those bytes, each chunk
+    folded into linear ids as it is parsed when the shape is declared; at
+    any doubt they are decoded for the per-line reader, which alone decides
+    which line is at fault and raises the `ParseError`. So a faulty file is
+    parsed again line by line up to its fault, and a valid one never is.
     """
     declared = tuple(int(d) for d in shape) if shape is not None else None
     if declared is not None and min(declared, default=1) < 1:
@@ -191,17 +196,19 @@ def read_tns(path, shape=None) -> SparseTensorCOO:
     parsed = _read_well_formed(buf, declared)
     if parsed is None:
         return _read_lines(buf.decode(), declared, path)
-    del buf   # freed before the tensor's own arrays are built
-    return SparseTensorCOO(*parsed)
+    del buf   # freed before the tensor is built
+    shape, linear, values = parsed
+    return SparseTensorCOO(shape, linear, values, linear=True)
 
 
 def _read_well_formed(buf, declared):
-    """(shape, 0-based indices, values) of a well-formed .tns file given as
-    bytes with LF or CRLF line ends, or None at any doubt: a '#' after data, a
+    """(shape, linear ids, values) of a well-formed .tns file given as bytes
+    with LF or CRLF line ends, or None at any doubt: a '#' after data, a
     malformed first shape header, no entry line or a first one with fewer
     than three fields, a line `np.loadtxt` rejects, an index below 1 or
-    outside the declared shape (wherever the header sits), or a shape with
-    another number of modes than the entries."""
+    outside the declared shape (wherever the header sits), a shape with
+    another number of modes than the entries, or one with more positions
+    than int64 linear ids can number."""
     # Visit only the lines holding a '#': the comment lines, header included.
     pos = buf.find(b"#")
     while pos >= 0:
@@ -229,14 +236,20 @@ def _read_well_formed(buf, declared):
     if len(fields) < 3:
         return None
     order = len(fields) - 1
+    if declared is not None and not _foldable(declared, order):
+        return None
     stream.seek(stream.tell() - len(first))
     comments = "#" if buf.rfind(b"#") > stream.tell() else None
     # Each `CHUNK` rows go straight into arrays sized for one entry per line
-    # left, then trimmed to the rows read, which the tensor keeps. `max_rows`
-    # leaves the stream just past the rows it read.
+    # left, then trimmed to the rows read, which the tensor keeps: under a
+    # declared shape, each chunk's indices are checked and folded into linear
+    # ids at once. Without one the shape is known only after the last row, so
+    # the indices are held as a block until then. `max_rows` leaves the stream
+    # just past the rows it read.
     lines = buf.count(b"\n", stream.tell()) + 1
-    idx = np.empty((lines, order), dtype=np.int64)
+    linear = np.empty(lines, dtype=np.int64)
     values = np.empty(lines)
+    block = np.empty((lines, order), dtype=np.int64) if declared is None else None
     dtype = [("i", np.int64, (order,)), ("v", np.float64)]
     n = 0
     with warnings.catch_warnings():
@@ -253,21 +266,54 @@ def _read_well_formed(buf, declared):
                                    dtype=dtype, max_rows=rows)
             except ValueError:
                 return None
-            idx[n:n + chunk.size] = chunk["i"]
-            values[n:n + chunk.size] = chunk["v"]
-            n += chunk.size
-            if chunk.size < rows:
+            m = chunk.size
+            if block is not None:
+                block[n:n + m] = chunk["i"]
+            elif m:
+                if not _within(chunk["i"], declared):
+                    return None
+                _fold(chunk["i"], declared, linear[n:n + m])
+            values[n:n + m] = chunk["v"]
+            del chunk   # freed before the next chunk is parsed
+            n += m
+            if m < rows:
                 break
-    idx.resize((n, order), refcheck=False)
+    if block is not None:
+        block = block[:n]
+        declared = tuple(int(column.max()) for column in block.T)
+        if not (_foldable(declared, order) and _within(block, declared)):
+            return None
+        _fold(block, declared, linear[:n])
+        del block
+    linear.resize(n, refcheck=False)
     values.resize(n, refcheck=False)
-    largest = idx.max(axis=0).tolist()
-    if declared is None:
-        declared = tuple(largest)
-    if (len(declared) != order or idx.min() < 1
-            or any(m > d for m, d in zip(largest, declared))):
-        return None
-    idx -= 1
-    return declared, idx, values
+    return declared, linear, values
+
+
+def _foldable(dims, order) -> bool:
+    """Whether entries of `order` indices fold into int64 linear ids of `dims`."""
+    return len(dims) == order and math.prod(dims) <= _INT64.max
+
+
+def _within(idx, dims) -> bool:
+    """Whether every row of 1-based indices `idx` lies within `dims`. The
+    extremes are taken one column at a time: a chunk's columns are strided,
+    and a whole-array reduction copies them first while one along the rows
+    walks them a row of N at a time."""
+    return all(1 <= column.min() and column.max() <= d for column, d in zip(idx.T, dims))
+
+
+def _fold(idx, dims, out):
+    """Write the 0-based, mode-0-fastest linear ids of the rows of 1-based
+    indices `idx`, which lie within `dims`, into `out`, by Horner's rule from
+    the last mode. Each partial id is below the product of the sizes it
+    covers, so no step overflows when `dims` numbers at most 2^63 - 1
+    positions."""
+    np.subtract(idx[:, -1], 1, out=out)
+    for k in range(len(dims) - 2, -1, -1):
+        out *= dims[k]
+        out += idx[:, k]
+        out -= 1
 
 
 def _read_lines(text, declared, path) -> SparseTensorCOO:

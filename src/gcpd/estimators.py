@@ -14,11 +14,13 @@ SAGA keeps one stored gradient per fiber, initialized by one full pass at the
 initial iterate. Each g_j is rank one, so the table stores its two factors,
 row j holding D(j, :) then H(j, :) in one (J_n, I_n + R) array per mode:
 memory O(J_n (I_n + R)) per mode against O(J_n I_n R) for the dense stack of
-the g_j. Every sum over stored gradients is a product of the stored factors,
-so no per-fiber (I_n, R) array is formed: the average at the table build and
-at each re-sync (once per effective pass) is D^T H / (I_n J_n) of the whole
-table, and a step's change is (D_new^T H_new - D_old^T H_old) / I_n over its
-B rows. The average at the build is the full pass's own product, so it and
+the g_j. The build's checked pass writes D and H straight into the table's
+two halves (see below), so no copy of D or of the table is made. Every sum
+over stored gradients is a product of the stored factors, so no per-fiber
+(I_n, R) array is formed: the average at the table build and at each
+re-sync (once per effective pass) is D^T H / (I_n J_n) of the whole table,
+and a step's change is (D_new^T H_new - D_old^T H_old) / I_n over its B
+rows. The average at the build is the full pass's own product, so it and
 the first estimate at the initial iterate equal the full gradient bit for
 bit. Tables for inactive modes go stale when another block moves; no eager
 refresh is done.
@@ -48,9 +50,12 @@ product, then walks row blocks of about 2^13 entries: each block's
 derivatives, from one checked `loss_deriv` call, overwrite its rows of M. A
 full pass reads each block's fibers by one checked `data_fibers` call; an
 `sgd` batch slices them from the fibers it was handed, and is one block when
-B I_n <= 2^13. So no temporary of the pass is larger than M. Both products
-stay whole, so every value equals that of one pass over the same fibers in
-one piece, bit for bit.
+B I_n <= 2^13. So no temporary of the pass is larger than M. The table
+build's pass is the same pass, given the table to write into: M goes into
+the D half, whose strided rows the product writes in place, and H is
+copied into the H half, so its only whole-size temporary is H. Both
+products stay whole, so every value equals that of one pass over the same
+fibers in one piece, bit for bit.
 """
 
 from __future__ import annotations
@@ -77,13 +82,19 @@ def _halves(table: np.ndarray, i_n: int):
     return table[..., :i_n], table[..., i_n:]
 
 
-def _terms(factors, loss: LossSpec, mode: int, rows, read):
+def _terms(factors, loss: LossSpec, mode: int, rows, read, out=None):
     """Loss derivatives D at the given fibers of `mode` and the Khatri-Rao
     rows H, through the checked functions, with the elementwise work done in
     row blocks (see the module docstring). `read(lo, hi)` gives the data
-    fibers of rows[lo:hi]."""
+    fibers of rows[lo:hi]. With `out`, a (B, I_n + R) array, D and H are
+    written into its two halves, as a SAGA table stores them."""
     kr = khatri_rao_rows(factors, mode, rows)
-    d = kr @ factors[mode].T   # M, overwritten by D block by block
+    if out is None:
+        d = kr @ factors[mode].T   # M, overwritten by D block by block
+    else:
+        d, h = _halves(out, factors[mode].shape[0])
+        h[...] = kr
+        np.matmul(kr, factors[mode].T, out=d)
     step = max(1, BLOCK_ENTRIES // d.shape[1])
     try:
         for lo in range(0, d.shape[0], step):
@@ -96,11 +107,11 @@ def _terms(factors, loss: LossSpec, mode: int, rows, read):
     return d, kr
 
 
-def _read_terms(tensor, factors, loss: LossSpec, mode: int, rows):
+def _read_terms(tensor, factors, loss: LossSpec, mode: int, rows, out=None):
     """`_terms` with each block's fibers read by one checked `data_fibers` call."""
     rows = np.atleast_1d(np.asarray(rows))
     return _terms(factors, loss, mode, rows,
-                  lambda lo, hi: data_fibers(tensor, mode, rows[lo:hi]))
+                  lambda lo, hi: data_fibers(tensor, mode, rows[lo:hi]), out)
 
 
 def _all_rows(tensor, mode: int) -> np.ndarray:
@@ -156,8 +167,8 @@ class EstimatorState:
             self.table_avg = []
             self._since_sync = [0] * self.order
             for n in range(self.order):
-                table = np.concatenate(
-                    _read_terms(tensor, model.factors, loss, n, _all_rows(tensor, n)), axis=1)
+                table = np.empty((self.fiber_counts[n], shape.dims[n] + self.rank))
+                _read_terms(tensor, model.factors, loss, n, _all_rows(tensor, n), table)
                 self.tables.append(table)
                 self.table_avg.append(_batch_mean(*_halves(table, shape.dims[n])))
 

@@ -113,23 +113,31 @@ class SparseTensorCOO:
     slice of nonzeros) is built by the first read of that mode's fibers, so
     fiber extraction is O(nnz in fiber), not O(nnz total), and a tensor that
     is only densified never builds one. The entries are immutable after
-    construction. Values already in strictly rising linear order, as
-    `data.write_tns` writes them, are kept as given when they are a
-    C-contiguous float64 array, so the caller hands that array over.
+    construction. `indices` is an integer (nnz, N) array of 0-based
+    multi-indices or, with `linear=True`, an integer (nnz,) array of the
+    linear ids themselves. Entries already in strictly rising linear order,
+    as `data.write_tns` writes them, are kept as given when the ids are a
+    C-contiguous int64 array and the values a C-contiguous float64 array, so
+    the caller hands those arrays over.
     """
 
-    def __init__(self, shape, indices, values):
+    def __init__(self, shape, indices, values, *, linear: bool = False):
         self.shape = shape if isinstance(shape, TensorShape) else TensorShape(tuple(shape))
         dims = self.shape.dims
         if self.shape.total > np.iinfo(np.int64).max:
             raise DataError(f"shape {dims} has {self.shape.total} positions, more than "
                             "int64 linear ids can number")
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices)
         if indices.size == 0:
-            indices = indices.reshape(0, len(dims))
-        if indices.ndim != 2 or indices.shape[1] != len(dims):
+            indices = np.empty((0,) if linear else (0, len(dims)), dtype=np.int64)
+        if linear and indices.ndim != 1:
+            raise DataError(f"linear ids must have shape (nnz,), got {indices.shape}")
+        if not linear and (indices.ndim != 2 or indices.shape[1] != len(dims)):
             raise DataError(f"indices must have shape (nnz, {len(dims)}) for shape {dims}, "
                             f"got {indices.shape}")
+        if indices.dtype.kind not in "iu":
+            # A cast would truncate 0.5 or True to an index silently.
+            raise DataError(f"indices must be integers, got {indices.dtype}")
         values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
         if indices.shape[0] != values.shape[0]:
             raise DataError("indices and values length mismatch")
@@ -137,21 +145,27 @@ class SparseTensorCOO:
             raise DataError("more stored entries than tensor positions")
         if values.size and not np.all(np.isfinite(values)):
             raise DataError("sparse tensor contains non-finite values")
-        try:
-            linear = np.ravel_multi_index(tuple(indices.T), dims, order="F")
-        except ValueError:
-            raise DataError("sparse index out of bounds") from None
-        if not np.all(linear[1:] > linear[:-1]):
-            order = np.argsort(linear, kind="stable")
-            linear = linear[order]
-            repeated = np.flatnonzero(linear[1:] == linear[:-1])
+        if linear:
+            ids = np.ascontiguousarray(indices, dtype=np.int64)
+            if ids.size and (ids.min() < 0 or ids.max() >= self.shape.total):
+                raise DataError("sparse index out of bounds")
+        else:
+            try:
+                ids = np.ravel_multi_index(tuple(indices.astype(np.int64, copy=False).T),
+                                           dims, order="F")
+            except ValueError:
+                raise DataError("sparse index out of bounds") from None
+        if not np.all(ids[1:] > ids[:-1]):
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+            repeated = np.flatnonzero(ids[1:] == ids[:-1])
             if repeated.size:
-                dup = np.unravel_index(linear[repeated[0]], dims, order="F")
+                dup = np.unravel_index(ids[repeated[0]], dims, order="F")
                 raise DataError(
                     f"duplicate coordinate {tuple(int(i) for i in dup)} in sparse input")
             values = values[order]
         self.values = values
-        self._linear = linear
+        self._linear = ids
         self._fibers = [None] * self.shape.order   # built by `fiber_index` on first use
 
     @property

@@ -304,6 +304,22 @@ class TestDecompose:
         assert err.startswith("data error:")
         assert "shape (10000000, 10000000, 10000000)" in err
 
+    @pytest.mark.parametrize("text,flags", [
+        ("1 1 1 2.5\n2 2 2 1\n# shape: 10000000 10000000 10000000\n", []),
+        ("1 1 1 2.5\n", ["--shape", "10000000,10000000,10000000"]),
+    ])
+    def test_late_or_flag_shape_beyond_int64_linear_ids_is_data_error(self, tmp_path, capsys,
+                                                                      text, flags):
+        big = tmp_path / "big.tns"
+        big.write_text(text)
+        capsys.readouterr()
+        code = run_cli("decompose", "--input", str(big), "--loss", "gamma",
+                       "--rank", "2", "--eval-samples", "10", *flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "shape (10000000, 10000000, 10000000)" in err
+
     def test_truth_with_zeroed_column_keeps_running(self, tmp_path):
         prefix = tmp_path / "gs"
         run_cli("synthesize", "--shape", "8,7,6", "--rank", "2",

@@ -379,6 +379,72 @@ class TestVectorizedTnsReader:
             read_tns(p)
         assert err.value.line == 3
 
+    # Every place a shape can come from: a header on top or below the entries
+    # (folded chunk by chunk), `shape=` (also over a header), or none (the
+    # largest index per mode, known only after the last row).
+    PLACEMENTS = {
+        "top-header": ("# shape: 4 3 5\n{entries}", None),
+        "late-header": ("{entries}# shape: 4 3 5\n", None),
+        "mid-header": ("{head}# shape: 4 3 5\n{tail}", None),
+        "shape-argument": ("{entries}", (4, 3, 5)),
+        "shape-argument-over-header": ("# shape: 9 9 9\n{entries}", (4, 3, 5)),
+        "headerless": ("# a comment\n{entries}", None),
+    }
+
+    @pytest.mark.parametrize("chunk", [2, 3, gdata.CHUNK])
+    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+    def test_every_shape_placement_keeps_the_one_pass_read(self, placement, chunk):
+        rng = np.random.default_rng(3)
+        linear = rng.choice(60, 17, replace=False)
+        linear[0] = 59   # the largest index of every mode, for the inferred shape
+        rows = [" ".join(str(i + 1) for i in np.unravel_index(j, (4, 3, 5), order="F"))
+                + f" {v!r}\n" for j, v in zip(linear, rng.standard_normal(17).tolist())]
+        template, shape = self.PLACEMENTS[placement]
+        text = template.format(entries="".join(rows), head="".join(rows[:7]),
+                               tail="".join(rows[7:]))
+        got, want = _both_readers(text, shape)
+        assert got == want and got[:2] == ("tensor", (4, 3, 5))
+        with mock.patch.object(gdata, "CHUNK", chunk), \
+                mock.patch.object(gdata, "_read_lines",
+                                  side_effect=AssertionError("per-line reader")):
+            assert _outcomes(text, shape, read_tns) == (got,)
+
+    @pytest.mark.parametrize("text,shape", [
+        ("# shape: 10000000 10000000 10000000\n1 1 1 2.5\n", None),
+        ("1 1 1 2.5\n2 2 2 1\n# shape: 10000000 10000000 10000000\n", None),
+        ("1 1 1 2.5\n", (10_000_000,) * 3),
+        ("10000000 10000000 10000000 2.5\n1 1 1 1\n", None),
+    ])
+    def test_shape_beyond_int64_linear_ids_is_never_folded(self, tmp_path, text, shape):
+        p = tmp_path / "big.tns"
+        p.write_text(text)
+        with mock.patch.object(gdata, "_fold", side_effect=AssertionError("folded")):
+            with pytest.raises(DataError, match=r"shape \(10000000, 10000000, 10000000\)"):
+                read_tns(p, shape=shape)
+
+    def test_shape_of_int64_max_positions_folds_its_last_position(self, tmp_path):
+        # 2^63 - 1 positions: the last id is 2^63 - 2, and no partial id of
+        # the fold overflows on the way there.
+        dims = (7, 7, 73, 127, 337, 92737, 649657)
+        p = tmp_path / "edge.tns"
+        p.write_text("# shape: %s\n%s 1.5\n1 1 1 1 1 1 1 2.5\n"
+                     % (" ".join(map(str, dims)), " ".join(map(str, dims))))
+        with mock.patch.object(gdata, "_read_lines",
+                               side_effect=AssertionError("per-line reader")):
+            tensor = read_tns(p)
+        assert tensor._linear.tolist() == [0, 2 ** 63 - 2]
+        assert tensor.values.tolist() == [2.5, 1.5]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_fold_is_ravel_multi_index(self, data):
+        dims = tuple(data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=5)))
+        idx = np.array(data.draw(st.lists(st.tuples(*(st.integers(1, d) for d in dims)),
+                                          min_size=1, max_size=12)), dtype=np.int64)
+        out = np.empty(len(idx), dtype=np.int64)
+        gdata._fold(idx, dims, out)
+        assert np.array_equal(out, np.ravel_multi_index(tuple(idx.T - 1), dims, order="F"))
+
     @pytest.mark.parametrize("shape,distribution", [
         ((60, 50, 40), "gamma"), ((256, 200, 100), "poisson"),
         ((80, 60, 50), "bernoulli-odds")])
@@ -470,6 +536,27 @@ class TestTnsMemory:
         entry_bytes = 8 * back.shape.order + 16
         assert peak <= path.stat().st_size + 1.2 * entry_bytes * back.nnz
         assert back._fibers == [None] * 3
+
+    @pytest.mark.parametrize("placement", ["top-header", "late-header", "shape-argument"])
+    def test_read_under_a_declared_shape_holds_no_index_block(self, tmp_path, placement):
+        # Each chunk is folded into linear ids as it is parsed, so beside the
+        # bytes the read holds the ids and values (16 bytes an entry) and one
+        # chunk; an (nnz, N) int64 block beside them peaks at 2.3x.
+        tensor, _ = generate(SyntheticSpec(shape=(60, 50, 40), rank=3,
+                                           distribution="gamma", seed=7))
+        path = tmp_path / "m.tns"
+        write_tns(tensor, path)
+        header, entries = path.read_bytes().split(b"\n", 1)
+        shape = None
+        if placement == "late-header":
+            path.write_bytes(entries + header + b"\n")
+        elif placement == "shape-argument":
+            path.write_bytes(entries)
+            shape = (60, 50, 40)
+        read_tns(path, shape=shape)
+        back, peak = _traced_peak(lambda: read_tns(path, shape=shape))
+        assert back.dims == (60, 50, 40)
+        assert peak <= path.stat().st_size + 1.2 * 16 * back.nnz
 
     def test_dense_write_copies_no_whole_tensor(self, tmp_path):
         # A whole-tensor search for nonzeros peaks at about 1.8x its bytes.

@@ -235,6 +235,35 @@ class TestSagaTableMemory:
         assert sum(table.nbytes for table in state.tables) == factored
         assert peak < factored + stack
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_build_writes_each_table_in_place(self, sparse):
+        # The checked pass writes M, then D, and H straight into the table's
+        # halves. Beside the tables the build holds one mode's Khatri-Rao
+        # rows with their row and digit arrays, 8 J_n (R + N) bytes, and one
+        # row block's temporaries, at most four arrays of a block's entries.
+        # Joining D and H into the table afterwards also holds the whole D
+        # and a second copy of the table: 1.0 MiB above the tables here,
+        # against 0.29-0.36 MiB.
+        dims, rank = (60, 50, 40), 3
+        dense, model, spec = make_instance("poisson-identity", dims=dims, rank=rank,
+                                           seed=28)
+        tensor = as_sparse(dense) if sparse else dense
+        counts = [tensor.shape.fiber_count(n) for n in range(3)]
+        factored = 8 * sum(j * (i + rank) for j, i in zip(counts, dims))
+        kr_rows = 8 * max(counts) * (rank + len(dims))
+        blocks = 4 * 8 * estimators.BLOCK_ENTRIES
+        EstimatorState("saga", tensor, model, spec, batch=6)
+        tracemalloc.start()
+        try:
+            state = EstimatorState("saga", tensor, model, spec, batch=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= factored + kr_rows + blocks
+        for mode in range(3):
+            assert state.table_avg[mode].tobytes() == full_gradient(
+                tensor, model.factors, spec, mode).tobytes()
+
 
 class TestSgd:
     def test_enumeration_mean_equals_full(self):

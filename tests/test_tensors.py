@@ -274,6 +274,70 @@ class TestSparseValidation:
         edge = SparseTensorCOO((7, 7, 73, 127, 337, 92737, 649657),
                                [[6, 6, 72, 126, 336, 92736, 649656]], [1.0])
         assert edge._linear.tolist() == [2 ** 63 - 2]
+        with pytest.raises(DataError, match=r"\(10000000, 10000000, 10000000\)"):
+            SparseTensorCOO(dims, [0], [1.0], linear=True)
+
+    @pytest.mark.parametrize("idx", [[[0.5, 1.7]], [[0.0, 1.0]], [[False, True]],
+                                     np.array([[0, 1]], dtype=object)])
+    def test_non_integer_indices_are_rejected(self, idx):
+        # A cast to int64 would truncate [[0.5, 1.7]] to the entry (0, 1).
+        with pytest.raises(DataError, match="indices must be integers"):
+            SparseTensorCOO((2, 2), idx, [1.0])
+
+    @pytest.mark.parametrize("ids", [[1.0], [True], [0.5]])
+    def test_non_integer_linear_ids_are_rejected(self, ids):
+        with pytest.raises(DataError, match="indices must be integers"):
+            SparseTensorCOO((2, 2), ids, [1.0], linear=True)
+
+    def test_unsigned_and_narrow_integer_indices_are_taken(self):
+        want = SparseTensorCOO((3, 4), [[2, 1], [0, 3]], [1.0, 2.0])
+        for dtype in (np.uint8, np.int32, np.uint64):
+            got = SparseTensorCOO((3, 4), np.array([[2, 1], [0, 3]], dtype=dtype), [1.0, 2.0])
+            assert np.array_equal(got._linear, want._linear)
+            assert np.array_equal(got.values, want.values)
+
+
+class TestSparseFromLinearIds:
+    def test_equals_the_tensor_from_multi_indices(self):
+        rng = np.random.default_rng(11)
+        dims = (6, 5, 4)
+        linear = rng.choice(120, 40, replace=False)
+        values = rng.standard_normal(40)
+        idx = np.column_stack(np.unravel_index(linear, dims, order="F"))
+        want = SparseTensorCOO(dims, idx, values)
+        got = SparseTensorCOO(dims, linear, values, linear=True)
+        assert all(np.array_equal(a, b) for a, b in zip(_coo_arrays(got), _coo_arrays(want)))
+
+    def test_rising_int64_ids_and_values_are_kept_as_given(self):
+        ids = np.array([0, 5, 7, 11])
+        values = np.array([1.0, -2.0, 3.0, 0.5])
+        tensor = SparseTensorCOO((3, 4), ids, values, linear=True)
+        assert np.shares_memory(tensor._linear, ids) and np.shares_memory(tensor.values, values)
+
+    def test_duplicates_rejected(self):
+        with pytest.raises(DataError, match=r"duplicate coordinate \(1, 2\)"):
+            SparseTensorCOO((3, 4), [7, 0, 7], [1.0, 2.0, 3.0], linear=True)
+
+    @pytest.mark.parametrize("ids", [[-1], [12], [0, 12], [np.iinfo(np.int64).max]])
+    def test_ids_outside_the_shape_rejected(self, ids):
+        with pytest.raises(DataError, match="out of bounds"):
+            SparseTensorCOO((3, 4), ids, np.ones(len(ids)), linear=True)
+
+    @pytest.mark.parametrize("ids", [[[0, 1]], np.zeros((1, 1), dtype=np.int64)])
+    def test_ids_must_be_one_dimensional(self, ids):
+        with pytest.raises(DataError, match=r"linear ids must have shape \(nnz,\)"):
+            SparseTensorCOO((3, 4), ids, [1.0] * np.size(ids), linear=True)
+
+    def test_non_finite_values_and_length_mismatch_rejected(self):
+        with pytest.raises(DataError, match="non-finite"):
+            SparseTensorCOO((3, 4), [0, 1], [1.0, np.nan], linear=True)
+        with pytest.raises(DataError, match="length mismatch"):
+            SparseTensorCOO((3, 4), [0, 1], [1.0], linear=True)
+
+    @pytest.mark.parametrize("ids", [[], np.empty(0)])
+    def test_no_ids_give_an_empty_tensor(self, ids):
+        tensor = SparseTensorCOO((3, 4), ids, [], linear=True)
+        assert tensor.nnz == 0 and tensor._linear.dtype == np.int64
 
 
 def _coo_arrays(tensor):
