@@ -19,11 +19,12 @@ two halves (see below), so no copy of D or of the table is made. Every sum
 over stored gradients is a product of the stored factors, so no per-fiber
 (I_n, R) array is formed: the average at the table build and at each
 re-sync (once per effective pass) is D^T H / (I_n J_n) of the whole table,
-and a step's change is (D_new^T H_new - D_old^T H_old) / I_n over its B
-rows. The average at the build is the full pass's own product, so it and
-the first estimate at the initial iterate equal the full gradient bit for
-bit. Tables for inactive modes go stale when another block moves; no eager
-refresh is done.
+summed over a full pass's row blocks, and a step's change is
+(D_new^T H_new - D_old^T H_old) / I_n over its B rows. The build's average
+is the sum of the full pass that fills the table, so it and the first
+estimate at the initial iterate equal the full gradient bit for bit. Tables
+for inactive modes go stale when another block moves; no eager refresh is
+done.
 
 Every kind is one oracle, asked for one way: `estimate_gradient(state,
 factors, mode, rows, fibers)` gives the state's estimate of the mode-`mode`
@@ -44,18 +45,22 @@ checked full pass of the table build. The `full` kind reads no group: its
 full passes read their own fibers.
 
 A checked pass over a set of fibers (an `sgd` batch; all J_n fibers for the
-`full` kind, the SAGA table build and the SAGA diagnostic)
-forms H with one checked `khatri_rao_rows` call and M = H A_n^T with one
-product, then walks row blocks of about 2^13 entries: each block's
-derivatives, from one checked `loss_deriv` call, overwrite its rows of M. A
-full pass reads each block's fibers by one checked `data_fibers` call; an
-`sgd` batch slices them from the fibers it was handed, and is one block when
-B I_n <= 2^13. So no temporary of the pass is larger than M. The table
-build's pass is the same pass, given the table to write into: M goes into
-the D half, whose strided rows the product writes in place, and H is
-copied into the H half, so its only whole-size temporary is H. Both
-products stay whole, so every value equals that of one pass over the same
-fibers in one piece, bit for bit.
+`full` kind, the SAGA table build and the SAGA diagnostic) forms H with one
+checked `khatri_rao_rows` call, then walks row blocks of
+`tensors.BLOCK_ENTRIES` // I_n rows (about 2^13 entries, as the exact
+objective's blocks): per block b it forms M_b = H_b A_n^T, the derivatives
+D_b by one checked `loss_deriv` call, and adds D_b^T H_b into one (I_n, R)
+sum, divided by I_n B at the end. A full pass reads each block's fibers by
+one checked `data_fibers` call; an `sgd` batch slices them from the fibers
+it was handed, and is one block when B I_n <= 2^13. So a pass holds H and a
+few temporaries of one block, never a (B, I_n) array. The table build is
+the same pass, given the table to write into: H is copied into the H half
+and each D_b into its rows of the D half. Every D^T H product summed over
+fibers (a pass, and the SAGA average at a re-sync) is added up over the
+same row blocks in order, so the estimators' exact equalities hold bit for
+bit, and a pass of one block equals the product in one piece. Over several
+blocks the sum differs from the one-piece product by rounding, so the block
+size moves the iterates of runs whose passes span more than one block.
 """
 
 from __future__ import annotations
@@ -67,14 +72,35 @@ import numpy as np
 
 from .errors import ConfigError, LossDomainError, StateError
 from .losses import LossSpec, deriv_kernel, loss_deriv
-from .tensors import BLOCK_ENTRIES, FiberPlan, KruskalModel, data_fibers, khatri_rao_rows
+from .tensors import (BLOCK_ENTRIES, FiberPlan, KruskalModel, data_fibers, khatri_rao_rows,
+                      row_array)
 
 ESTIMATOR_KINDS = ("full", "sgd", "saga")
 
 
+def _block_rows(i_n: int) -> int:
+    """Rows in a row block of a pass over fibers of length `i_n`."""
+    return max(1, BLOCK_ENTRIES // i_n)
+
+
+def _mean(products, i_n: int, count: int) -> np.ndarray:
+    """(1/B) sum_j g_j, shape (I_n, R), from the products D_b^T H_b of the
+    row blocks of a pass over B = `count` fibers, added in block order."""
+    products = iter(products)
+    total = next(products)
+    for product in products:
+        total += product
+    total /= i_n * count
+    return total
+
+
 def _batch_mean(d: np.ndarray, kr: np.ndarray) -> np.ndarray:
-    """(1/B) sum_j g_j, shape (I_n, R)."""
-    return d.T @ kr / (d.shape[1] * d.shape[0])
+    """(1/B) sum_j g_j of a held D and H, summed over the row blocks a pass
+    over the same fibers uses."""
+    count, i_n = d.shape
+    step = _block_rows(i_n)
+    return _mean((d[lo:lo + step].T @ kr[lo:lo + step] for lo in range(0, count, step)),
+                 i_n, count)
 
 
 def _halves(table: np.ndarray, i_n: int):
@@ -82,36 +108,41 @@ def _halves(table: np.ndarray, i_n: int):
     return table[..., :i_n], table[..., i_n:]
 
 
-def _terms(factors, loss: LossSpec, mode: int, rows, read, out=None):
-    """Loss derivatives D at the given fibers of `mode` and the Khatri-Rao
-    rows H, through the checked functions, with the elementwise work done in
-    row blocks (see the module docstring). `read(lo, hi)` gives the data
-    fibers of rows[lo:hi]. With `out`, a (B, I_n + R) array, D and H are
-    written into its two halves, as a SAGA table stores them."""
+def _pass(factors, loss: LossSpec, mode: int, rows, read, out=None) -> np.ndarray:
+    """(1/B) sum_j g_j over the given fibers of `mode`, through the checked
+    functions, one row block at a time (see the module docstring).
+    `read(lo, hi)` gives the data fibers of rows[lo:hi]. With `out`, a
+    (B, I_n + R) array, each block's D and the whole H are also written into
+    its two halves, as a SAGA table stores them."""
     kr = khatri_rao_rows(factors, mode, rows)
-    if out is None:
-        d = kr @ factors[mode].T   # M, overwritten by D block by block
-    else:
-        d, h = _halves(out, factors[mode].shape[0])
-        h[...] = kr
-        np.matmul(kr, factors[mode].T, out=d)
-    step = max(1, BLOCK_ENTRIES // d.shape[1])
+    a = factors[mode]
+    i_n, count = a.shape[0], kr.shape[0]
+    step = _block_rows(i_n)
+    if out is not None:
+        out_d, out_h = _halves(out, i_n)
+        out_h[...] = kr
+
+    def block(lo):
+        h = kr[lo:lo + step]
+        d = loss_deriv(loss, read(lo, lo + step), h @ a.T)
+        if out is not None:
+            out_d[lo:lo + step] = d
+        return d.T @ h
+
     try:
-        for lo in range(0, d.shape[0], step):
-            d[lo:lo + step] = loss_deriv(loss, read(lo, lo + step), d[lo:lo + step])
+        return _mean(map(block, range(0, count, step)), i_n, count)
     except LossDomainError:
         # Name the fault as one check over all the rows does: data faults
         # before model faults, extremes over every fiber.
-        loss_deriv(loss, read(0, d.shape[0]), kr @ factors[mode].T)
+        loss_deriv(loss, read(0, count), kr @ a.T)
         raise
-    return d, kr
 
 
-def _read_terms(tensor, factors, loss: LossSpec, mode: int, rows, out=None):
-    """`_terms` with each block's fibers read by one checked `data_fibers` call."""
+def _read_pass(tensor, factors, loss: LossSpec, mode: int, rows, out=None) -> np.ndarray:
+    """`_pass` with each block's fibers read by one checked `data_fibers` call."""
     rows = np.atleast_1d(np.asarray(rows))
-    return _terms(factors, loss, mode, rows,
-                  lambda lo, hi: data_fibers(tensor, mode, rows[lo:hi]), out)
+    return _pass(factors, loss, mode, rows,
+                 lambda lo, hi: data_fibers(tensor, mode, rows[lo:hi]), out)
 
 
 def _all_rows(tensor, mode: int) -> np.ndarray:
@@ -120,7 +151,9 @@ def _all_rows(tensor, mode: int) -> np.ndarray:
 
 def batch_gradient(tensor, factors, loss: LossSpec, mode: int, rows) -> np.ndarray:
     """(1/B) sum over the given fibers of g_j, shape (I_n, R)."""
-    return _batch_mean(*_read_terms(tensor, factors, loss, mode, rows))
+    if np.size(rows) == 0:
+        raise ConfigError("empty fiber set")
+    return _read_pass(tensor, factors, loss, mode, rows)
 
 
 def full_gradient(tensor, factors, loss: LossSpec, mode: int) -> np.ndarray:
@@ -168,9 +201,9 @@ class EstimatorState:
             self._since_sync = [0] * self.order
             for n in range(self.order):
                 table = np.empty((self.fiber_counts[n], shape.dims[n] + self.rank))
-                _read_terms(tensor, model.factors, loss, n, _all_rows(tensor, n), table)
                 self.tables.append(table)
-                self.table_avg.append(_batch_mean(*_halves(table, shape.dims[n])))
+                self.table_avg.append(
+                    _read_pass(tensor, model.factors, loss, n, _all_rows(tensor, n), table))
 
 
 def _full(state: EstimatorState, factors, n: int, rows, fibers) -> np.ndarray:
@@ -179,7 +212,7 @@ def _full(state: EstimatorState, factors, n: int, rows, fibers) -> np.ndarray:
 
 def _sgd(state: EstimatorState, factors, n: int, rows, fibers) -> np.ndarray:
     """Plain fiber-sampled estimate; unbiased under uniform sampling."""
-    return _batch_mean(*_terms(factors, state.loss, n, rows, lambda lo, hi: fibers[lo:hi]))
+    return _pass(factors, state.loss, n, rows, lambda lo, hi: fibers[lo:hi])
 
 
 def _saga(state: EstimatorState, factors, n: int, rows, fibers) -> np.ndarray:
@@ -243,10 +276,11 @@ def estimate_gradient(state: EstimatorState, factors, mode: int,
 
 
 def checked_gradient(state: EstimatorState, factors, mode: int, rows) -> np.ndarray:
-    """:func:`estimate_gradient` for any caller: rows are sorted and
-    de-duplicated, the factors are taken as float arrays, and the arguments
-    are checked against the state before the fibers are read."""
-    rows = np.unique(np.asarray(rows, dtype=np.int64))
+    """:func:`estimate_gradient` for any caller: rows, which must be
+    integers, are sorted and de-duplicated, the factors are taken as float
+    arrays, and the arguments are checked against the state before the
+    fibers are read."""
+    rows = np.unique(row_array(rows))
     if rows.size == 0:
         raise ConfigError("empty fiber set")
     factors = [np.array(a, dtype=float) for a in factors]
@@ -280,9 +314,10 @@ def vr_diagnostics(state: EstimatorState, factors, mode: int, rows) -> float:
         # I_n (g - stored g) = d h^T - t u^T = a h^T + t b^T for a = d - t,
         # b = h - u: its squared norm takes row dot products, and is 0 on a
         # fresh entry.
-        d, h = _read_terms(state.tensor, factors, state.loss, mode,
-                           _all_rows(state.tensor, mode))
-        i_n = d.shape[1]
+        i_n = state.tensor.shape.dims[mode]
+        fresh = np.empty_like(state.tables[mode])
+        _read_pass(state.tensor, factors, state.loss, mode, _all_rows(state.tensor, mode), fresh)
+        d, h = _halves(fresh, i_n)
         t, u = _halves(state.tables[mode], i_n)
         a, b = d - t, h - u
 

@@ -366,11 +366,17 @@ def step(state: SolverRunState, config: SolverConfig) -> int:
     a_prev = state.prev[n]
     beta_k = extrapolation_guard(config, a_cur, a_prev, beta_k)
 
-    momentum = a_cur - a_prev
-    anchor = a_cur + alpha_k * momentum
+    if a_prev is a_cur:
+        # The mode did not move at the last step: a + c (a - a) is a + 0.0,
+        # signed zeros included (c >= 0), for both points.
+        anchor = point = a_cur + 0.0
+    else:
+        momentum = a_cur - a_prev
+        anchor = a_cur + alpha_k * momentum
+        point = a_cur + beta_k * momentum
     if config.generator.entropic:
         anchor = np.maximum(anchor, config.generator.floor)
-    gradient_point = _clamp_gradient_point(config, a_cur + beta_k * momentum)
+    gradient_point = _clamp_gradient_point(config, point)
 
     request_factors = list(state.factors)
     request_factors[n] = gradient_point

@@ -354,11 +354,23 @@ class KruskalModel:
         return KruskalModel(factors)
 
 
+def row_array(rows) -> np.ndarray:
+    """Fiber rows as an int64 array of at least one dimension. A non-empty
+    array of another kind than integers (float, bool, object) raises
+    IndexError, as numpy does for such an index array, instead of being
+    truncated."""
+    rows = np.atleast_1d(np.asarray(rows))
+    if rows.size and rows.dtype.kind not in "iu":
+        raise IndexError(f"fiber rows must be integers, got {rows.dtype}")
+    return rows.astype(np.int64, copy=False)
+
+
 def _check_rows(dims, mode: int, rows) -> np.ndarray:
-    """Fiber rows as an int64 array; IndexError unless all lie in [0, J_mode)."""
+    """Fiber rows as an int64 array; IndexError unless all are integers in
+    [0, J_mode)."""
     if not 0 <= mode < len(dims):
         raise IndexError(f"mode {mode} out of range for order-{len(dims)} tensor")
-    rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+    rows = row_array(rows)
     j_n = math.prod(dims) // dims[mode]
     if rows.size and (rows.min() < 0 or rows.max() >= j_n):
         raise IndexError(f"fiber row out of range [0, {j_n}) for mode {mode}")

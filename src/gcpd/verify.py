@@ -70,8 +70,10 @@ def _planted_instance(kind: str, shape, rank: int, seed: int):
 
 def fiber_sum_gradient(spec: LossSpec, tensor, factors, mode: int, deriv) -> np.ndarray:
     """Exact block gradient (1/J_n) sum_j D(j, :)^T H(j, :) / I_n with the loss
-    derivative passed in explicitly; the arithmetic of `full_gradient` in one
-    piece over the whole unfolding, where `full_gradient` works in row blocks."""
+    derivative passed in explicitly, as one product over the whole unfolding:
+    the one-piece oracle. `full_gradient` sums the same product over row
+    blocks, so the two agree bit for bit on a pass of one block and to
+    rounding on more."""
     rows = np.arange(tensor.shape.fiber_count(mode))
     kr = khatri_rao_rows(factors, mode, rows)
     d = deriv(spec, data_fibers(tensor, mode, rows), kr @ factors[mode].T)

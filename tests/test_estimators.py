@@ -101,11 +101,30 @@ BLOCK_ENTRIES = 1 << 13
 BLOCKED_DIMS = (41, 30, 20)
 
 
+def block_sum_gradient(spec, dense, factors, mode, rows):
+    """(1/B) sum_j g_j over `rows`, written out one row block of
+    BLOCK_ENTRIES // I_n rows at a time: each block's Khatri-Rao rows,
+    derivatives and product D_b^T H_b on their own, the products added in
+    block order. Also returns the blocks' D_b and H_b, stacked."""
+    x = unfold(dense, mode)
+    a = factors[mode]
+    step = BLOCK_ENTRIES // a.shape[0]
+    total, ds, hs = None, [], []
+    for lo in range(0, len(rows), step):
+        h = khatri_rao_rows(factors, mode, rows[lo:lo + step])
+        d = loss_deriv(spec, x[rows[lo:lo + step]], h @ a.T)
+        total = d.T @ h if total is None else total + d.T @ h
+        ds.append(d)
+        hs.append(h)
+    return total / (a.shape[0] * len(rows)), np.concatenate(ds), np.concatenate(hs)
+
+
 class TestBlockedPass:
-    """A gradient pass does its elementwise work in row blocks and must equal
-    the pass over the same rows in one piece, bit for bit. The block size is
-    set here, so these dims keep their remainder blocks whatever the module's
-    own size."""
+    """A gradient pass does its work in row blocks and sums the blocks'
+    products in order: it must equal that sum written out block by block, bit
+    for bit, and the one-piece product to rounding. The block size is set
+    here, so these dims keep their remainder blocks whatever the module's own
+    size."""
 
     @pytest.fixture(autouse=True)
     def _block_size(self, monkeypatch):
@@ -121,16 +140,19 @@ class TestBlockedPass:
         assert tails == {1, 3}
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_equals_one_piece_pass(self, kind):
+    def test_equals_block_sum(self, kind):
         dense, model, spec = make_instance(kind, dims=BLOCKED_DIMS, rank=3, seed=21)
         for tensor in (dense, as_sparse(dense)):
             for mode in range(3):
                 got = full_gradient(tensor, model.factors, spec, mode)
-                want = fiber_sum_gradient(spec, tensor, model.factors, mode, loss_deriv)
+                rows = np.arange(tensor.shape.fiber_count(mode))
+                want, _, _ = block_sum_gradient(spec, dense, model.factors, mode, rows)
                 assert np.array_equal(got, want)
+                assert close(got, fiber_sum_gradient(spec, tensor, model.factors, mode,
+                                                    loss_deriv))
 
     @pytest.mark.parametrize("sparse", [False, True])
-    def test_sampled_rows_over_several_blocks_equal_one_piece(self, sparse):
+    def test_sampled_rows_over_several_blocks_equal_block_sum(self, sparse):
         dense, model, spec = make_instance("poisson-identity", dims=BLOCKED_DIMS,
                                            rank=3, seed=26)
         tensor = as_sparse(dense) if sparse else dense
@@ -138,23 +160,26 @@ class TestBlockedPass:
         for mode in range(3):
             j_n = tensor.shape.fiber_count(mode)
             rows = np.sort(rng.choice(j_n, size=j_n // 2, replace=False))
+            got = batch_gradient(tensor, model.factors, spec, mode, rows)
+            want, _, _ = block_sum_gradient(spec, dense, model.factors, mode, rows)
+            assert np.array_equal(got, want)
             kr = khatri_rao_rows(model.factors, mode, rows)
             d = loss_deriv(spec, unfold(dense, mode)[rows], kr @ model.factors[mode].T)
-            want = d.T @ kr / (d.shape[1] * d.shape[0])
-            assert np.array_equal(batch_gradient(tensor, model.factors, spec, mode, rows),
-                                  want)
+            assert close(got, d.T @ kr / (d.shape[1] * d.shape[0]))
 
     @pytest.mark.parametrize("sparse", [False, True])
-    def test_saga_tables_equal_one_piece_stack(self, sparse):
+    def test_saga_tables_equal_block_stack(self, sparse):
         dense, model, spec = make_instance("gamma", dims=BLOCKED_DIMS, rank=2, seed=22)
         tensor = as_sparse(dense) if sparse else dense
         state = EstimatorState("saga", tensor, model, spec, batch=4)
         for mode in range(3):
             rows = np.arange(tensor.shape.fiber_count(mode))
-            kr = khatri_rao_rows(model.factors, mode, rows)
-            d = loss_deriv(spec, unfold(dense, mode), kr @ model.factors[mode].T)
+            _, d, kr = block_sum_gradient(spec, dense, model.factors, mode, rows)
             stack = np.einsum("bi,br->bir", d, kr) / BLOCKED_DIMS[mode]
             assert np.array_equal(table_stack(state, mode), stack)
+            whole = khatri_rao_rows(model.factors, mode, rows)
+            one_piece = loss_deriv(spec, unfold(dense, mode), whole @ model.factors[mode].T)
+            assert close(table_stack(state, mode), dense_table_rows(one_piece, whole))
             assert np.array_equal(state.table_avg[mode],
                                   full_gradient(tensor, model.factors, spec, mode))
 
@@ -194,14 +219,22 @@ class TestBlockedPass:
 
 
 class TestFullPassMemory:
-    def test_dense_pass_allocates_no_tensor_sized_temporaries(self):
-        # Only M = H A_n^T, which D overwrites, is as large as the tensor; a
-        # whole-unfolding pass peaks at about 5x the tensor's bytes.
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_pass_holds_no_tensor_sized_temporaries(self, sparse):
+        # A pass holds one mode's Khatri-Rao rows with their row and digit
+        # arrays, 8 J_n (R + N) bytes, and one row block's temporaries: its
+        # fibers, M_b and the derivative's intermediates, at most five arrays
+        # of a block's entries. Forming the whole M = H A_n^T, as D's
+        # storage, also holds a (J_n, I_n) array as large as the tensor.
         rng = np.random.default_rng(25)
-        model = KruskalModel([0.2 + 0.8 * rng.random((d, 4)) for d in (80, 60, 50)])
-        tensor = DenseTensor((rng.random((80, 60, 50)) < 0.3).astype(float))
+        dims, rank = (80, 60, 50), 4
+        model = KruskalModel([0.2 + 0.8 * rng.random((d, rank)) for d in dims])
+        dense = DenseTensor((rng.random(dims) < 0.3).astype(float))
+        tensor = as_sparse(dense) if sparse else dense
         spec = LossSpec("bernoulli-odds")
+        blocks = 5 * 8 * estimators.BLOCK_ENTRIES
         for mode in range(3):
+            kr_rows = 8 * tensor.shape.fiber_count(mode) * (rank + len(dims))
             full_gradient(tensor, model.factors, spec, mode)
             tracemalloc.start()
             try:
@@ -209,7 +242,7 @@ class TestFullPassMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 1.5 * tensor.values.nbytes
+            assert peak <= kr_rows + blocks < dense.values.nbytes / 3
 
 
 class TestSagaTableMemory:
@@ -237,13 +270,14 @@ class TestSagaTableMemory:
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_build_writes_each_table_in_place(self, sparse):
-        # The checked pass writes M, then D, and H straight into the table's
-        # halves. Beside the tables the build holds one mode's Khatri-Rao
-        # rows with their row and digit arrays, 8 J_n (R + N) bytes, and one
-        # row block's temporaries, at most four arrays of a block's entries.
+        # The checked pass writes each block's D, and H, straight into the
+        # table's halves. Beside the tables the build holds one mode's
+        # Khatri-Rao rows with their row and digit arrays, 8 J_n (R + N)
+        # bytes, and one row block's temporaries, at most four arrays of a
+        # block's entries.
         # Joining D and H into the table afterwards also holds the whole D
         # and a second copy of the table: 1.0 MiB above the tables here,
-        # against 0.29-0.36 MiB.
+        # against 0.35-0.36 MiB.
         dims, rank = (60, 50, 40), 3
         dense, model, spec = make_instance("poisson-identity", dims=dims, rank=rank,
                                            seed=28)
@@ -289,6 +323,8 @@ class TestSgd:
         state = EstimatorState("sgd", tensor, model, spec, batch=3)
         with pytest.raises(ConfigError):
             checked_gradient(state, model.factors, 0, np.array([], dtype=int))
+        with pytest.raises(ConfigError):
+            batch_gradient(tensor, model.factors, spec, 0, [])
 
 
 class TestSaga:
@@ -391,9 +427,10 @@ class TestSaga:
 
 
 def close(got, want):
-    """Equal to within 1e-13 of the largest magnitude of `want`: the dense
-    table sums its entries in another order than the products of the stored
-    factors do."""
+    """Equal to within 1e-13 of the largest magnitude of `want`: a sum taken
+    in another order, such as the dense table's sum of its entries against
+    the products of the stored factors, or a one-piece product against a sum
+    over row blocks."""
     return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -605,6 +642,17 @@ class TestPublicEstimatorGuards:
         state = EstimatorState(kind, tensor, model, spec, batch=3)
         with pytest.raises(ConfigError):
             checked_gradient(state, model.factors, 0, [])
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    @pytest.mark.parametrize("bad", [[0.5, 1.5], [True, False], np.array([2.0])])
+    def test_non_integer_rows_rejected(self, kind, bad):
+        # Casting would take [0.5, 1.5] as rows 0 and 1.
+        tensor, model, spec = make_instance(seed=10)
+        state = EstimatorState(kind, tensor, model, spec, batch=3)
+        with pytest.raises(IndexError, match="integers"):
+            checked_gradient(state, model.factors, 0, bad)
+        with pytest.raises(IndexError, match="integers"):
+            batch_gradient(tensor, model.factors, spec, 0, bad)
 
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
     def test_mode_out_of_range_rejected(self, kind):

@@ -251,6 +251,45 @@ class TestStepMechanics:
         for a, b in zip(s1.factors, s2.factors):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("setup", ["l1", "zero", "entropy", "nonnegative"])
+    def test_unmoved_mode_steps_as_its_copy_does(self, setup):
+        # A mode that did not move at the last step has A^{k-1}_n is A^k_n,
+        # and the step skips the momentum arithmetic; a copy of the block
+        # takes it. Both give the same bytes. Under the euclidean l1 and zero
+        # penalties every factor's column 1 holds -0.0, so that column's
+        # gradient is zero; the zero penalty's prox then keeps the sign of
+        # the anchor's zeros, which a + c (a - a) makes +0.0.
+        tensor, _ = small_gaussian_instance(seed=4)
+        if setup in ("l1", "zero"):
+            reg = RegularizerSpec("l1", weight=0.01) if setup == "l1" else RegularizerSpec("zero")
+            cfg = gaussian_config(regularizer=reg,
+                                  estimator="sgd", batch=3, c1=0.6, c2=0.8)
+        elif setup == "entropy":
+            tensor = DenseTensor(np.abs(tensor.values))
+            cfg = gamma_config()
+        else:
+            cfg = gaussian_config(c1=0.6, c2=0.8)
+        cfg = cfg.resolved(tensor.shape)
+        init = initial_factors(cfg, tensor.shape, np.random.default_rng(4))
+        states = [SolverRunState(cfg, tensor, [a.copy() for a in init]) for _ in range(2)]
+        for _ in range(6):
+            for state in states:
+                step(state, cfg)
+        for state, same in zip(states, (True, False)):
+            state.factors = [a.copy() for a in state.factors]
+            if setup in ("l1", "zero"):
+                for a in state.factors:
+                    a[:, 1] = -0.0
+            state.prev = (list(state.factors) if same
+                          else [a.copy() for a in state.factors])
+            mode = step(state, cfg)
+            assert state.last_alpha > 0 and state.last_beta > 0
+        assert ([a.tobytes() for a in states[0].factors]
+                == [a.tobytes() for a in states[1].factors])
+        if setup == "zero":
+            assert (states[0].factors[mode][:, 1] == 0.0).all()
+            assert not np.signbit(states[0].factors[mode][:, 1]).any()
+
     def test_manifest_records_the_coefficients_that_ran(self):
         tensor, _ = small_gaussian_instance(seed=3)
         trace, _ = run(gaussian_config(c1=0.0, c2=0.0, max_iters=5), tensor)
@@ -392,8 +431,14 @@ class TestFiberGroups:
                     trace.eta_history)
 
         want = outcome()
-        for entries in (1, 1 << 20):   # one batch per read; a whole window per read
-            monkeypatch.setattr(estimators, "BLOCK_ENTRIES", entries)
+        init = estimators.EstimatorState.__init__
+        for group in (1, 1 << 20):   # one batch per read; a whole window per read
+
+            def with_group(est_state, *args, _group=group, **kwargs):
+                init(est_state, *args, **kwargs)
+                est_state.groups = [_group] * est_state.order
+
+            monkeypatch.setattr(estimators.EstimatorState, "__init__", with_group)
             assert outcome() == want
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])

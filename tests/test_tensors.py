@@ -549,6 +549,26 @@ class TestRowRangeGuards:
         with pytest.raises(IndexError):
             sparse.fiber_rows(0, bad)
 
+    @pytest.mark.parametrize("bad", [[0.9, 1.7], [True], np.array([1.0]),
+                                     np.array([1], dtype=object)])
+    def test_public_fiber_reads_reject_non_integer_rows(self, bad):
+        # Casting would read rows 0 and 1 for [0.9, 1.7] and row 1 for [True].
+        dims = (2, 3, 4)
+        factors = [np.ones((d, 2)) for d in dims]
+        with pytest.raises(IndexError, match="integers"):
+            khatri_rao_rows(factors, 0, bad)
+        for tensor in (DenseTensor(np.ones(dims)), SparseTensorCOO(dims, [[0, 0, 0]], [1.0])):
+            with pytest.raises(IndexError, match="integers"):
+                data_fibers(tensor, 0, bad)
+
+    @pytest.mark.parametrize("rows", [[1, 0], np.array([1, 0], dtype=np.uint8),
+                                      np.array([1, 0], dtype=np.int32), []])
+    def test_integer_rows_of_any_width_are_taken(self, rows):
+        dims = (2, 3, 4)
+        values = np.arange(24.0).reshape(dims)
+        want = data_fibers(DenseTensor(values), 0, np.array(rows, dtype=np.int64))
+        assert np.array_equal(data_fibers(DenseTensor(values), 0, rows), want)
+
     def test_mode_out_of_range(self):
         with pytest.raises(IndexError):
             khatri_rao_rows([np.ones((2, 1)), np.ones((3, 1))], 2, [0])
