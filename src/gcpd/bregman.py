@@ -8,9 +8,9 @@ Two coordinate-wise generators are shipped:
 
 The prox step solves  argmin_A  h(A) + <g, A - anchor> + D(A, anchor)/eta
 coordinate-wise in closed form for each supported (generator, regularizer)
-pair; no generic inner solver ships. Entropy iterates are floored at a small
-positive value so they stay strictly inside the generator's domain and the
-gradient of psi stays Lipschitz on the iterate box.
+pair; no generic inner solver ships. Entropy iterates are floored at `FLOOR`
+so they stay strictly inside the generator's domain and the gradient of psi
+stays Lipschitz on the iterate box.
 """
 
 from __future__ import annotations
@@ -28,19 +28,19 @@ REGULARIZER_KINDS = ("zero", "nonnegative-indicator", "squared-l2", "l1")
 # solver handles genuinely runaway steps.
 _MAX_EXPONENT = 700.0
 
+# Positivity floor of entropy iterates (anchors, gradient points, prox output).
+FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Bregman generator kind plus the positivity floor used under entropy."""
+    """Bregman generator kind."""
 
     kind: str = "squared-euclidean"
-    floor: float = 1e-12
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise ConfigError(f"unknown generator {self.kind!r}; choose from {GENERATOR_KINDS}")
-        if self.kind == "negative-entropy" and not self.floor > 0:
-            raise ConfigError("negative-entropy requires floor > 0")
 
     @property
     def entropic(self) -> bool:
@@ -131,7 +131,7 @@ def mirror_prox_step(gen: GeneratorSpec, reg: RegularizerSpec, anchor, grad,
                 "entropy with {zero, nonnegative-indicator, l1}, "
                 "squared-euclidean with {zero, nonnegative-indicator, squared-l2, l1}")
         out = anchor * np.exp(np.minimum(-eta * shift, _MAX_EXPONENT))
-        return np.maximum(out, gen.floor)
+        return np.maximum(out, FLOOR)
 
     z = anchor - eta * grad
     if reg.kind == "zero":

@@ -8,8 +8,9 @@ scaling.
 
 The Lyapunov potential is the one of a constant-stepsize run with no
 variance-reduction (Gamma) term: eta * Phi plus forward and backward Bregman
-terms. A stochastic estimator's variance is not in it, so its monotone
-decrease certifies descent only under the `full` estimator.
+terms, weighted through the fixed auxiliary constant `EPS_AUX`. A stochastic
+estimator's variance is not in it, so its monotone decrease certifies descent
+only under the `full` estimator.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from scipy.optimize import linear_sum_assignment
 from .bregman import GeneratorSpec, bregman_div
 from .errors import ConfigError, DataError
 from .tensors import KruskalModel
+
+# The auxiliary eps of the potential: it moves eps/3 of the forward Bregman
+# weight onto the backward term.
+EPS_AUX = 0.1
 
 
 @dataclass(frozen=True)
@@ -93,24 +98,24 @@ def model_mse(estimate: KruskalModel, truth: KruskalModel) -> dict:
 
 
 def lyapunov(gen: GeneratorSpec, current, previous, previous2, phi: float, eta: float,
-             *, gamma_k: float, eps_aux: float) -> LyapunovRecord:
-    """Composite potential eta * phi + (1 - gamma_k - eps/3) D_fwd + (eps/3) D_bwd
-    of a run with the constant stepsize `eta`.
+             *, gamma_k: float) -> LyapunovRecord:
+    """Composite potential eta * phi + (1 - gamma_k - eps/3) D_fwd + (eps/3) D_bwd,
+    eps = EPS_AUX, of a run with the constant stepsize `eta`.
 
     current/previous/previous2 are the factor lists A^{k+1}, A^k, A^{k-1};
     `phi` is the full objective at `current`, and `gamma_k` the inertia gap
     |alpha_k - beta_k| of the step that made `current`. The forward
     coefficient must be nonnegative.
     """
-    coeff_fwd = 1.0 - gamma_k - eps_aux / 3.0
+    coeff_fwd = 1.0 - gamma_k - EPS_AUX / 3.0
     if coeff_fwd < 0:
         raise ConfigError("Lyapunov forward coefficient is negative; lower the inertia gap "
-                          "|c1 - c2| or eps_aux")
+                          "|c1 - c2|")
     d_fwd = sum(bregman_div(gen, b, a) for a, b in zip(current, previous))
     d_bwd = sum(bregman_div(gen, b, a) for a, b in zip(previous, previous2))
     objective_gap = eta * phi
     forward = coeff_fwd * d_fwd
-    backward = eps_aux / 3.0 * d_bwd
+    backward = EPS_AUX / 3.0 * d_bwd
     return LyapunovRecord(value=objective_gap + forward + backward,
                           objective_gap=objective_gap, forward_bregman=forward,
                           backward_bregman=backward)

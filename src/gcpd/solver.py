@@ -15,12 +15,12 @@ iteration; this is the literal block-randomized update rule.
 
 The modes and fiber batches are drawn from stream 0 a window of
 `_DRAW_WINDOW` steps at a time: one call draws the window's modes (uniform
-and independent; cyclic order takes mode (k-1) mod N instead), then each
-mode's batches in the window are drawn at once, each a uniform B_n-subset of
-its J_n fibers, independent of the others (Floyd's algorithm, vectorized
-over the batches; see `_batches`). The window length is fixed, so the draws
-of step k are a function of the seed and k alone: the evaluation cadence,
-diagnostics, the truth and the iteration budget never move the iterates.
+and independent), then each mode's batches in the window are drawn at once,
+each a uniform B_n-subset of its J_n fibers, independent of the others
+(Floyd's algorithm, vectorized over the batches; see `_batches`). The window
+length is fixed, so the draws of step k are a function of the seed and k
+alone: the evaluation cadence, diagnostics, the truth and the iteration
+budget never move the iterates.
 The data fibers of a mode's batches in the window are read a group of
 batches at a time, when the first batch of a group is needed
 (`estimators.fiber_groups`), and handed to the estimator with the rows.
@@ -45,13 +45,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bregman import (GeneratorSpec, RegularizerSpec, bregman_div, mirror_prox_step,
+from .bregman import (FLOOR, GeneratorSpec, RegularizerSpec, mirror_prox_step,
                       regularizer_value)
 from .errors import ConfigError, DataError, DivergenceError, LossDomainError
 from .estimators import (ESTIMATOR_KINDS, EstimatorState, estimate_gradient, fiber_groups,
                          vr_diagnostics)
 from .losses import LossSpec, check_data_domain, objective
-from .metrics import lyapunov, model_mse
+from .metrics import EPS_AUX, lyapunov, model_mse
 from .tensors import KruskalModel, TensorShape
 
 
@@ -75,12 +75,8 @@ class SolverConfig:
     estimator: str = "saga"
     batch: int | None = None          # default 2 * rank
     eta: float | None = None          # constant stepsize; default _DEFAULT_ETA[loss]
-    l_lower: float = 0.0              # lower-curvature stand-in of the backtrack test
     c1: float = 0.6
     c2: float = 0.8
-    extrapolation_check: str = "off"  # or "backtrack"
-    delta: float = 0.9
-    eps_aux: float = 0.1              # the (delta, eps) pair: 1 > delta > eps > 0
     max_iters: int = 5000
     tol: float = 1e-10
     eval_every: int | None = None     # default: one effective epoch
@@ -90,7 +86,6 @@ class SolverConfig:
     max_step: float | None = None     # per-coordinate cap on |eta * gradient|;
                                       # None resolves to 0.02 under entropy
                                       # (log-ratio trust region), inf otherwise
-    block_order: str = "random"       # "cyclic" for ablation
     diagnostics: bool = False         # per-mode Gamma tracking at eval points
     lyapunov: bool = False            # composite potential at eval points
     record_timing: bool = True
@@ -100,16 +95,10 @@ class SolverConfig:
             raise ConfigError("rank must be >= 1")
         if not (0.0 <= self.c1 <= 1.0 and 0.0 <= self.c2 <= 1.0):
             raise ConfigError("inertial coefficients c1, c2 must lie in [0, 1]")
-        if not (0.0 < self.eps_aux < self.delta < 1.0):
-            raise ConfigError("need 1 > delta > eps_aux > 0")
         if not 0 < self.eta < math.inf:
             raise ConfigError("eta must be positive and finite")
         if self.estimator not in ESTIMATOR_KINDS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
-        if self.extrapolation_check not in ("off", "backtrack"):
-            raise ConfigError(f"unknown extrapolation check {self.extrapolation_check!r}")
-        if self.block_order not in ("random", "cyclic"):
-            raise ConfigError(f"unknown block order {self.block_order!r}")
         if self.max_iters < 0:
             raise ConfigError("max_iters must be >= 0")
         if self.eval_every < 1:
@@ -128,12 +117,10 @@ class SolverConfig:
         if self.generator.entropic and any(r.kind == "squared-l2" for r in self.regularizer):
             raise ConfigError("no closed-form prox for (negative-entropy, squared-l2)")
         if self.lyapunov:
-            # s bounds |alpha_k - beta_k| for k <= max_iters; backtracking can
-            # halve beta_k down to 0, which leaves alpha_k.
+            # s bounds |alpha_k - beta_k| for k <= max_iters.
             ratio, _ = inertial_coefficients(1.0, 0.0, max(self.max_iters, 1))
-            gap = abs(self.c1 - self.c2)
-            s = ratio * (max(self.c1, gap) if self.extrapolation_check == "backtrack" else gap)
-            coeff = 1.0 - s - self.eps_aux / 3.0
+            s = ratio * abs(self.c1 - self.c2)
+            coeff = 1.0 - s - EPS_AUX / 3.0
             if coeff < 0:
                 raise ConfigError("Lyapunov forward coefficient negative at configuration: "
                                   f"1 - s - eps/3 = {coeff:.3g} (s = {s:.3g})")
@@ -263,8 +250,6 @@ class SolverRunState:
         self.prev = list(factors)      # A^{-1} := A^0
         self.prev2 = list(factors)
         self.k = 0
-        self.last_alpha = 0.0
-        self.last_beta = 0.0
         streams = _streams(config.seed)
         self.rng = np.random.default_rng(streams[0])
         self.draws = iter(())   # refilled by `_draw_window` when used up
@@ -292,7 +277,7 @@ def _batches(rng: np.random.Generator, j: int, b: int, m: int) -> np.ndarray:
     return out
 
 
-def _draw_window(state: SolverRunState, config: SolverConfig) -> list:
+def _draw_window(state: SolverRunState) -> list:
     """The (mode, rows, fibers) draws of steps k + 1 ... k + _DRAW_WINDOW, from
     stream 0: the modes first, then the batches of each mode in turn.
 
@@ -300,10 +285,7 @@ def _draw_window(state: SolverRunState, config: SolverConfig) -> list:
     window, shared by all of its draws: the step that takes a draw takes the
     next fibers from it, so the steps must take the draws in order."""
     order = state.estimator.order
-    if config.block_order == "cyclic":
-        modes = (state.k + np.arange(_DRAW_WINDOW)) % order
-    else:
-        modes = state.rng.integers(order, size=_DRAW_WINDOW)
+    modes = state.rng.integers(order, size=_DRAW_WINDOW)
     draws = [None] * _DRAW_WINDOW
     for n in range(order):
         steps = np.flatnonzero(modes == n)
@@ -321,31 +303,6 @@ def inertial_coefficients(c1: float, c2: float, k: int) -> tuple[float, float]:
     return c1 * ratio, c2 * ratio
 
 
-def _clamp_gradient_point(config: SolverConfig, point: np.ndarray) -> np.ndarray:
-    if config.generator.entropic:
-        return np.maximum(point, config.generator.floor)
-    if config.loss.nonnegative:
-        return np.maximum(point, 0.0)
-    return point
-
-
-def extrapolation_guard(config: SolverConfig, a_cur, a_prev, beta: float) -> float:
-    """Backtrack beta (halving, at most 30 times, then 0) until the
-    extrapolated point satisfies the trust inequality
-    D(A^k, point) <= (delta - eps)/(1 + l_lower * eta) * D(A^{k-1}, A^k)."""
-    if config.extrapolation_check != "backtrack":
-        return beta
-    gen = config.generator
-    target = ((config.delta - config.eps_aux)
-              / (1.0 + config.l_lower * config.eta)) * bregman_div(gen, a_prev, a_cur)
-    for _ in range(31):
-        point = _clamp_gradient_point(config, a_cur + beta * (a_cur - a_prev))
-        if bregman_div(gen, a_cur, point) <= target:
-            return beta
-        beta *= 0.5
-    return 0.0
-
-
 def step(state: SolverRunState, config: SolverConfig) -> int:
     """One Algorithm step; exactly one mode is updated. Returns that mode.
 
@@ -357,14 +314,13 @@ def step(state: SolverRunState, config: SolverConfig) -> int:
     k = state.k + 1
     draw = next(state.draws, None)
     if draw is None:
-        state.draws = iter(_draw_window(state, config))
+        state.draws = iter(_draw_window(state))
         draw = next(state.draws)
     n, rows, fibers = draw
 
     alpha_k, beta_k = inertial_coefficients(config.c1, config.c2, k)
     a_cur = state.factors[n]
     a_prev = state.prev[n]
-    beta_k = extrapolation_guard(config, a_cur, a_prev, beta_k)
 
     if a_prev is a_cur:
         # The mode did not move at the last step: a + c (a - a) is a + 0.0,
@@ -375,11 +331,13 @@ def step(state: SolverRunState, config: SolverConfig) -> int:
         anchor = a_cur + alpha_k * momentum
         point = a_cur + beta_k * momentum
     if config.generator.entropic:
-        anchor = np.maximum(anchor, config.generator.floor)
-    gradient_point = _clamp_gradient_point(config, point)
+        anchor = np.maximum(anchor, FLOOR)
+        point = np.maximum(point, FLOOR)
+    elif config.loss.nonnegative:
+        point = np.maximum(point, 0.0)
 
     request_factors = list(state.factors)
-    request_factors[n] = gradient_point
+    request_factors[n] = point
     grad = estimate_gradient(state.estimator, request_factors, n, rows, next(fibers))
 
     # Trust region: cap |eta * grad| per coordinate. Loss barriers (x/(m+eps)
@@ -402,8 +360,6 @@ def step(state: SolverRunState, config: SolverConfig) -> int:
     state.factors = list(state.factors)
     state.factors[n] = new_block
     state.k = k
-    state.last_alpha = alpha_k
-    state.last_beta = beta_k
     return n
 
 
@@ -459,10 +415,9 @@ def _evaluate(state: SolverRunState, config: SolverConfig, truth, t0) -> TraceRe
     if config.lyapunov and state.k >= 1:
         phi = nre_val + sum(regularizer_value(r, a)
                             for r, a in zip(config.regularizer, state.factors))
+        alpha, beta = inertial_coefficients(config.c1, config.c2, state.k)
         rec.lyapunov = lyapunov(config.generator, state.factors, state.prev, state.prev2,
-                                phi, config.eta,
-                                gamma_k=abs(state.last_alpha - state.last_beta),
-                                eps_aux=config.eps_aux).value
+                                phi, config.eta, gamma_k=abs(alpha - beta)).value
     return rec
 
 

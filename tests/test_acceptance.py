@@ -232,8 +232,7 @@ class TestCriterion7LyapunovMonotonicity:
         curvature = max(gaussian_block_curvature(KruskalModel(init), n)
                         for n in range(3))
         cfg = dataclasses.replace(probe, eta=0.25 / curvature, c1=0.0, c2=0.0,
-                                  max_iters=400, eval_every=1, lyapunov=True,
-                                  eps_aux=0.1, delta=0.9, tol=0.0)
+                                  max_iters=400, eval_every=1, lyapunov=True, tol=0.0)
         trace, model = run(cfg, tensor)
         values = [r.lyapunov for r in trace.records if r.lyapunov is not None]
         diffs = [b - a for a, b in zip(values, values[1:])]

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gcpd.bregman import (GeneratorSpec, RegularizerSpec, bregman_div, mirror_prox_step,
-                          regularizer_value)
+from gcpd.bregman import (FLOOR, GeneratorSpec, RegularizerSpec, bregman_div,
+                          mirror_prox_step, regularizer_value)
 from gcpd.errors import ConfigError, LossDomainError
 from gcpd.verify import generator_grad, generator_value, three_point_check
 
@@ -145,7 +145,7 @@ class TestMirrorProx:
             eta = 0.05 + 0.9 * rng.random()
             out = mirror_prox_step(gen, reg, np.array([anchor]), np.array([grad]), eta)[0]
             best = prox_objective(gen, reg, anchor, grad, eta, out)
-            lo = gen.floor if gen.entropic else -4.0
+            lo = FLOOR if gen.entropic else -4.0
             for a in np.concatenate([rng.uniform(lo, 4.0, size=1000), [out]]):
                 assert best <= prox_objective(gen, reg, anchor, grad, eta, a) + 1e-10
 
@@ -163,7 +163,7 @@ class TestMirrorProx:
     def test_entropy_floor_applied(self):
         out = mirror_prox_step(ENTROPY, RegularizerSpec("zero"),
                                np.array([1e-9]), np.array([50.0]), 1.0)
-        assert out[0] == ENTROPY.floor
+        assert out[0] == FLOOR
 
 
 class TestRegularizerValue:

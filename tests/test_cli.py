@@ -20,7 +20,8 @@ from gcpd.verify import check_gradient_fd
 # Fields that saved configs used to hold, with the values every CLI run saved.
 REMOVED_FIELDS = {"sarah_p": 5, "stepsize_rule": "constant", "l_bar": None, "m2": 1.0,
                   "gamma_bar": 0.0, "alpha_weak": 0.0, "lyapunov_v0": 0.0,
-                  "lyapunov_tau": 1.0}
+                  "lyapunov_tau": 1.0, "extrapolation_check": "off", "delta": 0.9,
+                  "eps_aux": 0.1, "l_lower": 0.0, "block_order": "random"}
 
 
 def run_cli(*argv):
@@ -113,6 +114,20 @@ class TestDecompose:
         defaults = SolverConfig(rank=2, loss=LossSpec("gamma"))
         for f in dataclasses.fields(SolverConfig):
             assert getattr(config, f.name) == getattr(defaults, f.name), f.name
+
+    def test_every_config_field_is_set_by_a_flag(self):
+        # No setting is reachable from the library alone: each field takes
+        # another value under some flag.
+        parse = _build_parser().parse_args
+        base = _solver_config_from_args(parse(["decompose", "--loss", "gamma", "--rank", "2"]))
+        flagged = _solver_config_from_args(parse([
+            "decompose", "--loss", "gaussian", "--rank", "3", "--generator", "negative-entropy",
+            "--regularizer", "l1", "--estimator", "sgd", "--batch", "5", "--eta", "0.3",
+            "--c1", "0.1", "--c2", "0.2", "--iters", "7", "--tol", "0.5", "--eval-every", "2",
+            "--eval-samples", "9", "--seed", "4", "--init-max", "0.7", "--max-step", "0.01",
+            "--diagnostics", "--lyapunov", "--no-timing"]))
+        assert [f.name for f in dataclasses.fields(SolverConfig)
+                if getattr(flagged, f.name) == getattr(base, f.name)] == []
 
     def test_manifest_config_is_the_resolved_library_default(self, tmp_path, capsys):
         # Binary counts lie in the data domain of every loss.
@@ -386,7 +401,8 @@ class TestDecompose:
         (lambda m: m["input"].update(shape=[8, -7, 6]),
          "declared shape (8, -7, 6) has a mode size below 1"),
         (lambda m: m.update(truth=5), "truth"),
-    ], ids=["path", "shape-text", "shape-item", "shape-size", "truth"])
+        (lambda m: m["config"]["generator"].update(floor=1e-12), "'floor'"),
+    ], ids=["path", "shape-text", "shape-item", "shape-size", "truth", "generator-floor"])
     def test_malformed_manifest_field_is_named(self, gamma_files, tmp_path, capsys,
                                                edit, field):
         manifest = edited_manifest(gamma_files, tmp_path, edit)

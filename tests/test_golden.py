@@ -72,10 +72,6 @@ def _cases() -> dict:
     for kind in ("gamma", "bernoulli-odds", "poisson-log", "bernoulli-logit"):
         cases[f"saga-dense-{kind}"] = (kind, "dense", _config(kind, "saga", "dense"))
     base = _config("poisson-identity", "saga", "dense")
-    cases["saga-dense-entropy-backtrack"] = ("poisson-identity", "dense", dataclasses.replace(
-        base, extrapolation_check="backtrack", l_lower=0.5, delta=0.3, eps_aux=0.25))
-    cases["sgd-dense-euclidean-cyclic"] = ("gaussian", "dense", dataclasses.replace(
-        _config("gaussian", "sgd", "dense"), block_order="cyclic"))
     cases["sgd-dense-euclidean-l1-plain"] = ("gaussian", "dense", dataclasses.replace(
         _config("gaussian", "sgd", "dense"), c1=0.0, c2=0.0,
         regularizer=RegularizerSpec("l1", weight=0.05), max_step=0.05))

@@ -133,20 +133,19 @@ class TestLyapunov:
 
     def test_stationary_zero_objective_is_zero(self):
         a = [np.ones((3, 2)), np.ones((2, 2))]
-        rec = lyapunov(self.GEN, a, a, a, phi=0.0, eta=0.1, gamma_k=0.0, eps_aux=0.1)
+        rec = lyapunov(self.GEN, a, a, a, phi=0.0, eta=0.1, gamma_k=0.0)
         assert rec.value == 0.0
 
     def test_reduces_to_scaled_objective(self):
         a = [np.ones((3, 2))]
-        rec = lyapunov(self.GEN, a, a, a, phi=1.5, eta=0.25, gamma_k=0.3, eps_aux=0.1)
+        rec = lyapunov(self.GEN, a, a, a, phi=1.5, eta=0.25, gamma_k=0.3)
         assert rec.value == pytest.approx(0.25 * 1.5, rel=1e-15)
         assert rec.forward_bregman == 0.0 and rec.backward_bregman == 0.0
 
     def test_summands_match_the_formula(self):
         rng = np.random.default_rng(10)
         cur, prev, prev2 = ([rng.random((3, 2))] for _ in range(3))
-        rec = lyapunov(self.GEN, cur, prev, prev2, phi=1.0, eta=0.1, gamma_k=0.2,
-                       eps_aux=0.1)
+        rec = lyapunov(self.GEN, cur, prev, prev2, phi=1.0, eta=0.1, gamma_k=0.2)
         d_fwd = bregman_div(self.GEN, prev[0], cur[0])
         d_bwd = bregman_div(self.GEN, prev2[0], prev[0])
         assert d_fwd > 0 and d_bwd > 0
@@ -158,4 +157,4 @@ class TestLyapunov:
     def test_negative_forward_coefficient_rejected(self):
         a = [np.ones((2, 2))]
         with pytest.raises(ConfigError, match="forward coefficient"):
-            lyapunov(self.GEN, a, a, a, phi=0.0, eta=1.0, gamma_k=0.98, eps_aux=0.1)
+            lyapunov(self.GEN, a, a, a, phi=0.0, eta=1.0, gamma_k=0.98)

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from gcpd.bregman import GeneratorSpec, RegularizerSpec, bregman_div
+from gcpd.bregman import FLOOR, GeneratorSpec, RegularizerSpec
 from gcpd.data import SyntheticSpec, generate
 from gcpd.errors import ConfigError, DataError, DivergenceError, LossDomainError
 from gcpd.losses import LossSpec
 from gcpd import estimators, solver
-from gcpd.solver import (SolverConfig, SolverRunState, extrapolation_guard,
-                         inertial_coefficients, initial_factors, run, step)
+from gcpd.solver import (SolverConfig, SolverRunState, inertial_coefficients,
+                         initial_factors, run, step)
 from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO, TensorShape, data_fibers
 from gcpd.verify import gaussian_block_curvature
 
@@ -74,10 +74,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             gaussian_config(c1=1.5).resolved(SHAPE)
 
-    def test_delta_eps_ordering(self):
-        with pytest.raises(ConfigError):
-            gamma_config(delta=0.1, eps_aux=0.5).resolved(SHAPE)
-
     def test_nonnegative_loss_needs_guarded_setup(self):
         cfg = SolverConfig(rank=2, loss=LossSpec("gamma"),
                            generator=GeneratorSpec("squared-euclidean"),
@@ -104,9 +100,6 @@ class TestConfigValidation:
         (dict(eta=np.inf), "eta"),
         # 1 - s - eps/3 < 0 with s = (99/102)*1 at k = max_iters = 100.
         (dict(lyapunov=True, c1=1.0, c2=0.0, max_iters=100), "Lyapunov forward coefficient"),
-        # Backtracking can zero beta_k, so s = (49/52)*c1 although c1 = c2.
-        (dict(lyapunov=True, c1=1.0, c2=1.0, eps_aux=0.5, extrapolation_check="backtrack"),
-         "Lyapunov forward coefficient"),
     ])
     def test_setting_rejected_before_the_run_starts(self, settings, match, monkeypatch):
         built = []
@@ -247,7 +240,7 @@ class TestStepMechanics:
             step(s1, cfg)
             s2.prev = list(s2.factors)   # discard the momentum direction
             step(s2, cfg)
-            assert s1.last_alpha == s1.last_beta == 0.0
+            assert inertial_coefficients(cfg.c1, cfg.c2, s1.k) == (0.0, 0.0)
         for a, b in zip(s1.factors, s2.factors):
             assert np.array_equal(a, b)
 
@@ -283,7 +276,8 @@ class TestStepMechanics:
             state.prev = (list(state.factors) if same
                           else [a.copy() for a in state.factors])
             mode = step(state, cfg)
-            assert state.last_alpha > 0 and state.last_beta > 0
+            alpha, beta = inertial_coefficients(cfg.c1, cfg.c2, state.k)
+            assert alpha > 0 and beta > 0
         assert ([a.tobytes() for a in states[0].factors]
                 == [a.tobytes() for a in states[1].factors])
         if setup == "zero":
@@ -317,7 +311,7 @@ class TestStepMechanics:
             cfg, tensor.shape, np.random.default_rng(5)))
         for _ in range(150):
             step(state, cfg)
-            assert min(a.min() for a in state.factors) >= cfg.generator.floor
+            assert min(a.min() for a in state.factors) >= FLOOR
 
 
 class TestWindowDraws:
@@ -333,8 +327,8 @@ class TestWindowDraws:
     def test_modes_and_subsets_are_uniform(self):
         # Modes 0 and 1 of a 7 x 7 x 1 tensor have J_n = 7 fibers, so their
         # batches of 3 range over the 35 subsets of C(7, 3).
-        cfg, state = self._state((7, 7, 1), batch=3, seed=17)
-        draws = [d for _ in range(40) for d in solver._draw_window(state, cfg)]
+        _, state = self._state((7, 7, 1), batch=3, seed=17)
+        draws = [d for _ in range(40) for d in solver._draw_window(state)]
         modes = np.array([n for n, _, _ in draws])
         assert chisquare(np.bincount(modes, minlength=3)).pvalue > 1e-3
         subsets = {c: i for i, c in enumerate(itertools.combinations(range(7), 3))}
@@ -346,14 +340,13 @@ class TestWindowDraws:
             assert counts.sum() > 3000
             assert chisquare(counts).pvalue > 1e-3
 
-    @pytest.mark.parametrize("block_order", ["random", "cyclic"])
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     @pytest.mark.parametrize("dims, batch", [
         ((6, 5, 4), 1), ((6, 5, 4), 3), ((6, 5, 4), 100),   # B = J_n on every mode
         ((9, 8, 10), 70), ((9, 8, 10), 1000),               # B near and at J_n
         ((30, 20, 16), 300)])                               # B I_n > 2^13: g_n = 1
     def test_every_handed_out_batch_is_sorted_unique_and_in_range(
-            self, dims, batch, sparse, block_order, monkeypatch):
+            self, dims, batch, sparse, monkeypatch):
         tensor = DenseTensor(np.random.default_rng(1).standard_normal(dims))
         if sparse:
             tensor = as_sparse(DenseTensor(np.maximum(tensor.values, 0.0)))
@@ -367,17 +360,13 @@ class TestWindowDraws:
             return np.zeros_like(factors[mode])
 
         monkeypatch.setattr(solver, "estimate_gradient", spy)
-        run(gaussian_config(estimator="sgd", batch=batch, max_iters=600, tol=0.0, seed=4,
-                            block_order=block_order), tensor)
+        run(gaussian_config(estimator="sgd", batch=batch, max_iters=600, tol=0.0, seed=4),
+            tensor)
         assert len(seen) == 600   # three windows
         for mode, rows in seen:
             j_n = tensor.shape.fiber_count(mode)
             assert rows.dtype == np.int64 and rows.shape == (min(batch, j_n),)
             assert np.all(np.diff(rows) > 0) and rows[0] >= 0 and rows[-1] < j_n
-
-    def test_cyclic_order_visits_modes_in_turn(self):
-        cfg, state = self._state((6, 5, 4), batch=2, block_order="cyclic")
-        assert [step(state, cfg) for _ in range(600)] == [k % 3 for k in range(600)]
 
     def test_draws_depend_on_the_seed_and_k_alone(self):
         tensor, truth = generate(SyntheticSpec(shape=(8, 7, 6), rank=2,
@@ -478,44 +467,6 @@ class TestFiberGroups:
         assert len(handed) == 30 and all(f is None for f in handed)
 
 
-class TestExtrapolationGuard:
-    def _config(self, l_lower=0.0):
-        return gaussian_config(extrapolation_check="backtrack", delta=0.9,
-                               eps_aux=0.1, l_lower=l_lower)
-
-    def test_equal_iterates_accept_any_beta(self):
-        cfg = self._config().resolved(
-            DenseTensor(np.zeros((4, 4, 4))).shape)
-        a = np.ones((4, 2))
-        assert extrapolation_guard(cfg, a, a.copy(), 0.9) == 0.9
-
-    def test_zero_beta_always_accepted(self):
-        cfg = self._config().resolved(DenseTensor(np.zeros((4, 4, 4))).shape)
-        a = np.ones((4, 2))
-        b = a + 0.5
-        assert extrapolation_guard(cfg, a, b, 0.0) == 0.0
-
-    def test_violating_beta_is_reduced(self):
-        # Euclidean: check needs beta^2 * D <= target, so beta > sqrt(ratio)
-        # must shrink. Build a 1-D case and verify against direct evaluation.
-        cfg = self._config(l_lower=4.0).resolved(DenseTensor(np.zeros((4, 4, 4))).shape)
-        a_cur = np.array([[1.0]])
-        a_prev = np.array([[0.0]])
-        beta = 0.95
-        accepted = extrapolation_guard(cfg, a_cur, a_prev, beta)
-        assert accepted < beta
-        gen = cfg.generator
-        target = (cfg.delta - cfg.eps_aux) / (1 + cfg.l_lower * cfg.eta) * bregman_div(
-            gen, a_prev, a_cur)
-        point = a_cur + accepted * (a_cur - a_prev)
-        assert bregman_div(gen, a_cur, point) <= target
-
-    def test_off_mode_returns_schedule_value(self):
-        cfg = gaussian_config().resolved(DenseTensor(np.zeros((4, 4, 4))).shape)
-        a = np.ones((2, 2))
-        assert extrapolation_guard(cfg, a, a + 5.0, 0.77) == 0.77
-
-
 class TestRun:
     def test_zero_iteration_budget(self):
         tensor, _ = small_gaussian_instance(seed=6)
@@ -598,8 +549,7 @@ class TestRun:
 
     def test_lyapunov_recorded_when_enabled(self):
         tensor, _ = small_gaussian_instance(seed=12)
-        cfg = gaussian_config(max_iters=30, eval_every=1, lyapunov=True,
-                              eps_aux=0.1, eta=0.05)
+        cfg = gaussian_config(max_iters=30, eval_every=1, lyapunov=True, eta=0.05)
         trace, _ = run(cfg, tensor)
         values = [r.lyapunov for r in trace.records[1:]]
         assert all(v is not None for v in values)
@@ -614,11 +564,11 @@ class TestRun:
 
     def test_manifest_states_each_setting_once(self):
         tensor, _ = small_gaussian_instance(seed=13)
-        cfg = gaussian_config(max_iters=0, seed=4, extrapolation_check="backtrack")
+        cfg = gaussian_config(max_iters=0, seed=4, max_step=0.05)
         trace, _ = run(cfg, tensor)
         assert sorted(trace.manifest) == ["config", "config_hash"]
         assert trace.manifest["config"]["seed"] == 4
-        assert trace.manifest["config"]["extrapolation_check"] == "backtrack"
+        assert trace.manifest["config"]["max_step"] == 0.05
 
     @pytest.mark.parametrize("dims", [(8, 6), (4, 3, 2, 3)])
     def test_order_generality(self, dims):
