@@ -65,6 +65,20 @@ class TestSchedules:
             alpha, beta = inertial_coefficients(1.0, 1.0, k)
             assert 0.0 <= alpha < 1.0 and 0.0 <= beta < 1.0
 
+    @pytest.mark.parametrize("c1, c2", [(0.6, 0.8), (0.8, 0.6), (1.0, 0.0), (0.0, 1.0),
+                                        (0.5, 0.5)])
+    def test_gap_grows_to_the_validated_bound(self, c1, c2):
+        # The Lyapunov check bounds |alpha_k - beta_k| over k <= max_iters by
+        # s = r_m |c1 - c2|, r_m = (m-1)/(m+2): the gap never falls as k
+        # grows, so the last iteration's gap is the largest.
+        m = 500
+        gaps = [abs(a - b) for a, b in (inertial_coefficients(c1, c2, k)
+                                        for k in range(1, m + 1))]
+        assert gaps[0] == 0.0
+        assert all(g <= h for g, h in zip(gaps, gaps[1:]))
+        ratio, _ = inertial_coefficients(1.0, 0.0, m)
+        assert gaps[-1] == pytest.approx(ratio * abs(c1 - c2), rel=1e-15, abs=0.0)
+
 
 SHAPE = TensorShape((6, 5, 4))
 
@@ -113,6 +127,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=match):
             run(cfg, tensor)
         assert built == []
+
+    @pytest.mark.parametrize("c1, c2, max_iters, accepted", [
+        # c1 - c2 = +-1: 1 - s - eps/3 >= 0 with s = (m-1)/(m+2) iff m <= 88.
+        (1.0, 0.0, 87, True), (1.0, 0.0, 89, False), (0.0, 1.0, 89, False),
+        # c1 = c2: every alpha_k - beta_k is 0, so s = 0 at any budget.
+        (1.0, 1.0, 10**6, True)])
+    def test_lyapunov_bound_is_taken_at_the_last_iteration(self, c1, c2, max_iters,
+                                                           accepted):
+        cfg = gaussian_config(lyapunov=True, c1=c1, c2=c2, max_iters=max_iters)
+        if accepted:
+            assert cfg.resolved(SHAPE).max_iters == max_iters
+        else:
+            with pytest.raises(ConfigError, match="Lyapunov forward coefficient"):
+                cfg.resolved(SHAPE)
 
     @pytest.mark.parametrize("estimator", estimators.ESTIMATOR_KINDS)
     def test_lyapunov_does_not_depend_on_diagnostics(self, estimator):
@@ -303,6 +331,51 @@ class TestStepMechanics:
             init[mode] - 0.3 * full_gradient(tensor, init, cfg.loss, mode), 0.0)
         assert np.allclose(state.factors[mode], expected, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("setup, floor", [
+        ("entropy", FLOOR), ("nonnegative", 0.0), ("unconstrained", None)])
+    def test_extrapolated_points_are_clamped_to_the_domain(self, setup, floor, monkeypatch):
+        # Momentum from 1.0 down to 0.01 extrapolates both points below zero.
+        # Entropy floors the anchor and the gradient point at FLOOR; a
+        # nonnegative loss under the euclidean generator floors only the
+        # gradient point at 0, and the prox projects the anchor's step.
+        tensor, _ = small_gaussian_instance(seed=7)
+        if setup == "entropy":
+            tensor = DenseTensor(np.abs(tensor.values))
+            cfg = gamma_config(c1=0.9, c2=0.7, estimator="sgd", batch=3)
+        elif setup == "nonnegative":
+            cfg = gaussian_config(loss=LossSpec("gamma"), c1=0.9, c2=0.7,
+                                  estimator="sgd", batch=3)
+        else:
+            cfg = gaussian_config(regularizer=RegularizerSpec("zero"), c1=0.9, c2=0.7,
+                                  estimator="sgd", batch=3)
+        cfg = cfg.resolved(tensor.shape)
+        state = SolverRunState(cfg, tensor, [np.full((d, 2), 0.01) for d in tensor.shape.dims])
+        state.prev = [np.full((d, 2), 1.0) for d in tensor.shape.dims]
+        state.k = 999
+        seen = {}
+
+        def gradient_spy(est_state, factors, mode, rows, fibers):
+            seen["point"] = factors[mode]
+            return np.zeros_like(factors[mode])
+
+        def prox_spy(gen, reg, anchor, grad, eta):
+            seen["anchor"] = anchor
+            return np.abs(anchor)
+
+        monkeypatch.setattr(solver, "estimate_gradient", gradient_spy)
+        monkeypatch.setattr(solver, "mirror_prox_step", prox_spy)
+        mode = step(state, cfg)
+        alpha, beta = inertial_coefficients(cfg.c1, cfg.c2, 1000)
+        anchor = 0.01 + alpha * (0.01 - 1.0) * np.ones((tensor.shape.dims[mode], 2))
+        point = 0.01 + beta * (0.01 - 1.0) * np.ones_like(anchor)
+        assert anchor.max() < 0 and point.max() < 0
+        if floor is not None:
+            point = np.maximum(point, floor)
+        if setup == "entropy":
+            anchor = np.maximum(anchor, floor)
+        assert np.array_equal(seen["point"], point)
+        assert np.array_equal(seen["anchor"], anchor)
+
     def test_feasibility_preserved(self):
         tensor, model = generate(SyntheticSpec(shape=(6, 5, 4), rank=2,
                                                distribution="gamma", seed=5))
@@ -367,6 +440,28 @@ class TestWindowDraws:
             j_n = tensor.shape.fiber_count(mode)
             assert rows.dtype == np.int64 and rows.shape == (min(batch, j_n),)
             assert np.all(np.diff(rows) > 0) and rows[0] >= 0 and rows[-1] < j_n
+
+    def test_draws_come_from_stream_zero_in_window_order(self, monkeypatch):
+        # Each window draws its _DRAW_WINDOW modes, then each mode's batches
+        # in turn; the next window's modes follow those batches in stream 0.
+        cfg, state = self._state((6, 5, 4), batch=2, seed=23)
+        rng = np.random.default_rng(solver._streams(23)[0])
+        want = []
+        for _ in range(2):
+            modes = rng.integers(3, size=solver._DRAW_WINDOW)
+            rows = [iter(solver._batches(rng, state.estimator.fiber_counts[n], 2,
+                                         int((modes == n).sum()))) for n in range(3)]
+            want += [(n, next(rows[n]).tolist()) for n in modes.tolist()]
+        seen = []
+        real = solver.estimate_gradient
+
+        def spy(est_state, factors, mode, rows, fibers):
+            seen.append((mode, rows.tolist()))
+            return real(est_state, factors, mode, rows, fibers)
+
+        monkeypatch.setattr(solver, "estimate_gradient", spy)
+        assert [step(state, cfg) for _ in range(len(want))] == [n for n, _ in want]
+        assert seen == want
 
     def test_draws_depend_on_the_seed_and_k_alone(self):
         tensor, truth = generate(SyntheticSpec(shape=(8, 7, 6), rank=2,
@@ -553,6 +648,25 @@ class TestRun:
         trace, _ = run(cfg, tensor)
         values = [r.lyapunov for r in trace.records[1:]]
         assert all(v is not None for v in values)
+
+    @pytest.mark.parametrize("c1, c2", [(0.6, 0.8), (0.8, 0.3)])
+    def test_lyapunov_column_uses_the_schedule_gap(self, c1, c2, monkeypatch):
+        gaps = []
+        real = solver.lyapunov
+
+        def spy(*args, gamma_k):
+            gaps.append(gamma_k)
+            return real(*args, gamma_k=gamma_k)
+
+        monkeypatch.setattr(solver, "lyapunov", spy)
+        tensor, _ = small_gaussian_instance(seed=12)
+        cfg = gaussian_config(max_iters=12, eval_every=1, lyapunov=True, eta=0.05,
+                              c1=c1, c2=c2, tol=0.0)
+        trace, _ = run(cfg, tensor)
+        assert [r.iteration for r in trace.records[1:]] == list(range(1, 13))
+        assert gaps == [abs(a - b) for a, b in (inertial_coefficients(c1, c2, k)
+                                                for k in range(1, 13))]
+        assert gaps[-1] > 0
 
     @pytest.mark.parametrize("estimator", estimators.ESTIMATOR_KINDS)
     def test_every_estimator_reduces_the_objective(self, estimator):
