@@ -54,8 +54,10 @@ sum, divided by I_n B at the end. A full pass reads each block's fibers by
 one checked `data_fibers` call; an `sgd` batch slices them from the fibers
 it was handed, and is one block when B I_n <= 2^13. So a pass holds H and a
 few temporaries of one block, never a (B, I_n) array. The table build is
-the same pass, given the table to write into: H is copied into the H half
-and each D_b into its rows of the D half. Every D^T H product summed over
+the same pass, given the table to write into: each H_b and D_b is copied
+into its rows of the table's two halves. The SAGA diagnostic walks the same
+blocks, comparing each block's H_b and D_b with the table's rows, and
+holds no second table. Every D^T H product summed over
 fibers (a pass, and the SAGA average at a re-sync) is added up over the
 same row blocks in order, so the estimators' exact equalities hold bit for
 bit, and a pass of one block equals the product in one piece. Over several
@@ -108,29 +110,18 @@ def _halves(table: np.ndarray, i_n: int):
     return table[..., :i_n], table[..., i_n:]
 
 
-def _pass(factors, loss: LossSpec, mode: int, rows, read, out=None) -> np.ndarray:
-    """(1/B) sum_j g_j over the given fibers of `mode`, through the checked
-    functions, one row block at a time (see the module docstring).
-    `read(lo, hi)` gives the data fibers of rows[lo:hi]. With `out`, a
-    (B, I_n + R) array, each block's D and the whole H are also written into
-    its two halves, as a SAGA table stores them."""
+def _blocks(factors, loss: LossSpec, mode: int, rows, read):
+    """(lo, H_b, D_b) of each row block of a checked pass over the given
+    fibers of `mode`, rows[lo:lo + len(H_b)] (see the module docstring).
+    `read(lo, hi)` gives the data fibers of rows[lo:hi]."""
     kr = khatri_rao_rows(factors, mode, rows)
     a = factors[mode]
-    i_n, count = a.shape[0], kr.shape[0]
-    step = _block_rows(i_n)
-    if out is not None:
-        out_d, out_h = _halves(out, i_n)
-        out_h[...] = kr
-
-    def block(lo):
-        h = kr[lo:lo + step]
-        d = loss_deriv(loss, read(lo, lo + step), h @ a.T)
-        if out is not None:
-            out_d[lo:lo + step] = d
-        return d.T @ h
-
+    count = kr.shape[0]
+    step = _block_rows(a.shape[0])
     try:
-        return _mean(map(block, range(0, count, step)), i_n, count)
+        for lo in range(0, count, step):
+            h = kr[lo:lo + step]
+            yield lo, h, loss_deriv(loss, read(lo, lo + step), h @ a.T)
     except LossDomainError:
         # Name the fault as one check over all the rows does: data faults
         # before model faults, extremes over every fiber.
@@ -138,11 +129,34 @@ def _pass(factors, loss: LossSpec, mode: int, rows, read, out=None) -> np.ndarra
         raise
 
 
+def _pass(factors, loss: LossSpec, mode: int, rows, read, out=None) -> np.ndarray:
+    """(1/B) sum_j g_j over the given fibers of `mode`, through the checked
+    functions, one row block at a time (see `_blocks`). With `out`, a
+    (B, I_n + R) array, each block's D and H are also written into its two
+    halves, as a SAGA table stores them."""
+    i_n = factors[mode].shape[0]
+
+    def product(block):
+        lo, h, d = block
+        if out is not None:
+            out_d, out_h = _halves(out[lo:lo + len(h)], i_n)
+            out_d[...] = d
+            out_h[...] = h
+        return d.T @ h
+
+    return _mean(map(product, _blocks(factors, loss, mode, rows, read)), i_n, np.size(rows))
+
+
+def _reader(tensor, mode: int, rows: np.ndarray):
+    """`read` for a pass over `rows`: each block's fibers by one checked
+    `data_fibers` call."""
+    return lambda lo, hi: data_fibers(tensor, mode, rows[lo:hi])
+
+
 def _read_pass(tensor, factors, loss: LossSpec, mode: int, rows, out=None) -> np.ndarray:
-    """`_pass` with each block's fibers read by one checked `data_fibers` call."""
+    """`_pass` with each block's fibers read from `tensor`."""
     rows = np.atleast_1d(np.asarray(rows))
-    return _pass(factors, loss, mode, rows,
-                 lambda lo, hi: data_fibers(tensor, mode, rows[lo:hi]), out)
+    return _pass(factors, loss, mode, rows, _reader(tensor, mode, rows), out)
 
 
 def _all_rows(tensor, mode: int) -> np.ndarray:
@@ -305,7 +319,7 @@ def vr_diagnostics(state: EstimatorState, factors, mode: int, rows) -> float:
 
     SAGA measures table staleness at `factors` over all fibers; SGD measures
     its estimate over `rows` against the exact gradient. Desk scale only
-    (SAGA walks the whole table).
+    (SAGA walks the whole table, one row block at a time).
     """
     if state.kind == "full":
         return 0.0
@@ -313,18 +327,22 @@ def vr_diagnostics(state: EstimatorState, factors, mode: int, rows) -> float:
         # Per fiber, with d, h its terms at `factors` and t, u the stored ones,
         # I_n (g - stored g) = d h^T - t u^T = a h^T + t b^T for a = d - t,
         # b = h - u: its squared norm takes row dot products, and is 0 on a
-        # fresh entry.
+        # fresh entry. Each row block of a checked full pass fills its rows'
+        # terms into one (J_n,) array, summed once.
         i_n = state.tensor.shape.dims[mode]
-        fresh = np.empty_like(state.tables[mode])
-        _read_pass(state.tensor, factors, state.loss, mode, _all_rows(state.tensor, mode), fresh)
-        d, h = _halves(fresh, i_n)
-        t, u = _halves(state.tables[mode], i_n)
-        a, b = d - t, h - u
+        table = state.tables[mode]
+        rows = _all_rows(state.tensor, mode)
+        sq = np.empty(rows.size)
 
         def dot(x, y):
             return np.einsum("ji,ji->j", x, y)
 
-        sq = dot(a, a) * dot(h, h) + 2.0 * dot(a, t) * dot(h, b) + dot(t, t) * dot(b, b)
+        for lo, h, d in _blocks(factors, state.loss, mode, rows,
+                                _reader(state.tensor, mode, rows)):
+            t, u = _halves(table[lo:lo + len(h)], i_n)
+            a, b = d - t, h - u
+            sq[lo:lo + len(h)] = (dot(a, a) * dot(h, h) + 2.0 * dot(a, t) * dot(h, b)
+                                  + dot(t, t) * dot(b, b))
         return float(np.sum(sq) / (i_n * i_n * state.batches[mode] * state.fiber_counts[mode]))
     err = (batch_gradient(state.tensor, factors, state.loss, mode, rows)   # sgd
            - full_gradient(state.tensor, factors, state.loss, mode))

@@ -10,6 +10,14 @@ block and the whole model is never formed. A tensor of one block gets the
 value of one `np.mean` over every entry bit for bit; more blocks agree with
 it to rounding.
 
+The sampled objective and `check_data_domain` walk their entries in blocks
+of `BLOCK_ENTRIES` too. The sampled objective reads the data and model
+values of one block of sampled ids at a time and fills their terms into one
+(S,) array; one `np.mean` of it gives the value of one mean over every
+sample, bit for bit. When a block of any of these passes is outside the loss
+domain, the pass re-runs the check over everything it covers, so the fault
+is named as one check names it.
+
 Six kinds are shipped. For the three kinds whose formulas contain log(m) or a
 division by m (gamma, poisson-identity, bernoulli-odds) every such occurrence
 is evaluated at m + epsilon so values and derivatives stay finite at m = 0.
@@ -137,9 +145,19 @@ def loss_deriv(spec: LossSpec, x, m):
 
 
 def check_data_domain(spec: LossSpec, values):
-    """Reject data outside the kind's x-domain; ingestion aborts, never clamps."""
+    """Reject data outside the kind's x-domain; ingestion aborts, never clamps.
+
+    Checks `BLOCK_ENTRIES` values at a time, in C order, so that contiguous
+    data costs a few block-sized temporaries. A block outside the domain
+    names the fault as one check over all the values does."""
     values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    _check_domain(spec, values, np.ones(1))
+    flat, one = values.reshape(-1), np.ones(1)
+    try:
+        for lo in range(0, flat.size, BLOCK_ENTRIES):
+            _check_domain(spec, flat[lo:lo + BLOCK_ENTRIES], one)
+    except LossDomainError:
+        _check_domain(spec, values, one)
+        raise
 
 
 @dataclass(frozen=True)
@@ -161,8 +179,10 @@ def objective(spec: LossSpec, tensor, model: KruskalModel, sample: int | None = 
 
     With `sample` >= the entry count (or None at desk scale) the value is
     exact, summed over mode-0 row blocks (see the module docstring) and
-    divided by the entry count once. A block outside the loss domain raises
-    the error one check over the whole tensor and model raises.
+    divided by the entry count once. Otherwise `sample` distinct entries are
+    drawn from `rng` and their terms are formed a block of samples at a
+    time. A block outside the loss domain raises the error one check over
+    the whole tensor and model (or over every sample) raises.
     """
     if tensor.shape.dims != model.shape.dims:
         raise LossDomainError(
@@ -187,11 +207,17 @@ def objective(spec: LossSpec, tensor, model: KruskalModel, sample: int | None = 
     if rng is None:
         raise ConfigError("sampled objective needs an rng")
     lin = rng.choice(total, size=int(sample), replace=False)
-    m = model.entries(np.column_stack(
-        np.unravel_index(lin, tensor.shape.dims, order="F")))
-    if isinstance(tensor, SparseTensorCOO):
-        x = tensor.values_at_linear(lin)
-    else:
-        x = tensor.values.ravel(order="F")[lin]
-    value = float(np.mean(loss_value(spec, x, m)))
-    return ObjectiveValue(value=value, exact=False, n_terms=int(lin.size))
+    terms = np.empty(lin.size)
+    try:
+        for lo in range(0, lin.size, BLOCK_ENTRIES):
+            terms[lo:lo + BLOCK_ENTRIES] = loss_value(
+                spec, *_sampled(tensor, model, lin[lo:lo + BLOCK_ENTRIES]))
+    except LossDomainError:
+        _check_domain(spec, *_sampled(tensor, model, lin))
+        raise
+    return ObjectiveValue(value=float(np.mean(terms)), exact=False, n_terms=int(lin.size))
+
+
+def _sampled(tensor, model: KruskalModel, lin) -> tuple[np.ndarray, np.ndarray]:
+    """Data and model values at the given mode-0-fastest linear ids."""
+    return tensor.values_at_linear(lin), model.values_at_linear(lin)

@@ -24,11 +24,13 @@ import numpy as np
 from .errors import DataError
 
 
-# Entries per row block of the passes that walk a tensor in blocks: the
-# checked gradient passes of `estimators` and the exact objective of
-# `losses`. Smaller blocks pay more checked calls (2^10 more than doubles a
-# dense-bernoulli-full fit); larger ones add per-block temporaries (at 2^15 a
-# dense full pass peaks at 1.6x the tensor's bytes, against 1.2x here).
+# Entries per block of the passes that walk a tensor in blocks: the checked
+# gradient passes of `estimators`, the exact and sampled objectives and the
+# data-domain check of `losses`, and the sparse fiber-index build. Smaller
+# blocks pay more checked calls (2^10 more than doubles a
+# dense-bernoulli-full fit, and costs a sparse-poisson-sgd fit 3.5 % in its
+# sampled objective); larger ones add per-block temporaries (at 2^15 a dense
+# full pass peaks at 1.6x the tensor's bytes, against 1.2x here).
 BLOCK_ENTRIES = 1 << 13
 
 
@@ -102,6 +104,12 @@ class DenseTensor:
         if plan is None:
             plan = self._plans[mode] = FiberPlan(self, mode)
         return plan.moved[plan.digits(rows)]
+
+    def values_at_linear(self, linear_ids) -> np.ndarray:
+        """Entries at the given mode-0-fastest linear positions, gathered
+        from the C-ordered values without a reordered copy of the tensor."""
+        linear_ids = np.asarray(linear_ids, dtype=np.int64)
+        return self.values.reshape(-1)[_c_positions(linear_ids, self.shape.dims)]
 
 
 class SparseTensorCOO:
@@ -181,38 +189,70 @@ class SparseTensorCOO:
         entries are slots starts[f]:starts[f + 1] of order, by rising
         mode-`mode` index. Mode 0 has no order (None): its fibers are runs of
         the linear order, so a slot is the entry's own position. Both arrays
-        are int32 below 2^31 entries."""
+        are int32 below 2^31 entries, and the build holds no other array of
+        the entries' size."""
         self.shape._check_mode(mode)
         if self._fibers[mode] is None:
             self._fibers[mode] = self._build_fiber_index(mode)
         return self._fibers[mode]
 
     def _build_fiber_index(self, mode: int):
+        """A counting sort of the entries by fiber id, a block at a time:
+        beside the int32 order and starts it holds int64 temporaries of one
+        block and of J_n fiber counts. The linear order lists each fiber's
+        entries by rising mode-`mode` index, so this stable sort by fiber id
+        is the index (`verify.fiber_index_argsort` builds it in one piece)."""
         dims = self.shape.dims
+        j_n = self.shape.fiber_count(mode)
         dtype = _index_dtype(self.nnz)
-        starts = np.zeros(self.shape.fiber_count(mode) + 1, dtype=dtype)
+        starts = np.zeros(j_n + 1, dtype=dtype)
         if mode == 0:
             # Mode-0 fiber f holds the linear ids [f * I_0, (f + 1) * I_0).
             starts[1:] = np.searchsorted(self._linear, np.arange(1, starts.size) * dims[0])
             return None, starts
         # Linear id a + lo * (i + I * b), with a < lo = I_0 ... I_{mode-1} and
-        # I = I_mode, lies at index i of fiber a + lo * b. Within a fiber the
-        # entries differ only in i, so sorting the unique key fid * I + i
-        # gives the stable sort of fid over the entries. The key is built in
-        # place, beside at most one temporary.
+        # I = I_mode, lies at index i of fiber a + lo * b.
         lo, size = math.prod(dims[:mode]), dims[mode]
-        key = self._linear // (lo * size)
-        key *= lo
-        key += self._linear % lo
-        np.cumsum(np.bincount(key, minlength=starts.size - 1), out=starts[1:])
-        key *= size
-        digit = self._linear // lo
-        digit %= size
-        key += digit
-        del digit
-        order = np.argsort(key)
-        del key
-        return order.astype(dtype), starts
+
+        def fibers(at, count):
+            linear = self._linear[at:at + count]
+            fid = linear // (lo * size)
+            fid *= lo
+            fid += linear % lo
+            return fid
+
+        # The prefix sum of the counts leaves fiber f's first slot in
+        # starts[f]. Blocks of at least J_n entries make a block's J_n counts
+        # cost no more than its entries.
+        count_block = max(BLOCK_ENTRIES, j_n)
+        for at in range(0, self.nnz, count_block):
+            starts[1:] += np.bincount(fibers(at, count_block), minlength=j_n)
+        np.cumsum(starts, out=starts)
+        # starts[f] is then f's cursor. A stable argsort of a block's fiber
+        # ids (a radix sort, on 16-bit keys) gathers each fiber's entries of
+        # the block into one run, in linear order; the run's t-th entry takes
+        # slot cursor + t.
+        order = np.empty(self.nnz, dtype=dtype)
+        for at in range(0, self.nnz, BLOCK_ENTRIES):
+            keys = fibers(at, BLOCK_ENTRIES)
+            if j_n <= 1 << 16:
+                keys = keys.astype(np.uint16)
+            sort = np.argsort(keys, kind="stable")
+            keys = keys[sort]
+            edge = np.empty(keys.size, dtype=bool)
+            edge[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=edge[1:])
+            first = np.flatnonzero(edge)
+            fid, counts = keys[first].astype(np.int64), np.diff(first, append=keys.size)
+            slots = np.repeat(starts[fid] - first, counts)
+            slots += np.arange(keys.size)
+            sort += at
+            order[slots] = sort
+            starts[fid] += counts
+        # Each cursor has moved to its fiber's run end, kept one place on.
+        starts[1:] = starts[:-1].copy()
+        starts[0] = 0
+        return order, starts
 
     def fiber_rows(self, mode: int, rows) -> np.ndarray:
         """Rows of the mode-`mode` unfolding at the given fiber indices, (B, I_mode)."""
@@ -319,18 +359,22 @@ class KruskalModel:
     def order(self) -> int:
         return len(self.factors)
 
-    def entries(self, indices) -> np.ndarray:
-        """Model values at (S, N) multi-indices."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.ndim != 2 or indices.shape[1] != self.order:
-            raise DataError("multi-index array must be (S, N)")
-        dims = np.array(self.shape.dims)
-        if indices.size and (indices.min() < 0 or np.any(indices >= dims[None, :])):
-            raise IndexError("multi-index out of bounds")
-        prod = np.ones((indices.shape[0], self.rank))
-        for n, a in enumerate(self.factors):
-            prod *= a[indices[:, n], :]
-        return prod.sum(axis=1)
+    def values_at_linear(self, linear_ids) -> np.ndarray:
+        """Model values at mode-0-fastest linear ids in [0, total). The
+        product of the factors' rows is taken one mode's digits at a time,
+        so beside the (S, R) product it holds one mode's rows and digits."""
+        linear_ids = np.asarray(linear_ids, dtype=np.int64)
+        out, stride = None, 1
+        for a, size in zip(self.factors, self.shape.dims):
+            digit = linear_ids // stride
+            digit %= size
+            stride *= size
+            if out is None:
+                out = a.take(digit, axis=0)
+            else:
+                out *= a.take(digit, axis=0)
+            del digit
+        return out.sum(axis=1)
 
     def slab(self, lo: int, hi: int) -> np.ndarray:
         """Model values at mode-0 indices [lo, hi), shape (hi - lo, I_1, ...):

@@ -4,15 +4,17 @@ prox step, estimator unbiasedness, Khatri-Rao row products, and MSE matching.
 Every check pins its tolerance here. The oracles are deliberately independent
 of the fast paths they test: finite differences of the objective, a bounded
 scalar minimizer for the prox subproblem, brute-force Khatri-Rao
-materialization, exhaustive permutation matching, and a per-fiber loop for
-sparse fiber reads. Scalar fiber-index conversions, the full dense unfolding,
-the exact gaussian block curvature, and the generator psi with its gradient
-and the three-point identity are kept here as oracles for tests.
+materialization, exhaustive permutation matching, a per-fiber loop for
+sparse fiber reads, and one argsort for the sparse fiber index. Scalar
+fiber-index conversions, the full dense unfolding, the exact gaussian block
+curvature, and the generator psi with its gradient and the three-point
+identity are kept here as oracles for tests.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,7 @@ from .data import sample_tensor
 from .estimators import batch_gradient, full_gradient
 from .losses import KINDS, LossSpec, objective
 from .metrics import _cost_matrix, match_columns, mse
-from .tensors import (DenseTensor, KruskalModel, SparseTensorCOO, TensorShape,
+from .tensors import (DenseTensor, KruskalModel, SparseTensorCOO, TensorShape, _index_dtype,
                       data_fibers, khatri_rao_rows)
 
 
@@ -217,6 +219,26 @@ def fiber_rows_loop(tensor: SparseTensorCOO, mode: int, rows) -> np.ndarray:
         at = np.unravel_index(tensor._linear[sel], tensor.shape.dims, order="F")[mode]
         out[b, at] = tensor.values[sel]
     return out
+
+
+def fiber_index_argsort(tensor: SparseTensorCOO, mode: int):
+    """(order, starts) of mode `mode` built in one piece, as one argsort of a
+    unique key over every entry (oracle for the block-wise counting sort of
+    `SparseTensorCOO.fiber_index`)."""
+    dims = tensor.shape.dims
+    linear = tensor._linear
+    dtype = _index_dtype(tensor.nnz)
+    starts = np.zeros(tensor.shape.fiber_count(mode) + 1, dtype=dtype)
+    if mode == 0:
+        starts[1:] = np.searchsorted(linear, np.arange(1, starts.size) * dims[0])
+        return None, starts
+    # Linear id a + lo * (i + I * b) lies at index i of fiber a + lo * b, so
+    # sorting the unique key fid * I + i sorts by fiber, then by index.
+    lo, size = math.prod(dims[:mode]), dims[mode]
+    fid = linear // (lo * size) * lo + linear % lo
+    np.cumsum(np.bincount(fid, minlength=starts.size - 1), out=starts[1:])
+    order = np.argsort(fid * size + linear // lo % size)
+    return order.astype(dtype), starts
 
 
 def fiber_to_multi_index(shape: TensorShape, mode: int, row: int) -> tuple[int, ...]:

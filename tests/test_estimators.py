@@ -611,6 +611,65 @@ class TestDiagnostics:
         assert want > 0
         assert gamma == pytest.approx(want, rel=1e-10)
 
+    @staticmethod
+    def _moved_saga(sparse):
+        """A saga state over several row blocks per pass, some of its table
+        entries refreshed at moved points, and a further moved point."""
+        tensor, model, spec = make_instance("gamma", dims=(60, 50, 40), rank=3, seed=18)
+        if sparse:
+            tensor = as_sparse(tensor)
+        state = EstimatorState("saga", tensor, model, spec, batch=6)
+        rng = np.random.default_rng(4)
+        point = list(model.factors)
+        for k in range(6):
+            point = [a * (1 + 0.05 * rng.random(a.shape)) for a in point]
+            rows = rng.choice(state.fiber_counts[k % 3], size=6, replace=False)
+            checked_gradient(state, point, k % 3, rows)
+        return state, [a * 1.03 for a in point]
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_saga_equals_the_whole_table_sum_bit_for_bit(self, sparse):
+        # The row terms of a fresh table that one checked pass fills, summed
+        # once, as the diagnostic was formed before it went per row block.
+        state, moved = self._moved_saga(sparse)
+        for mode in range(3):
+            table, i_n, j_n = state.tables[mode], state.tensor.shape.dims[mode], \
+                state.fiber_counts[mode]
+            assert j_n > estimators._block_rows(i_n)
+            fresh = np.empty_like(table)
+            estimators._read_pass(state.tensor, moved, state.loss, mode, np.arange(j_n), fresh)
+            d, h, t, u = fresh[:, :i_n], fresh[:, i_n:], table[:, :i_n], table[:, i_n:]
+            a, b = d - t, h - u
+
+            def dot(x, y):
+                return np.einsum("ji,ji->j", x, y)
+
+            sq = dot(a, a) * dot(h, h) + 2.0 * dot(a, t) * dot(h, b) + dot(t, t) * dot(b, b)
+            want = float(np.sum(sq) / (i_n * i_n * state.batches[mode] * j_n))
+            assert want > 0
+            assert vr_diagnostics(state, moved, mode, np.array([0])) == want
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_saga_holds_no_second_table(self, sparse):
+        # The Khatri-Rao rows with their row and digit arrays, 8 J_n (R + N)
+        # bytes, the (J_n,) row terms and a row block's temporaries (its
+        # fibers, M_b, the derivative's intermediates, and the D_b and
+        # D_b - T_b of the block before), at most nine arrays of a block's
+        # entries: less than the fresh (J_n, I_n + R) table the whole-table
+        # sum fills.
+        state, moved = self._moved_saga(sparse)
+        blocks = 9 * 8 * estimators.BLOCK_ENTRIES
+        for mode in range(3):
+            j_n = state.fiber_counts[mode]
+            vr_diagnostics(state, moved, mode, np.array([0]))
+            tracemalloc.start()
+            try:
+                vr_diagnostics(state, moved, mode, np.array([0]))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * j_n * (state.rank + 3 + 1) + blocks < state.tables[mode].nbytes
+
     def test_saga_leaves_the_table_unchanged(self):
         tensor, model, spec = make_instance(seed=17)
         state = EstimatorState("saga", tensor, model, spec, batch=2)

@@ -295,3 +295,192 @@ class TestBlockedObjective:
         finally:
             tracemalloc.stop()
         assert peak < tensor.values.nbytes / 4
+
+
+def _traced_peak(call):
+    """(result, tracemalloc peak in bytes) of `call()`."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _whole_error(spec, x, m):
+    """The message of one domain check over all of `x` and `m`."""
+    with pytest.raises(LossDomainError) as err:
+        loss_value(spec, x, m)
+    return str(err.value)
+
+
+# Two data faults per kind with a data domain, a milder one and a worse one:
+# a check of the first block alone would name the milder, a check over all
+# values names the worse (or the first in C order, for the binary kinds).
+DATA_FAULTS = {
+    "gamma": (-0.5, -2.0),
+    "poisson-identity": (0.5, -3.0),
+    "poisson-log": (2.5, -1.0),
+    "bernoulli-odds": (0.5, 2.0),
+    "bernoulli-logit": (-1.0, 3.0),
+}
+
+# A block of int64 values, the unit of the memory bounds below.
+BLOCK_BYTES = 8 * BLOCK_ENTRIES
+
+
+def _plant(values, kind, where, first, last):
+    """`values` with `kind`'s faults at flat positions `first` and `last`:
+    the worse one at the first, the last or both (the milder one first)."""
+    mild, worse = DATA_FAULTS[kind]
+    flat = values.reshape(-1)
+    if where == "both":
+        flat[first], flat[last] = mild, worse
+    else:
+        flat[first if where == "first" else last] = worse
+    return values
+
+
+class TestBlockedDataCheck:
+    """`check_data_domain` walks the values a block at a time and names a
+    fault as one check over all of them does."""
+
+    @pytest.mark.parametrize("kind", list(DATA_FAULTS))
+    @pytest.mark.parametrize("where", ["first", "last", "both"])
+    def test_names_the_whole_array_fault(self, kind, where):
+        # 3 blocks and a remainder, as a 3-way tensor.
+        values = _plant(np.ones((8, 7, 439)), kind, where, 3, -1)
+        assert values.size > 3 * BLOCK_ENTRIES
+        spec = LossSpec(kind)
+        want = _whole_error(spec, values, 1.0)
+        with pytest.raises(LossDomainError) as err:
+            losses.check_data_domain(spec, values)
+        assert str(err.value) == want
+        if where == "both" and kind in ("gamma", "poisson-identity"):
+            assert str(DATA_FAULTS[kind][1]) in want
+
+    def test_in_domain_data_passes(self):
+        for kind, values in (("gaussian", np.full(50_000, -7.5)),
+                             ("poisson-log", np.arange(50_000.0)),
+                             ("bernoulli-logit", np.arange(50_000.0) % 2)):
+            losses.check_data_domain(LossSpec(kind), values)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_holds_at_most_two_blocks(self, kind):
+        # 100 000 values; a check over all of them in one piece holds a
+        # floor() copy and a bool mask of every value (14x a block).
+        values = np.random.default_rng(2).poisson(1.0, 100_000).astype(float)
+        if kind.startswith("bernoulli"):
+            values = np.minimum(values, 1.0)
+        spec = LossSpec(kind)
+        losses.check_data_domain(spec, values)
+        _, peak = _traced_peak(lambda: losses.check_data_domain(spec, values))
+        assert peak <= 2 * BLOCK_BYTES
+
+
+def _one_piece_sample(spec, tensor, model, sample, seed):
+    """The sampled objective's ids, data and model values, read in one
+    piece: the data from a mode-0-fastest copy of the dense values, the
+    model values as a product of the factors' rows from ones, summed over r."""
+    lin = np.random.default_rng(seed).choice(tensor.shape.total, size=sample, replace=False)
+    dense = tensor.to_dense() if isinstance(tensor, SparseTensorCOO) else tensor
+    x = dense.values.ravel(order="F")[lin]
+    prod = np.ones((sample, model.rank))
+    for a, i in zip(model.factors, np.unravel_index(lin, tensor.shape.dims, order="F")):
+        prod *= a[i, :]
+    return lin, x, prod.sum(axis=1)
+
+
+def _as_sparse(tensor):
+    idx = np.argwhere(tensor.values != 0)
+    return SparseTensorCOO(tensor.shape, idx, tensor.values[tuple(idx.T)])
+
+
+class TestSampledObjective:
+    """The sampled objective fills its terms a block of samples at a time
+    and takes one mean: the value of one mean over all samples, bit for bit."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("sample", [1, BLOCK_ENTRIES, 2 * BLOCK_ENTRIES + 3, 24_599])
+    def test_blocks_equal_one_mean_bit_for_bit(self, kind, sparse, sample, monkeypatch):
+        tensor, model = _in_domain(kind, MULTI_BLOCK_DIMS, seed=10)
+        if sparse:
+            tensor = _as_sparse(tensor)
+        spec = LossSpec(kind)
+        _, x, m = _one_piece_sample(spec, tensor, model, sample, seed=11)
+        sizes = []
+        real = losses.loss_value
+        monkeypatch.setattr(losses, "loss_value",
+                            lambda spec, x, m: sizes.append(np.size(m)) or real(spec, x, m))
+        got = objective(spec, tensor, model, sample=sample, rng=np.random.default_rng(11))
+        assert sizes == [min(BLOCK_ENTRIES, sample - lo)
+                         for lo in range(0, sample, BLOCK_ENTRIES)]
+        assert not got.exact and got.n_terms == sample
+        assert got.value == float(np.mean(real(spec, x, m)))
+
+    @pytest.mark.parametrize("kind", list(DATA_FAULTS))
+    @pytest.mark.parametrize("where", ["first", "last", "both"])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_data_fault_is_named_as_one_check_names_it(self, kind, where, sparse):
+        # Faults at the first sample (first block) and the last (last block).
+        tensor, model = _in_domain(kind, MULTI_BLOCK_DIMS, seed=12)
+        spec, sample = LossSpec(kind), 2 * BLOCK_ENTRIES + 3
+        lin, _, _ = _one_piece_sample(spec, tensor, model, sample, seed=13)
+        values = tensor.values.copy()
+        ids = np.ravel_multi_index(np.unravel_index(lin, values.shape, order="F"),
+                                   values.shape)
+        tensor = DenseTensor(_plant(values, kind, where, ids[0], ids[-1]))
+        if sparse:
+            tensor = _as_sparse(tensor)
+        _, x, m = _one_piece_sample(spec, tensor, model, sample, seed=13)
+        want = _whole_error(spec, x, m)
+        with pytest.raises(LossDomainError) as err:
+            objective(spec, tensor, model, sample=sample, rng=np.random.default_rng(13))
+        assert str(err.value) == want
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_data_fault_of_a_later_block_is_named_before_a_model_fault(self, sparse):
+        tensor, model = _in_domain("gamma", MULTI_BLOCK_DIMS, seed=14)
+        spec, sample = LossSpec("gamma"), 2 * BLOCK_ENTRIES + 3
+        lin, _, _ = _one_piece_sample(spec, tensor, model, sample, seed=15)
+        first, last = (np.unravel_index(i, MULTI_BLOCK_DIMS, order="F") for i in lin[[0, -1]])
+        factors = [a.copy() for a in model.factors]
+        factors[0][first[0]] *= -1.0   # the model is negative at the first sample
+        model = KruskalModel(factors)
+        values = tensor.values.copy()
+        values[last] = -1.0
+        tensor = _as_sparse(DenseTensor(values)) if sparse else DenseTensor(values)
+        _, x, m = _one_piece_sample(spec, tensor, model, sample, seed=15)
+        want = _whole_error(spec, x, m)
+        assert want == "gamma: data value -1.0 < 0"
+        with pytest.raises(LossDomainError) as err:
+            objective(spec, tensor, model, sample=sample, rng=np.random.default_rng(15))
+        assert str(err.value) == want
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_holds_its_samples_and_a_few_blocks(self, sparse):
+        # A block's temporaries are about 2 (N + R) int64 arrays of a block.
+        # Read in one piece, a sample's model values hold ~200 bytes per
+        # sample, and a dense tensor's data a mode-0-fastest copy of it.
+        if sparse:
+            dims, sample = (256, 200, 100), 60_000
+            rng = np.random.default_rng(16)
+            linear = np.sort(rng.choice(math.prod(dims), 100_000, replace=False))
+            tensor = SparseTensorCOO(dims, linear, rng.poisson(2.0, linear.size) + 1.0,
+                                     linear=True)
+        else:
+            dims, sample = (100, 80, 60), 9500
+            tensor = DenseTensor(np.random.default_rng(16).poisson(2.0, dims) + 1.0)
+        model = KruskalModel([0.1 + np.random.default_rng(17).random((d, 3)) for d in dims])
+        spec = LossSpec("poisson-identity")
+
+        def evaluate():
+            return objective(spec, tensor, model, sample=sample, rng=np.random.default_rng(18))
+
+        def draw():
+            return np.random.default_rng(18).choice(math.prod(dims), size=sample, replace=False)
+
+        evaluate()
+        _, drawn = _traced_peak(draw)
+        _, peak = _traced_peak(evaluate)
+        assert peak <= drawn + 8 * sample + 2 * (len(dims) + model.rank) * BLOCK_BYTES

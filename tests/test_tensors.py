@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from gcpd import tensors
 from gcpd.errors import DataError
 from gcpd.tensors import (DenseTensor, FiberPlan, KruskalModel, SparseTensorCOO,
                           TensorShape, data_fibers, khatri_rao_rows)
-from gcpd.verify import (fiber_rows_loop, fiber_to_multi_index, multi_index_to_fiber,
-                         unfold)
+from gcpd.verify import (fiber_index_argsort, fiber_rows_loop, fiber_to_multi_index,
+                         multi_index_to_fiber, unfold)
 
 
 def brute_force_fibers(dims, mode):
@@ -30,8 +31,9 @@ def brute_force_fibers(dims, mode):
 
 
 def entry(model, index):
-    """Model value at one multi-index, read through the batched `entries`."""
-    return float(model.entries(np.asarray([index], dtype=np.int64))[0])
+    """Model value at one multi-index, read through the batched `values_at_linear`."""
+    return float(model.values_at_linear(
+        [np.ravel_multi_index(index, model.shape.dims, order="F")])[0])
 
 
 def materialize_khatri_rao(factors, mode):
@@ -179,6 +181,20 @@ class TestModelFibers:
         model = KruskalModel([np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3))])
         rows = khatri_rao_rows(model.factors, 0, [0]) @ model.factors[0].T
         assert np.array_equal(rows, np.full((1, 2), 3.0))
+
+    def test_values_at_linear_equal_a_product_from_ones_bit_for_bit(self):
+        # 1.0 * v == v, so starting the product from the first factor's rows
+        # changes no value; the ids are read in the caller's order.
+        rng = np.random.default_rng(8)
+        for dims in ((5, 4), (4, 3, 5), (3, 2, 4, 2)):
+            model = KruskalModel([rng.random((d, 3)) for d in dims])
+            lin = rng.permutation(math.prod(dims))
+            prod = np.ones((lin.size, 3))
+            for a, i in zip(model.factors, np.unravel_index(lin, dims, order="F")):
+                prod *= a[i]
+            got = model.values_at_linear(lin)
+            assert got.tobytes() == prod.sum(axis=1).tobytes()
+            assert np.allclose(got, model.to_dense().values.ravel(order="F")[lin], rtol=1e-14)
 
     def test_entries_match_model_entry(self):
         rng = np.random.default_rng(5)
@@ -532,6 +548,72 @@ class TestVectorizedSparseFibers:
         for at, v in zip(idx.tolist(), values):
             want[multi_index_to_fiber(shape, mode, at[:mode] + at[mode + 1:]), at[mode]] = v
         assert np.array_equal(got, want[rows])
+
+
+def _traced_peak(call):
+    """(result, tracemalloc peak in bytes) of `call()`."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFiberIndexBuild:
+    """The block-wise counting sort gives the one-piece argsort's arrays."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equals_the_one_piece_argsort(self, data):
+        dims = tuple(data.draw(st.lists(st.integers(1, 7), min_size=2, max_size=4)))
+        total = math.prod(dims)
+        fill = data.draw(st.sampled_from(["empty", "full", "some"]))
+        if fill == "some":
+            # A few entries leave most fibers empty; many leave some.
+            nnz = data.draw(st.integers(1, total))
+            linear = np.sort(np.random.default_rng(nnz).choice(total, nnz, replace=False))
+        else:
+            linear = np.arange(total if fill == "full" else 0)
+        tensor = SparseTensorCOO(dims, linear, np.arange(1.0, linear.size + 1.0), linear=True)
+        # Small blocks make even these tensors span several of them.
+        block = data.draw(st.sampled_from([1, 2, 5, 64, tensors.BLOCK_ENTRIES]))
+        with mock.patch.object(tensors, "BLOCK_ENTRIES", block):
+            for mode in range(len(dims)):
+                (order, starts), (want_order, want_starts) = (
+                    tensor.fiber_index(mode), fiber_index_argsort(tensor, mode))
+                assert (order is None) == (want_order is None) == (mode == 0)
+                for a, b in ((order, want_order), (starts, want_starts)):
+                    if a is not None:
+                        assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b)
+                rows = np.arange(tensor.shape.fiber_count(mode))
+                assert np.array_equal(tensor.fiber_rows(mode, rows),
+                                      fiber_rows_loop(tensor, mode, rows))
+
+    def test_more_fibers_than_16_bit_keys_count(self):
+        # J_1 = 90 000 fibers take int64 keys.
+        dims = (300, 2, 300)
+        rng = np.random.default_rng(4)
+        linear = np.sort(rng.choice(math.prod(dims), 20_000, replace=False))
+        tensor = SparseTensorCOO(dims, linear, rng.random(linear.size), linear=True)
+        for mode in (1, 2):
+            for a, b in zip(tensor.fiber_index(mode), fiber_index_argsort(tensor, mode)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_build_holds_the_index_and_a_few_blocks(self, mode):
+        # 100 000 entries in sparse-poisson-sgd's shape. Beside the int32
+        # order and starts it keeps, a build holds a few int64 temporaries of
+        # a block and of J_n fiber counts. The one-piece argsort holds an
+        # int64 key, digit and order of every entry: 2.7x the kept bytes.
+        dims = (256, 200, 100)
+        rng = np.random.default_rng(5)
+        linear = np.sort(rng.choice(math.prod(dims), 100_000, replace=False))
+        tensor = SparseTensorCOO(dims, linear, rng.random(linear.size), linear=True)
+        (order, starts), peak = _traced_peak(lambda: tensor.fiber_index(mode))
+        assert np.array_equal(order, fiber_index_argsort(tensor, mode)[0])
+        block = 8 * tensors.BLOCK_ENTRIES
+        counts = 8 * tensor.shape.fiber_count(mode)
+        assert peak <= order.nbytes + starts.nbytes + 6 * block + 3 * counts
 
 
 class TestRowRangeGuards:
