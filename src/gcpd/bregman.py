@@ -69,7 +69,7 @@ class RegularizerSpec:
         return self.kind == "nonnegative-indicator" or self.nonnegative
 
 
-def _check_entropy_domain(spec: GeneratorSpec, a, name, strict):
+def _check_entropy_domain(a, name, strict):
     a = np.atleast_1d(a)
     if a.size == 0:
         return
@@ -87,8 +87,8 @@ def bregman_div(spec: GeneratorSpec, x, y) -> float:
     if x.shape != y.shape:
         raise LossDomainError(f"bregman_div shape mismatch {x.shape} vs {y.shape}")
     if spec.entropic:
-        _check_entropy_domain(spec, x, "first argument", strict=False)
-        _check_entropy_domain(spec, y, "second argument", strict=True)
+        _check_entropy_domain(x, "first argument", strict=False)
+        _check_entropy_domain(y, "second argument", strict=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             xlog = np.where(x > 0, x * np.log(x / y), 0.0)
         return float(np.sum(xlog - x + y))
@@ -119,7 +119,7 @@ def mirror_prox_step(gen: GeneratorSpec, reg: RegularizerSpec, anchor, grad,
         raise LossDomainError(f"anchor shape {anchor.shape} != gradient shape {grad.shape}")
 
     if gen.entropic:
-        _check_entropy_domain(gen, anchor, "anchor", strict=True)
+        _check_entropy_domain(anchor, "anchor", strict=True)
         if reg.kind in ("zero", "nonnegative-indicator"):
             shift = grad
         elif reg.kind == "l1":
@@ -141,9 +141,7 @@ def mirror_prox_step(gen: GeneratorSpec, reg: RegularizerSpec, anchor, grad,
     if reg.kind == "squared-l2":
         out = z / (1.0 + eta * reg.weight)
         return np.maximum(out, 0.0) if reg.nonnegative else out
-    if reg.kind == "l1":
-        t = eta * reg.weight
-        if reg.nonnegative:
-            return np.maximum(z - t, 0.0)
-        return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
-    raise ConfigError(f"unknown regularizer {reg.kind!r}")
+    t = eta * reg.weight   # l1, the one kind left
+    if reg.nonnegative:
+        return np.maximum(z - t, 0.0)
+    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)

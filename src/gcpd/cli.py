@@ -5,8 +5,9 @@ A line-oriented key=value config file (--config) supplies defaults for any
 flag of its command; explicit flags win, and a key no flag of the command
 sets is a usage error. A flag left unset takes the default of the dataclass
 field it fills (`SolverConfig`, `LossSpec`, `RegularizerSpec`,
-`SyntheticSpec`). Every output embeds the fully resolved run manifest,
-and `decompose --manifest saved.json` replays a run from one.
+`SyntheticSpec`). The tensor, factor and trace files of `synthesize` and
+`decompose` embed the fully resolved run manifest (the `compare` summary
+does not), and `decompose --manifest saved.json` replays a run from one.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def _add_solver_flags(p, include_outputs=True):
     if include_outputs:
         p.add_argument("--trace", type=str, default=None, help="trace output path")
         p.add_argument("--trace-format", type=str, default=None,
-                       choices=["csv", "json"], dest="trace_format")
+                       choices=gdata.TRACE_FORMATS, dest="trace_format")
         p.add_argument("--model-out", type=str, default=None, dest="model_out")
 
 
@@ -247,18 +248,25 @@ def cmd_decompose(args) -> int:
         input_path = saved["input"]["path"]
         shape = saved["input"].get("shape")
         truth_path = saved.get("truth")
+        outputs = saved["outputs"]
         if not isinstance(input_path, str):
             raise DataError(f"{args.manifest}: input.path is {input_path!r}, not a string")
         if shape is not None and not (isinstance(shape, list) and all(
                 isinstance(d, int) and not isinstance(d, bool) for d in shape)):
             raise DataError(f"{args.manifest}: input.shape is {shape!r}, "
                             "not null or a list of ints")
-        if truth_path is not None and not isinstance(truth_path, str):
-            raise DataError(f"{args.manifest}: truth is {truth_path!r}, not null or a string")
+        for name, value in (("truth", truth_path), ("outputs.trace", outputs.get("trace")),
+                            ("outputs.model", outputs.get("model"))):
+            if value is not None and not isinstance(value, str):
+                raise DataError(f"{args.manifest}: {name} is {value!r}, not null or a string")
+        saved_format = outputs.get("trace_format", "csv")
+        if saved_format not in gdata.TRACE_FORMATS:
+            raise DataError(f"{args.manifest}: outputs.trace_format is {saved_format!r}, "
+                            f"not one of {gdata.TRACE_FORMATS}")
         shape = tuple(shape) if shape else None
-        trace_path = args.trace or saved["outputs"].get("trace")
-        trace_format = args.trace_format or saved["outputs"].get("trace_format", "csv")
-        model_out = args.model_out or saved["outputs"].get("model")
+        trace_path = args.trace or outputs.get("trace")
+        trace_format = args.trace_format or saved_format
+        model_out = args.model_out or outputs.get("model")
     else:
         config = _solver_config_from_args(args)
         input_path = args.input

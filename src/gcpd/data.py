@@ -517,6 +517,9 @@ def write_trace_json(trace: IterationTrace, path, n_modes: int):
         fh.write("\n")
 
 
+TRACE_FORMATS = ("csv", "json")
+
+
 def write_trace(trace: IterationTrace, path, n_modes: int, fmt: str = "csv"):
     if fmt == "csv":
         write_trace_csv(trace, path, n_modes)

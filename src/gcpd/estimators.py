@@ -74,8 +74,8 @@ import numpy as np
 
 from .errors import ConfigError, LossDomainError, StateError
 from .losses import LossSpec, deriv_kernel, loss_deriv
-from .tensors import (BLOCK_ENTRIES, FiberPlan, KruskalModel, data_fibers, khatri_rao_rows,
-                      row_array)
+from .tensors import (BLOCK_ENTRIES, FiberPlan, KruskalModel, _check_rows, data_fibers,
+                      khatri_rao_rows)
 
 ESTIMATOR_KINDS = ("full", "sgd", "saga")
 
@@ -291,10 +291,10 @@ def estimate_gradient(state: EstimatorState, factors, mode: int,
 
 def checked_gradient(state: EstimatorState, factors, mode: int, rows) -> np.ndarray:
     """:func:`estimate_gradient` for any caller: rows, which must be
-    integers, are sorted and de-duplicated, the factors are taken as float
-    arrays, and the arguments are checked against the state before the
-    fibers are read."""
-    rows = np.unique(row_array(rows))
+    integers in range, are sorted and de-duplicated, the factors are taken
+    as float arrays, and the arguments are checked against the state before
+    the fibers are read."""
+    rows = np.unique(_check_rows(state.tensor.shape.dims, mode, rows))
     if rows.size == 0:
         raise ConfigError("empty fiber set")
     factors = [np.array(a, dtype=float) for a in factors]
@@ -303,11 +303,6 @@ def checked_gradient(state: EstimatorState, factors, mode: int, rows) -> np.ndar
         raise StateError(
             f"estimator state built for factors {dims} x rank {state.rank}, "
             f"got {[a.shape for a in factors]}")
-    if not 0 <= mode < state.order:
-        raise IndexError(f"mode {mode} out of range for order-{state.order} tensor")
-    if rows[0] < 0 or rows[-1] >= state.fiber_counts[mode]:   # rows are sorted
-        raise IndexError(
-            f"fiber row out of range [0, {state.fiber_counts[mode]}) for mode {mode}")
     if state.loss.nonnegative and min(a.min() for a in factors) < 0:
         raise LossDomainError(f"{state.loss.kind}: factors must be nonnegative")
     fibers = next(fiber_groups(state, mode, rows[None]))   # a group of one batch

@@ -26,9 +26,9 @@ batches at a time, when the first batch of a group is needed
 (`estimators.fiber_groups`), and handed to the estimator with the rows.
 
 :func:`run` validates its inputs once, at the run boundary: the config
-(`SolverConfig.resolved`), the data against the loss domain, and the initial
-factors (finite, matching the tensor and rank, nonnegative where the run keeps
-factors nonnegative). The steps then trust what the run builds: fiber rows
+(`SolverConfig.resolved`) and the data against the loss domain. It draws the
+initial factors from stream 3, so a run is a function of its config, tensor
+and truth. The steps then trust what the run builds: fiber rows
 drawn without replacement and sorted are in range and unique, and the
 estimator state matches the factors by construction. Guards that can still
 fire (non-finite factors, the divergence and overflow bounds) stay in the loop.
@@ -47,7 +47,7 @@ import numpy as np
 
 from .bregman import (FLOOR, GeneratorSpec, RegularizerSpec, mirror_prox_step,
                       regularizer_value)
-from .errors import ConfigError, DataError, DivergenceError, LossDomainError
+from .errors import ConfigError, DataError, DivergenceError
 from .estimators import (ESTIMATOR_KINDS, EstimatorState, estimate_gradient, fiber_groups,
                          vr_diagnostics)
 from .losses import LossSpec, check_data_domain, objective
@@ -241,10 +241,11 @@ def _streams(seed: int) -> list:
 
 
 class SolverRunState:
-    """Factors plus the one/two-step history, RNG streams and pending
-    (mode, rows, fibers) draws of one run."""
+    """The resolved config of one run, its factors plus the one/two-step
+    history, RNG streams and pending (mode, rows, fibers) draws."""
 
     def __init__(self, config: SolverConfig, tensor, factors):
+        self.config = config
         self.tensor = tensor
         self.factors = list(factors)
         self.prev = list(factors)      # A^{-1} := A^0
@@ -303,14 +304,15 @@ def inertial_coefficients(c1: float, c2: float, k: int) -> tuple[float, float]:
     return c1 * ratio, c2 * ratio
 
 
-def step(state: SolverRunState, config: SolverConfig) -> int:
+def step(state: SolverRunState) -> int:
     """One Algorithm step; exactly one mode is updated. Returns that mode.
 
-    `config` is the resolved config the state was built for. The step's mode
-    and fiber rows come from the state's pending draws, which are refilled a
-    window at a time (`_draw_window`) when used up, and the rows' data fibers
-    from the mode's group reads in that window.
+    The step's settings are the state's resolved config. Its mode and fiber
+    rows come from the state's pending draws, which are refilled a window at a
+    time (`_draw_window`) when used up, and the rows' data fibers from the
+    mode's group reads in that window.
     """
+    config = state.config
     k = state.k + 1
     draw = next(state.draws, None)
     if draw is None:
@@ -371,22 +373,6 @@ def initial_factors(config: SolverConfig, shape: TensorShape,
             for d in shape.dims]
 
 
-def _checked_initial(config: SolverConfig, shape: TensorShape, initial) -> list:
-    """Validate user-supplied initial factors once, before the first step."""
-    model = KruskalModel(initial)  # matrices of one rank, finite entries
-    if model.shape.dims != shape.dims or model.rank != config.rank:
-        raise DataError(
-            f"initial factors are {model.shape.dims} x rank {model.rank}; the run "
-            f"needs {shape.dims} x rank {config.rank}")
-    if config.loss.nonnegative or config.generator.entropic:
-        low = min(float(a.min()) for a in model.factors)
-        if low < 0:
-            raise LossDomainError(
-                f"initial factor entry {low} < 0; loss {config.loss.kind!r} with the "
-                f"{config.generator.kind} generator needs nonnegative factors")
-    return model.factors
-
-
 def _gamma_diagnostics(state: SolverRunState) -> tuple:
     gammas = []
     for n in range(state.tensor.shape.order):
@@ -397,7 +383,8 @@ def _gamma_diagnostics(state: SolverRunState) -> tuple:
     return tuple(gammas)
 
 
-def _evaluate(state: SolverRunState, config: SolverConfig, truth, t0) -> TraceRecord:
+def _evaluate(state: SolverRunState, truth, t0) -> TraceRecord:
+    config = state.config
     model = KruskalModel(state.factors)
     nre_val = objective(config.loss, state.tensor, model,
                         sample=config.eval_samples, rng=state.eval_rng).value
@@ -421,30 +408,26 @@ def _evaluate(state: SolverRunState, config: SolverConfig, truth, t0) -> TraceRe
     return rec
 
 
-def run(config: SolverConfig, tensor, truth: KruskalModel | None = None,
-        initial: list | None = None):
+def run(config: SolverConfig, tensor, truth: KruskalModel | None = None):
     """Run the solver to the stopping rule; returns (IterationTrace, KruskalModel).
 
     Stops when the relative objective change is below `tol` at two consecutive
     evaluations, at `max_iters`, or with DivergenceError past the guard.
-    Deterministic for a given (config, tensor, truth) triple. Raises
-    LossDomainError for data outside the loss domain.
+    Deterministic for a given (config, tensor, truth) triple: the start is
+    `initial_factors` drawn from stream 3 of the seed. Raises LossDomainError
+    for data outside the loss domain.
     """
     config = config.resolved(tensor.shape)
     check_data_domain(config.loss, tensor.values)
-    if initial is None:
-        init_rng = np.random.default_rng(_streams(config.seed)[3])
-        initial = initial_factors(config, tensor.shape, init_rng)
-    else:
-        initial = _checked_initial(config, tensor.shape, initial)
-    state = SolverRunState(config, tensor, initial)
+    init_rng = np.random.default_rng(_streams(config.seed)[3])
+    state = SolverRunState(config, tensor, initial_factors(config, tensor.shape, init_rng))
 
     trace = IterationTrace(manifest={
         "config": config.to_dict(),
         "config_hash": config.config_hash(),
     })
     t0 = time.perf_counter()
-    first = _evaluate(state, config, truth, t0)
+    first = _evaluate(state, truth, t0)
     trace.records.append(first)
     nre0 = first.nre
     prev_nre = first.nre
@@ -456,14 +439,14 @@ def run(config: SolverConfig, tensor, truth: KruskalModel | None = None,
     magnitude_bound = 10.0 ** (250.0 / tensor.shape.order)
 
     for k in range(1, config.max_iters + 1):
-        step(state, config)
+        step(state)
         if k % config.eval_every == 0 or k == config.max_iters:
             biggest = max(np.max(np.abs(a)) for a in state.factors)
             if not np.isfinite(biggest) or biggest > magnitude_bound:
                 raise DivergenceError(
                     f"factor magnitude {biggest:.3g} exceeded the overflow bound "
                     f"at iteration {k}", iteration=k, value=float(biggest))
-            rec = _evaluate(state, config, truth, t0)
+            rec = _evaluate(state, truth, t0)
             trace.records.append(rec)
             if not np.isfinite(rec.nre) or rec.nre > guard:
                 raise DivergenceError(

@@ -299,7 +299,7 @@ def generator_value(spec: GeneratorSpec, a) -> float:
     """sum of psi over the entries of a."""
     a = np.asarray(a, dtype=np.float64)
     if spec.entropic:
-        _check_entropy_domain(spec, a, "argument", strict=False)
+        _check_entropy_domain(a, "argument", strict=False)
         with np.errstate(divide="ignore", invalid="ignore"):
             raw = a * np.log(a)
         return float(np.sum(np.where(a > 0, raw, 0.0)))
@@ -310,7 +310,7 @@ def generator_grad(spec: GeneratorSpec, a) -> np.ndarray:
     """Elementwise gradient of psi."""
     a = np.asarray(a, dtype=np.float64)
     if spec.entropic:
-        _check_entropy_domain(spec, a, "argument", strict=True)
+        _check_entropy_domain(a, "argument", strict=True)
         return 1.0 + np.log(a)
     return a.copy()
 

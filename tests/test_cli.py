@@ -402,14 +402,22 @@ class TestDecompose:
          "declared shape (8, -7, 6) has a mode size below 1"),
         (lambda m: m.update(truth=5), "truth"),
         (lambda m: m["config"]["generator"].update(floor=1e-12), "'floor'"),
-    ], ids=["path", "shape-text", "shape-item", "shape-size", "truth", "generator-floor"])
+        (lambda m: m["outputs"].update(trace=5), "outputs.trace"),
+        (lambda m: m["outputs"].update(model=["x"]), "outputs.model"),
+        (lambda m: m["outputs"].update(trace_format="xml"), "outputs.trace_format"),
+    ], ids=["path", "shape-text", "shape-item", "shape-size", "truth", "generator-floor",
+            "trace", "model", "trace-format"])
     def test_malformed_manifest_field_is_named(self, gamma_files, tmp_path, capsys,
                                                edit, field):
+        # Each field is checked before the fit: no trace is written.
         manifest = edited_manifest(gamma_files, tmp_path, edit)
         capsys.readouterr()
-        assert run_cli("decompose", "--manifest", str(manifest)) == 2
+        trace_path = tmp_path / "replay.csv"
+        assert run_cli("decompose", "--manifest", str(manifest),
+                       "--trace", str(trace_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and field in err
+        assert not trace_path.exists()
 
     @pytest.mark.parametrize("field", REMOVED_FIELDS)
     def test_replayed_removed_field_is_data_error(self, gamma_files, tmp_path, capsys, field):

@@ -29,6 +29,12 @@ def gaussian_config(**kw):
     return SolverConfig(**base)
 
 
+def run_start(config, shape):
+    """The start `run` takes: `initial_factors` drawn from stream 3 of the seed."""
+    return initial_factors(config.resolved(shape), shape,
+                           np.random.default_rng(solver._streams(config.seed)[3]))
+
+
 def gamma_config(**kw):
     base = dict(rank=2, loss=LossSpec("gamma"),
                 generator=GeneratorSpec("negative-entropy"),
@@ -238,7 +244,7 @@ class TestStepMechanics:
         state = SolverRunState(cfg, tensor, initial_factors(
             cfg, tensor.shape, np.random.default_rng(1)))
         before = [a.copy() for a in state.factors]
-        mode = step(state, cfg)
+        mode = step(state)
         changed = [n for n in range(3)
                    if not np.array_equal(before[n], state.factors[n])]
         assert changed == [mode]
@@ -250,7 +256,7 @@ class TestStepMechanics:
             cfg, tensor.shape, np.random.default_rng(2)))
         snapshots = [list(state.factors)]
         for _ in range(4):
-            step(state, cfg)
+            step(state)
             snapshots.append(list(state.factors))
         for n in range(3):
             assert np.array_equal(state.prev[n], snapshots[-2][n])
@@ -265,9 +271,9 @@ class TestStepMechanics:
         s1 = SolverRunState(cfg, tensor, [a.copy() for a in init])
         s2 = SolverRunState(cfg, tensor, [a.copy() for a in init])
         for _ in range(40):
-            step(s1, cfg)
+            step(s1)
             s2.prev = list(s2.factors)   # discard the momentum direction
-            step(s2, cfg)
+            step(s2)
             assert inertial_coefficients(cfg.c1, cfg.c2, s1.k) == (0.0, 0.0)
         for a, b in zip(s1.factors, s2.factors):
             assert np.array_equal(a, b)
@@ -295,7 +301,7 @@ class TestStepMechanics:
         states = [SolverRunState(cfg, tensor, [a.copy() for a in init]) for _ in range(2)]
         for _ in range(6):
             for state in states:
-                step(state, cfg)
+                step(state)
         for state, same in zip(states, (True, False)):
             state.factors = [a.copy() for a in state.factors]
             if setup in ("l1", "zero"):
@@ -303,7 +309,7 @@ class TestStepMechanics:
                     a[:, 1] = -0.0
             state.prev = (list(state.factors) if same
                           else [a.copy() for a in state.factors])
-            mode = step(state, cfg)
+            mode = step(state)
             alpha, beta = inertial_coefficients(cfg.c1, cfg.c2, state.k)
             assert alpha > 0 and beta > 0
         assert ([a.tobytes() for a in states[0].factors]
@@ -326,7 +332,7 @@ class TestStepMechanics:
         init = initial_factors(cfg, tensor.shape, np.random.default_rng(4))
         state = SolverRunState(cfg, tensor, [a.copy() for a in init])
         from gcpd.estimators import full_gradient
-        mode = step(state, cfg)
+        mode = step(state)
         expected = np.maximum(
             init[mode] - 0.3 * full_gradient(tensor, init, cfg.loss, mode), 0.0)
         assert np.allclose(state.factors[mode], expected, rtol=0, atol=1e-15)
@@ -364,7 +370,7 @@ class TestStepMechanics:
 
         monkeypatch.setattr(solver, "estimate_gradient", gradient_spy)
         monkeypatch.setattr(solver, "mirror_prox_step", prox_spy)
-        mode = step(state, cfg)
+        mode = step(state)
         alpha, beta = inertial_coefficients(cfg.c1, cfg.c2, 1000)
         anchor = 0.01 + alpha * (0.01 - 1.0) * np.ones((tensor.shape.dims[mode], 2))
         point = 0.01 + beta * (0.01 - 1.0) * np.ones_like(anchor)
@@ -383,7 +389,7 @@ class TestStepMechanics:
         state = SolverRunState(cfg, tensor, initial_factors(
             cfg, tensor.shape, np.random.default_rng(5)))
         for _ in range(150):
-            step(state, cfg)
+            step(state)
             assert min(a.min() for a in state.factors) >= FLOOR
 
 
@@ -444,7 +450,7 @@ class TestWindowDraws:
     def test_draws_come_from_stream_zero_in_window_order(self, monkeypatch):
         # Each window draws its _DRAW_WINDOW modes, then each mode's batches
         # in turn; the next window's modes follow those batches in stream 0.
-        cfg, state = self._state((6, 5, 4), batch=2, seed=23)
+        _, state = self._state((6, 5, 4), batch=2, seed=23)
         rng = np.random.default_rng(solver._streams(23)[0])
         want = []
         for _ in range(2):
@@ -460,7 +466,7 @@ class TestWindowDraws:
             return real(est_state, factors, mode, rows, fibers)
 
         monkeypatch.setattr(solver, "estimate_gradient", spy)
-        assert [step(state, cfg) for _ in range(len(want))] == [n for n, _ in want]
+        assert [step(state) for _ in range(len(want))] == [n for n, _ in want]
         assert seen == want
 
     def test_draws_depend_on_the_seed_and_k_alone(self):
@@ -468,11 +474,11 @@ class TestWindowDraws:
                                                distribution="gamma", seed=21))
         cfg = gamma_config(tol=0.0, max_iters=300, eval_every=7, record_timing=False,
                            seed=9)
-        init = initial_factors(cfg, tensor.shape, np.random.default_rng(5))
-        want = [a.tobytes() for a in run(cfg, tensor, initial=init)[1].factors]
+        init = run_start(cfg, tensor.shape)
+        want = [a.tobytes() for a in run(cfg, tensor)[1].factors]
 
         def ends_as_want(config, truth=None):
-            model = run(config, tensor, truth=truth, initial=init)[1]
+            model = run(config, tensor, truth=truth)[1]
             return [a.tobytes() for a in model.factors] == want
 
         assert ends_as_want(dataclasses.replace(cfg, eval_every=50))
@@ -482,7 +488,7 @@ class TestWindowDraws:
         longer = dataclasses.replace(cfg, max_iters=5000).resolved(tensor.shape)
         state = SolverRunState(longer, tensor, init)
         for _ in range(300):
-            step(state, longer)
+            step(state)
         assert [a.tobytes() for a in state.factors] == want
 
 
@@ -583,12 +589,11 @@ class TestRun:
 
     def test_full_batch_gaussian_monotone(self):
         tensor, _ = small_gaussian_instance(seed=8)
-        init = initial_factors(gaussian_config().resolved(tensor.shape),
-                               tensor.shape, np.random.default_rng(8))
+        cfg = gaussian_config(max_iters=300, eval_every=1)
+        init = run_start(cfg, tensor.shape)   # the start does not depend on eta
         curvature = max(gaussian_block_curvature(KruskalModel(init), n)
                         for n in range(3))
-        cfg = gaussian_config(eta=0.5 / curvature, max_iters=300, eval_every=1)
-        trace, _ = run(cfg, tensor, initial=[a.copy() for a in init])
+        trace, _ = run(dataclasses.replace(cfg, eta=0.5 / curvature), tensor)
         nres = [r.nre for r in trace.records]
         for a, b in zip(nres, nres[1:]):
             assert b <= a + 1e-12
@@ -739,35 +744,6 @@ class TestRunBoundaryGuards:
         with pytest.raises(LossDomainError, match="not a nonnegative integer"):
             run(cfg, tensor)
 
-    def test_negative_initial_factors_rejected(self):
-        tensor, _ = small_gaussian_instance(seed=4)
-        tensor = DenseTensor(np.abs(tensor.values))
-        init = [np.full((d, 2), 0.3) for d in tensor.dims]
-        init[1][2, 0] = -0.1
-        with pytest.raises(LossDomainError, match="initial factor"):
-            run(gamma_config(max_iters=5), tensor, initial=init)
-
-    def test_non_finite_initial_factors_rejected(self):
-        tensor, _ = small_gaussian_instance(seed=4)
-        init = [np.full((d, 2), 0.3) for d in tensor.dims]
-        init[2][0, 1] = np.nan
-        with pytest.raises(DataError):
-            run(gaussian_config(max_iters=5), tensor, initial=init)
-
-    @pytest.mark.parametrize("dims, rank", [((6, 5, 3), 2), ((6, 5, 4), 3)])
-    def test_initial_factors_must_match_tensor_and_rank(self, dims, rank):
-        tensor, _ = small_gaussian_instance(seed=4)
-        init = [np.full((d, rank), 0.3) for d in dims]
-        with pytest.raises(DataError, match="initial factors"):
-            run(gaussian_config(max_iters=5), tensor, initial=init)
-
-    def test_negative_initial_factors_allowed_for_unconstrained_runs(self):
-        tensor, _ = small_gaussian_instance(seed=4)
-        cfg = gaussian_config(regularizer=RegularizerSpec("zero"), max_iters=5)
-        init = [np.full((d, 2), -0.3) for d in tensor.dims]
-        trace, _ = run(cfg, tensor, initial=init)
-        assert trace.records[-1].iteration == 5
-
 
 class TestStreams:
     """Each consumer of randomness keeps its child of the run seed; child 1
@@ -788,7 +764,21 @@ class TestStreams:
         _, model = run(cfg, tensor)
         want = initial_factors(cfg.resolved(tensor.shape), tensor.shape,
                                np.random.default_rng(np.random.SeedSequence(31).spawn(5)[3]))
-        assert all(np.array_equal(a, b) for a, b in zip(model.factors, want))
+        assert [a.tobytes() for a in model.factors] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("kw", [dict(estimator="saga", c1=0.6, c2=0.8),
+                                    dict(estimator="sgd", batch=3, c1=0.6, c2=0.8),
+                                    dict(estimator="full")], ids=["saga", "sgd", "full"])
+    def test_hand_driven_steps_from_the_start_end_as_run(self, kw):
+        # run is SolverRunState at the stream-3 start plus `step` per iteration.
+        tensor, _ = small_gaussian_instance(seed=6)
+        cfg = gaussian_config(seed=13, max_iters=90, tol=0.0, **kw)
+        _, model = run(cfg, tensor)
+        resolved = cfg.resolved(tensor.shape)
+        state = SolverRunState(resolved, tensor, run_start(cfg, tensor.shape))
+        for _ in range(90):
+            step(state)
+        assert [a.tobytes() for a in state.factors] == [a.tobytes() for a in model.factors]
 
 
 class TestObservationDoesNotPerturb:
