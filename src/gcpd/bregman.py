@@ -70,14 +70,15 @@ class RegularizerSpec:
 
 
 def _check_entropy_domain(a, name, strict):
-    a = np.atleast_1d(a)
+    # The argmin entry is the min, or the first NaN where min gives NaN, read
+    # without the ufunc reduction's set-up; a fault is named by the min.
     if a.size == 0:
         return
-    low = a.min()
+    low = a.item(a.argmin())
     if strict and low <= 0:
-        raise LossDomainError(f"negative-entropy: {name} has entry {low} <= 0")
+        raise LossDomainError(f"negative-entropy: {name} has entry {a.min()} <= 0")
     if not strict and low < 0:
-        raise LossDomainError(f"negative-entropy: {name} has entry {low} < 0")
+        raise LossDomainError(f"negative-entropy: {name} has entry {a.min()} < 0")
 
 
 def bregman_div(spec: GeneratorSpec, x, y) -> float:

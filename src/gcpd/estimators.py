@@ -39,7 +39,8 @@ of batches at a time: `fiber_groups` reads the fibers of the next g_n of a
 mode's drawn batches in one checked `data_fibers` call, when the first of
 them is needed, with g_n = max(1, 2^13 // (B_n I_n)) fixed by the state. The
 `sgd` kind takes its fibers from there and still makes its per-step checked
-`khatri_rao_rows` and `loss_deriv` calls; SAGA steps use them with the
+`khatri_rao_rows` and `loss_deriv` calls, one of each for a batch of one row
+block (B I_n <= 2^13, below); SAGA steps use them with the
 Khatri-Rao rows of the per-mode `FiberPlan`s of their state, after the
 checked full pass of the table build. The `full` kind reads no group: its
 full passes read their own fibers.
@@ -85,24 +86,16 @@ def _block_rows(i_n: int) -> int:
     return max(1, BLOCK_ENTRIES // i_n)
 
 
-def _mean(products, i_n: int, count: int) -> np.ndarray:
-    """(1/B) sum_j g_j, shape (I_n, R), from the products D_b^T H_b of the
-    row blocks of a pass over B = `count` fibers, added in block order."""
-    products = iter(products)
-    total = next(products)
-    for product in products:
-        total += product
-    total /= i_n * count
-    return total
-
-
 def _batch_mean(d: np.ndarray, kr: np.ndarray) -> np.ndarray:
     """(1/B) sum_j g_j of a held D and H, summed over the row blocks a pass
-    over the same fibers uses."""
+    over the same fibers uses, in block order."""
     count, i_n = d.shape
     step = _block_rows(i_n)
-    return _mean((d[lo:lo + step].T @ kr[lo:lo + step] for lo in range(0, count, step)),
-                 i_n, count)
+    total = d[:step].T @ kr[:step]
+    for lo in range(step, count, step):
+        total += d[lo:lo + step].T @ kr[lo:lo + step]
+    total /= i_n * count
+    return total
 
 
 def _halves(table: np.ndarray, i_n: int):
@@ -131,20 +124,22 @@ def _blocks(factors, loss: LossSpec, mode: int, rows, read):
 
 def _pass(factors, loss: LossSpec, mode: int, rows, read, out=None) -> np.ndarray:
     """(1/B) sum_j g_j over the given fibers of `mode`, through the checked
-    functions, one row block at a time (see `_blocks`). With `out`, a
-    (B, I_n + R) array, each block's D and H are also written into its two
-    halves, as a SAGA table stores them."""
+    functions, one row block at a time (see `_blocks`), the products added in
+    block order. With `out`, a (B, I_n + R) array, each block's D and H are
+    also written into its two halves, as a SAGA table stores them."""
     i_n = factors[mode].shape[0]
-
-    def product(block):
-        lo, h, d = block
+    for lo, h, d in _blocks(factors, loss, mode, rows, read):
         if out is not None:
             out_d, out_h = _halves(out[lo:lo + len(h)], i_n)
             out_d[...] = d
             out_h[...] = h
-        return d.T @ h
-
-    return _mean(map(product, _blocks(factors, loss, mode, rows, read)), i_n, np.size(rows))
+        if lo:
+            total += d.T @ h
+        else:
+            total = d.T @ h
+        del d   # before the next block's D is formed
+    total /= i_n * rows.size
+    return total
 
 
 def _reader(tensor, mode: int, rows: np.ndarray):

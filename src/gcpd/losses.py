@@ -105,20 +105,23 @@ class LossSpec:
 
 
 def _check_domain(spec: LossSpec, x, m):
+    # The min tests read the argmin entry (the first NaN if any, as min gives
+    # NaN) and the others count with count_nonzero: on a step's small arrays
+    # both skip the ufunc reduction's set-up. A fault is named as before.
     kind = spec.kind
     if kind in ("gamma",):
-        if x.size and x.min() < 0:
+        if x.size and x.item(x.argmin()) < 0:
             raise LossDomainError(f"{kind}: data value {x.min()} < 0")
     if kind in ("poisson-identity", "poisson-log"):
-        if x.size and (x.min() < 0 or np.any(x != np.floor(x))):
+        if x.size and (x.item(x.argmin()) < 0 or np.count_nonzero(x != np.floor(x))):
             bad = x.min() if x.min() < 0 else x[x != np.floor(x)].flat[0]
             raise LossDomainError(f"{kind}: data value {bad} is not a nonnegative integer")
     if kind in ("bernoulli-odds", "bernoulli-logit"):
-        if x.size and np.any((x != 0) & (x != 1)):
+        if np.count_nonzero((x != 0) & (x != 1)):
             bad = x[(x != 0) & (x != 1)].flat[0]
             raise LossDomainError(f"{kind}: data value {bad} is not binary")
     if kind in NONNEGATIVE_KINDS:
-        if m.size and m.min() < 0:
+        if m.size and m.item(m.argmin()) < 0:
             raise LossDomainError(f"{kind}: model value {m.min()} < 0")
 
 

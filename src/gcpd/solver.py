@@ -242,10 +242,11 @@ def _streams(seed: int) -> list:
 
 class SolverRunState:
     """The resolved config of one run, its factors plus the one/two-step
-    history, RNG streams and pending (mode, rows, fibers) draws."""
+    history, RNG streams and pending (mode, rows, fibers) draws. The config
+    is resolved against the tensor's shape here (resolving is idempotent)."""
 
     def __init__(self, config: SolverConfig, tensor, factors):
-        self.config = config
+        config = self.config = config.resolved(tensor.shape)
         self.tensor = tensor
         self.factors = list(factors)
         self.prev = list(factors)      # A^{-1} := A^0
@@ -320,22 +321,24 @@ def step(state: SolverRunState) -> int:
         draw = next(state.draws)
     n, rows, fibers = draw
 
-    alpha_k, beta_k = inertial_coefficients(config.c1, config.c2, k)
     a_cur = state.factors[n]
     a_prev = state.prev[n]
+    entropic = config.generator.entropic
 
     if a_prev is a_cur:
         # The mode did not move at the last step: a + c (a - a) is a + 0.0,
-        # signed zeros included (c >= 0), for both points.
-        anchor = point = a_cur + 0.0
+        # signed zeros included (c >= 0), for both points; under entropy the
+        # floor takes -0.0 and 0.0 alike, so both points are one clamp of a.
+        anchor = point = np.maximum(a_cur, FLOOR) if entropic else a_cur + 0.0
     else:
+        alpha_k, beta_k = inertial_coefficients(config.c1, config.c2, k)
         momentum = a_cur - a_prev
         anchor = a_cur + alpha_k * momentum
         point = a_cur + beta_k * momentum
-    if config.generator.entropic:
-        anchor = np.maximum(anchor, FLOOR)
-        point = np.maximum(point, FLOOR)
-    elif config.loss.nonnegative:
+        if entropic:
+            anchor = np.maximum(anchor, FLOOR)
+            point = np.maximum(point, FLOOR)
+    if not entropic and config.loss.nonnegative:
         point = np.maximum(point, 0.0)
 
     request_factors = list(state.factors)
@@ -351,7 +354,10 @@ def step(state: SolverRunState) -> int:
         grad = np.minimum(np.maximum(grad, -bound), bound)  # np.clip, minus its dispatch
 
     new_block = mirror_prox_step(config.generator, config.regularizer[n], anchor, grad, config.eta)
-    if not np.isfinite(new_block).all():
+    # The entropic prox output is >= FLOOR unless it holds NaN or +inf, and
+    # its argmax entry (the first NaN, if any) is then NaN or +inf.
+    if not (new_block.item(new_block.argmax()) < math.inf if entropic
+            else np.isfinite(new_block).all()):
         raise DivergenceError(
             f"non-finite factor entries after iteration {k} (mode {n}); "
             "reduce eta or tighten max_step", iteration=k)

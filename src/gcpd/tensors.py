@@ -263,8 +263,8 @@ class SparseTensorCOO:
         first = starts.take(rows).astype(np.int64)
         counts = starts.take(rows + 1) - first
         # Slot t of fiber b's run lies at first[b] + (t - offset[b]).
-        offsets = np.cumsum(counts) - counts
-        slots = np.arange(counts.sum()) + np.repeat(first - offsets, counts)
+        offsets = counts.cumsum() - counts
+        slots = np.arange(counts.sum()) + (first - offsets).repeat(counts)
         sel = slots if order is None else order.take(slots).astype(np.int64)
         # Each entry's index along `mode` is a digit of its linear id.
         size = self.shape.dims[mode]
@@ -272,8 +272,10 @@ class SparseTensorCOO:
         if mode:
             at //= math.prod(self.shape.dims[:mode])
         at %= size
+        # Entry (b, at) lies at b * size + at of the C-ordered output.
+        at += np.arange(0, rows.size * size, size).repeat(counts)
         out = np.zeros((rows.size, size))
-        out[np.repeat(np.arange(rows.size), counts), at] = self.values.take(sel)
+        out.reshape(-1)[at] = self.values.take(sel)
         return out
 
     def values_at_linear(self, linear_ids) -> np.ndarray:
@@ -403,7 +405,9 @@ def row_array(rows) -> np.ndarray:
     array of another kind than integers (float, bool, object) raises
     IndexError, as numpy does for such an index array, instead of being
     truncated."""
-    rows = np.atleast_1d(np.asarray(rows))
+    rows = np.asarray(rows)
+    if not rows.ndim:
+        rows = rows.reshape(1)
     if rows.size and rows.dtype.kind not in "iu":
         raise IndexError(f"fiber rows must be integers, got {rows.dtype}")
     return rows.astype(np.int64, copy=False)
@@ -416,7 +420,9 @@ def _check_rows(dims, mode: int, rows) -> np.ndarray:
         raise IndexError(f"mode {mode} out of range for order-{len(dims)} tensor")
     rows = row_array(rows)
     j_n = math.prod(dims) // dims[mode]
-    if rows.size and (rows.min() < 0 or rows.max() >= j_n):
+    # One argmax: a negative row wraps to at least 2^63 as uint64, so the
+    # uint64 argmax is a negative row if there is one, else the largest row.
+    if rows.size and not 0 <= rows.item(rows.view(np.uint64).argmax()) < j_n:
         raise IndexError(f"fiber row out of range [0, {j_n}) for mode {mode}")
     return rows
 
@@ -467,11 +473,11 @@ def khatri_rao_rows(factors, mode: int, rows) -> np.ndarray:
     A_m[i_m, :] at the fiber's multi-index; never materializes the full product.
     """
     factors = list(factors)
-    dims = [a.shape[0] for a in factors]
+    dims = list(map(len, factors))
     rows = _check_rows(dims, mode, rows)
-    others = [m for m in range(len(dims)) if m != mode]
+    others = [*range(mode), *range(mode + 1, len(dims))]
     return _khatri_rao(factors, others,
-                       np.unravel_index(rows, [dims[m] for m in others], order="F"))
+                       np.unravel_index(rows, dims[:mode] + dims[mode + 1:], order="F"))
 
 
 def data_fibers(tensor, mode: int, rows) -> np.ndarray:

@@ -88,6 +88,26 @@ class TestBregmanDiv:
         with pytest.raises(LossDomainError):
             bregman_div(EUCLID, np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [-1.0, -0.0, 0.0, np.nan])
+    @pytest.mark.parametrize("arg", [0, 1])
+    def test_entropy_domain_matches_the_min_form(self, bad, arg):
+        # The first argument may hold zeros, the second may not; NaN passes
+        # both tests, as it passes the comparisons with a NaN min.
+        x, y = (np.array([[0.5, 1.0], [2.0, 0.25]]) for _ in range(2))
+        (x, y)[arg][1, 0] = bad
+        want = None
+        if x.min() < 0:
+            want = f"negative-entropy: first argument has entry {x.min()} < 0"
+        elif y.min() <= 0:
+            want = f"negative-entropy: second argument has entry {y.min()} <= 0"
+        if want is None:
+            with np.errstate(all="ignore"):
+                bregman_div(ENTROPY, x, y)
+        else:
+            with pytest.raises(LossDomainError) as got:
+                bregman_div(ENTROPY, x, y)
+            assert str(got.value) == want
+
 
 class TestThreePoint:
     def test_identity_entropy(self):
@@ -159,6 +179,37 @@ class TestMirrorProx:
         out = mirror_prox_step(EUCLID, reg, np.array([1.0, -1.0, 0.2]),
                                np.array([0.0, 0.0, 0.0]), 0.5)
         assert np.allclose(out, [0.5, -0.5, 0.0], rtol=0, atol=1e-15)
+
+    @staticmethod
+    def _atleast_1d_anchor_check(anchor):
+        """The entropic anchor guard as one `min` over `np.atleast_1d` of the
+        anchor: the oracle for the argmin guard, which reads a 0-d anchor as
+        it is."""
+        a = np.atleast_1d(anchor)
+        if a.size and a.min() <= 0:
+            raise LossDomainError(f"negative-entropy: anchor has entry {a.min()} <= 0")
+
+    @pytest.mark.parametrize("anchor", [
+        *(np.array(v) for v in (0.0, -0.0, np.nan, -1.0, 0.5)),
+        *(np.array([[0.5, v], [2.0, 1.0]]) for v in (0.0, -0.0, np.nan, -1.0, 0.5)),
+        *(np.array(a) for a in ([[0.0, -0.0], [-0.0, 0.0]], [[-0.0, 0.0]], [[np.nan, -1.0]],
+                                [[-1.0, np.nan]], [[2.0, -3.0], [-5.0, 1.0]]))], ids=repr)
+    def test_anchor_guard_matches_the_atleast_1d_form(self, anchor):
+        # NaN passes both forms (NaN <= 0 is false), even beside a negative
+        # entry; the prox then returns NaN, which the solver's divergence
+        # guard names. A fault is named by min, the sign of its zero included.
+        try:
+            self._atleast_1d_anchor_check(anchor)
+        except LossDomainError as err:
+            with pytest.raises(LossDomainError) as got:
+                mirror_prox_step(ENTROPY, RegularizerSpec("zero"), anchor,
+                                 np.zeros_like(anchor), 0.5)
+            assert str(got.value) == str(err)
+        else:
+            out = mirror_prox_step(ENTROPY, RegularizerSpec("zero"), anchor,
+                                   np.zeros_like(anchor), 0.5)
+            assert out.shape == anchor.shape
+            assert np.array_equal(out, np.maximum(anchor, FLOOR), equal_nan=True)
 
     def test_entropy_floor_applied(self):
         out = mirror_prox_step(ENTROPY, RegularizerSpec("zero"),

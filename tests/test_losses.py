@@ -120,6 +120,87 @@ class TestDomains:
         with pytest.raises(LossDomainError, match="bernoulli-odds"):
             loss_deriv(LossSpec("bernoulli-odds"), 2.0, 1.0)
 
+    @staticmethod
+    def _reduction_check(kind, x, m):
+        """The domain guards as ufunc reductions (`min`, and `any` through the
+        `np.any` wrapper): the oracle for the argmin and count_nonzero forms."""
+        if kind in ("gamma",):
+            if x.size and x.min() < 0:
+                raise LossDomainError(f"{kind}: data value {x.min()} < 0")
+        if kind in ("poisson-identity", "poisson-log"):
+            if x.size and (x.min() < 0 or np.any(x != np.floor(x))):
+                bad = x.min() if x.min() < 0 else x[x != np.floor(x)].flat[0]
+                raise LossDomainError(f"{kind}: data value {bad} is not a nonnegative integer")
+        if kind in ("bernoulli-odds", "bernoulli-logit"):
+            if x.size and np.any((x != 0) & (x != 1)):
+                bad = x[(x != 0) & (x != 1)].flat[0]
+                raise LossDomainError(f"{kind}: data value {bad} is not binary")
+        if kind in losses.NONNEGATIVE_KINDS:
+            if m.size and m.min() < 0:
+                raise LossDomainError(f"{kind}: model value {m.min()} < 0")
+
+    def _assert_as_the_reductions(self, kind, x, m):
+        try:
+            self._reduction_check(kind, x, m)
+        except LossDomainError as want:
+            with pytest.raises(LossDomainError) as got:
+                loss_deriv(LossSpec(kind), x, m)
+            assert str(got.value) == str(want)
+        else:
+            with np.errstate(all="ignore"):
+                assert loss_deriv(LossSpec(kind), x, m).shape == np.broadcast(x, m).shape
+
+    @staticmethod
+    def _placed(base, bad, where, earlier):
+        """`bad` alone, as a 0-d array, first in `base`, or last in it after
+        the `earlier` value."""
+        if where == "alone":
+            return np.array([bad])
+        if where == "0-d":
+            return np.array(bad)
+        out = base.copy()
+        if where == "first":
+            out[0, 0] = bad
+        else:
+            out[-1, -1] = bad
+            out[0, 1] = earlier
+        return out
+
+    @pytest.mark.parametrize("kind, bad", [
+        ("gamma", -1.0), ("gamma", np.nan), ("gamma", -0.0), ("gamma", -np.inf),
+        ("poisson-identity", -1.0), ("poisson-identity", 0.5), ("poisson-identity", np.nan),
+        ("poisson-identity", -np.inf), ("poisson-identity", -2.5),
+        ("poisson-identity", -0.0), ("poisson-identity", np.inf),
+        ("poisson-log", -1.0), ("poisson-log", 0.5), ("poisson-log", np.nan),
+        ("bernoulli-odds", 2.0), ("bernoulli-odds", 0.5), ("bernoulli-odds", np.nan),
+        ("bernoulli-logit", 2.0), ("bernoulli-logit", 0.5), ("bernoulli-logit", np.nan),
+        ("bernoulli-logit", -0.0)])
+    @pytest.mark.parametrize("where", ["alone", "0-d", "first", "last"])
+    def test_data_guards_match_the_reduction_form(self, kind, bad, where):
+        # In "last" an earlier entry is off the domain too, unless bad is
+        # NaN or -0.0, so which fault is named shows.
+        earlier = {"gamma": -3.0, "poisson-identity": 0.25, "poisson-log": 0.25}.get(kind, 3.0)
+        if np.isnan(bad) or bad == 0:
+            earlier = 1.0
+        x = self._placed(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]), bad, where, earlier)
+        self._assert_as_the_reductions(kind, x, np.full(x.shape, 0.5))
+
+    @pytest.mark.parametrize("kind", losses.NONNEGATIVE_KINDS)
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, -0.0, -np.inf, 0.0])
+    @pytest.mark.parametrize("where", ["alone", "0-d", "first", "last"])
+    def test_model_guard_matches_the_reduction_form(self, kind, bad, where):
+        m = self._placed(np.full((2, 3), 0.5), bad, where, -2.0)
+        self._assert_as_the_reductions(kind, np.ones(m.shape), m)
+
+    @pytest.mark.parametrize("kind", ["poisson-identity", "poisson-log"])
+    @pytest.mark.parametrize("values", [
+        [-0.0], [np.inf], [0.0, 3.0, 2.0 ** 60], [], [[-0.0, 7.0], [np.inf, 1.0]]], ids=repr)
+    def test_count_guard_passes_what_the_reduction_form_passes(self, kind, values):
+        # -0.0 and +inf are counts to both forms: -0.0 < 0 and inf != floor(inf) are false.
+        x = np.array(values)
+        self._reduction_check(kind, x, np.full(x.shape, 0.5))
+        self._assert_as_the_reductions(kind, x, np.full(x.shape, 0.5))
+
     def test_nonnegative_kinds_reject_negative_model(self):
         with pytest.raises(LossDomainError, match="model value"):
             loss_value(LossSpec("gamma"), 1.0, -0.5)

@@ -4,6 +4,8 @@ import dataclasses
 import inspect
 import itertools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -381,6 +383,36 @@ class TestStepMechanics:
             anchor = np.maximum(anchor, floor)
         assert np.array_equal(seen["point"], point)
         assert np.array_equal(seen["anchor"], anchor)
+
+    @pytest.mark.parametrize("bad", [
+        {(-1, 0): np.nan}, {(-1, 0): np.inf}, {(0, 0): np.inf, (1, 1): np.nan},
+        {(0, 1): np.nan, (2, 0): np.inf}, {(0, 0): 1e308, (1, 0): np.nan}], ids=repr)
+    @pytest.mark.parametrize("moved", [False, True], ids=["unmoved", "moved"])
+    def test_entropic_prox_output_off_the_floor_diverges(self, bad, moved, monkeypatch):
+        # Under entropy the divergence test is one argmax over the prox
+        # output, which is >= FLOOR unless it holds NaN or +inf.
+        tensor, _ = generate(SyntheticSpec(shape=(6, 5, 4), rank=2,
+                                           distribution="gamma", seed=5))
+        cfg = gamma_config(estimator="sgd", batch=3).resolved(tensor.shape)
+        state = SolverRunState(cfg, tensor, initial_factors(
+            cfg, tensor.shape, np.random.default_rng(5)))
+        for _ in range(3):
+            step(state)
+        state.prev = [a + 0.01 for a in state.factors] if moved else state.factors
+        modes = []
+
+        def prox(gen, reg, anchor, grad, eta):
+            modes.append(tensor.shape.dims.index(anchor.shape[0]))   # dims are distinct
+            out = np.maximum(anchor, FLOOR)
+            for at, value in bad.items():
+                out[at] = value
+            return out
+
+        monkeypatch.setattr(solver, "mirror_prox_step", prox)
+        with pytest.raises(DivergenceError) as err:
+            step(state)
+        assert err.value.iteration == 4
+        assert f"after iteration 4 (mode {modes[0]})" in str(err.value)
 
     def test_feasibility_preserved(self):
         tensor, model = generate(SyntheticSpec(shape=(6, 5, 4), rank=2,
@@ -779,6 +811,85 @@ class TestStreams:
         for _ in range(90):
             step(state)
         assert [a.tobytes() for a in state.factors] == [a.tobytes() for a in model.factors]
+
+
+class TestRunStateConfig:
+    def test_state_resolves_its_config(self):
+        tensor, _ = small_gaussian_instance()
+        cfg = SolverConfig(rank=2, loss=LossSpec("gaussian"))
+        state = SolverRunState(cfg, tensor, run_start(cfg, tensor.shape))
+        resolved = cfg.resolved(tensor.shape)
+        assert state.config == resolved
+        assert resolved.resolved(tensor.shape) == resolved   # idempotent
+        assert state.estimator.batches == [4, 4, 4]            # batch 2 * rank
+
+    @pytest.mark.parametrize("estimator", estimators.ESTIMATOR_KINDS)
+    def test_unresolved_and_resolved_configs_step_alike(self, estimator):
+        tensor, _ = generate(SyntheticSpec(shape=(6, 5, 4), rank=2,
+                                           distribution="gamma", seed=8))
+        cfg = SolverConfig(rank=2, loss=LossSpec("gamma"), estimator=estimator, seed=8)
+        start = run_start(cfg, tensor.shape)
+        states = [SolverRunState(c, tensor, [a.copy() for a in start])
+                  for c in (cfg, cfg.resolved(tensor.shape))]
+        for _ in range(40):
+            modes = [step(state) for state in states]
+            assert modes[0] == modes[1]
+            assert ([a.tobytes() for a in states[0].factors]
+                    == [a.tobytes() for a in states[1].factors])
+
+
+class TestStepCallCount:
+    """Python calls into gcpd per step: a count that host speed cannot move.
+
+    The bounds are today's counts over the first 256 steps (one draw
+    window, group reads included) of small entropic gamma runs whose passes
+    are one row block: 20.5, 13.6 and 34.4 calls per step for sgd, saga and
+    full. A change that adds a call to every step fails.
+    """
+
+    BOUNDS = {"sgd": 5246, "saga": 3469, "full": 8815}
+
+    @staticmethod
+    def _state(estimator):
+        tensor, _ = generate(SyntheticSpec(shape=(8, 7, 6), rank=2,
+                                           distribution="gamma", seed=5))
+        cfg = gamma_config(estimator=estimator, batch=3).resolved(tensor.shape)
+        return SolverRunState(cfg, tensor, run_start(cfg, tensor.shape))
+
+    @pytest.mark.parametrize("estimator", estimators.ESTIMATOR_KINDS)
+    def test_calls_per_step_stay_at_most_the_checked_step(self, estimator):
+        state = self._state(estimator)
+        root = os.path.dirname(solver.__file__) + os.sep
+        calls = 0
+
+        def profile(frame, event, arg):   # a generator resume counts as a call
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename.startswith(root):
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            for _ in range(256):
+                step(state)
+        finally:
+            sys.setprofile(None)
+        assert 0 < calls <= self.BOUNDS[estimator]
+
+    def test_sgd_step_makes_one_checked_call_per_layer(self, monkeypatch):
+        # The layer pin: a one-block sgd pass is one checked Khatri-Rao call
+        # and one checked derivative call, made through the estimators
+        # module's names, as a tracer that wraps those names sees them.
+        state = self._state("sgd")
+        counts = {}
+        for name in ("khatri_rao_rows", "loss_deriv"):
+            def counted(*args, _fn=getattr(estimators, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(estimators, name, counted)
+        for _ in range(64):
+            counts.update(khatri_rao_rows=0, loss_deriv=0)
+            step(state)
+            assert counts == {"khatri_rao_rows": 1, "loss_deriv": 1}
 
 
 class TestObservationDoesNotPerturb:

@@ -651,6 +651,42 @@ class TestRowRangeGuards:
         want = data_fibers(DenseTensor(values), 0, np.array(rows, dtype=np.int64))
         assert np.array_equal(data_fibers(DenseTensor(values), 0, rows), want)
 
+    @staticmethod
+    def _one_piece_check_rows(dims, mode, rows):
+        """The row guard as two reductions over the int64 rows (min < 0,
+        max >= J_mode): the oracle for the one-argmax guard."""
+        if not 0 <= mode < len(dims):
+            raise IndexError(f"mode {mode} out of range for order-{len(dims)} tensor")
+        rows = np.atleast_1d(np.asarray(rows))
+        if rows.size and rows.dtype.kind not in "iu":
+            raise IndexError(f"fiber rows must be integers, got {rows.dtype}")
+        rows = rows.astype(np.int64, copy=False)
+        j_n = math.prod(dims) // dims[mode]
+        if rows.size and (rows.min() < 0 or rows.max() >= j_n):
+            raise IndexError(f"fiber row out of range [0, {j_n}) for mode {mode}")
+        return rows
+
+    @pytest.mark.parametrize("rows", [
+        [-1], [0, -1], [12], [11, 12], np.array([2 ** 64 - 1], dtype=np.uint64),
+        np.array([3, 2 ** 63 + 5], dtype=np.uint64), np.array([], dtype=np.int64), [],
+        np.int64(-1), np.int64(11), [0, 11], np.array([[0, 5], [11, 2]]),
+        np.arange(24)[::-2], [13, -1], [-(2 ** 62), 5, 40], np.array([-1, 3], dtype=np.int32),
+        np.array([200, 3], dtype=np.uint8)], ids=repr)
+    def test_row_guard_matches_the_two_reduction_check(self, rows):
+        # A negative row, one at J_0 = 12, a uint64 that wraps negative as
+        # int64, no rows, a 0-d row, in-range rows (2-d and strided too),
+        # rows too large and negative at once, and narrower integer types.
+        dims = (2, 3, 4)
+        try:
+            want = self._one_piece_check_rows(dims, 0, rows)
+        except IndexError as err:
+            with pytest.raises(IndexError) as got:
+                tensors._check_rows(dims, 0, rows)
+            assert str(got.value) == str(err)
+        else:
+            got = tensors._check_rows(dims, 0, rows)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
     def test_mode_out_of_range(self):
         with pytest.raises(IndexError):
             khatri_rao_rows([np.ones((2, 1)), np.ones((3, 1))], 2, [0])
