@@ -6,8 +6,9 @@ flag of its command; explicit flags win, and a key no flag of the command
 sets is a usage error. A flag left unset takes the default of the dataclass
 field it fills (`SolverConfig`, `LossSpec`, `RegularizerSpec`,
 `SyntheticSpec`). The tensor, factor and trace files of `synthesize` and
-`decompose` embed the fully resolved run manifest (the `compare` summary
-does not), and `decompose --manifest saved.json` replays a run from one.
+`decompose` embed the fully resolved run manifest, `compare --out` writes
+its grid's beside the summary, and `decompose --manifest saved.json`
+replays a run from one.
 """
 
 from __future__ import annotations
@@ -338,6 +339,8 @@ def cmd_compare(args) -> int:
     metric = args.metric or "nre"
     base = _solver_config_from_args(args)
     tensor = _load_tensor(args.input, args.shape)
+    # Resolving is idempotent, so each run takes the config the manifest records.
+    base = base.resolved(tensor.shape)
     truth = (gdata.read_factors(args.truth, order=tensor.shape.order)
              if args.truth else None)
     if metric == "mse" and truth is None:
@@ -376,6 +379,19 @@ def cmd_compare(args) -> int:
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
+        manifest = {
+            "command": "compare",
+            "config": base.to_dict(),
+            "methods": [f"{head}-{estimator}" for head, estimator in methods],
+            "seeds": {"first": base.seed, "count": n_seeds},
+            "threshold": args.threshold,
+            "metric": metric,
+            "input": {"path": str(args.input), "shape": list(tensor.shape.dims)},
+            "truth": str(args.truth) if args.truth else None,
+            "outputs": {"summary": str(args.out)},
+        }
+        Path(str(args.out) + ".manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     print(text, end="")
     return 0
 

@@ -27,12 +27,14 @@ The .tns text format, exactly as `read_tns` accepts it:
 well-formed file becomes a tensor in one pass of `np.loadtxt` over those
 bytes, `CHUNK` rows per call. Under a declared shape (a header anywhere in
 the file, or `shape=`), each chunk's indices are checked against it and
-folded into the int64 linear ids the tensor keeps, and its values written
-into the float64 array the tensor keeps. So a read peaks at the file's bytes,
-16 bytes an entry and one chunk, and the tensor builds a mode's fiber index
-only when that mode's fibers are first read. A file with no declared shape
-holds its indices as an int64 (nnz, N) block until the last row gives the
-shape, then folds them. Any doubt sends the same text, decoded, to the
+folded into the linear ids the tensor keeps, of the tensor's id type (int32
+below 2^31 positions, int64 beyond), and its values written into the
+float64 array the tensor keeps. So a read peaks at the file's bytes, 12
+bytes an entry (16 at 2^31 positions or more) and one chunk, and the tensor
+builds a mode's fiber index only when that mode's fibers are first read. A
+file with no declared shape holds its indices as an int64 (nnz, N) block
+until the last row gives the shape, then folds them into ids of that
+shape's type. Any doubt sends the same text, decoded, to the
 per-line reader, the one authority on faults, which raises a `ParseError`
 naming the first faulty line. Only faulty files, and files whose shape has
 more positions than int64 linear ids can number (a `DataError`), pay for the
@@ -61,7 +63,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
 from .solver import IterationTrace, TraceRecord
-from .tensors import DenseTensor, KruskalModel, SparseTensorCOO, TensorShape
+from .tensors import DenseTensor, KruskalModel, SparseTensorCOO, TensorShape, _index_dtype
 
 DISTRIBUTIONS = ("gamma", "poisson", "bernoulli-odds", "gaussian")
 
@@ -178,7 +180,8 @@ def read_tns(path, shape=None) -> SparseTensorCOO:
     they are inferred as the largest index seen per mode. The file is read
     once, as bytes, and must be UTF-8 text. A well-formed file becomes a
     tensor in one chunked `np.loadtxt` pass over those bytes, each chunk
-    folded into linear ids as it is parsed when the shape is declared; at
+    folded into linear ids of the tensor's id type (int32 below 2^31
+    positions) as it is parsed when the shape is declared; at
     any doubt they are decoded for the per-line reader, which alone decides
     which line is at fault and raises the `ParseError`. So a faulty file is
     parsed again line by line up to its fault, and a valid one never is.
@@ -243,13 +246,16 @@ def _read_well_formed(buf, declared):
     # Each `CHUNK` rows go straight into arrays sized for one entry per line
     # left, then trimmed to the rows read, which the tensor keeps: under a
     # declared shape, each chunk's indices are checked and folded into linear
-    # ids at once. Without one the shape is known only after the last row, so
-    # the indices are held as a block until then. `max_rows` leaves the stream
-    # just past the rows it read.
+    # ids of the tensor's id type at once. Without one the shape is known
+    # only after the last row, so the indices are held as a block until then.
+    # `max_rows` leaves the stream just past the rows it read.
     lines = buf.count(b"\n", stream.tell()) + 1
-    linear = np.empty(lines, dtype=np.int64)
     values = np.empty(lines)
-    block = np.empty((lines, order), dtype=np.int64) if declared is None else None
+    if declared is None:
+        block = np.empty((lines, order), dtype=np.int64)
+    else:
+        block = None
+        linear = np.empty(lines, dtype=_index_dtype(math.prod(declared)))
     dtype = [("i", np.int64, (order,)), ("v", np.float64)]
     n = 0
     with warnings.catch_warnings():
@@ -283,15 +289,18 @@ def _read_well_formed(buf, declared):
         declared = tuple(int(column.max()) for column in block.T)
         if not (_foldable(declared, order) and _within(block, declared)):
             return None
-        _fold(block, declared, linear[:n])
+        linear = np.empty(n, dtype=_index_dtype(math.prod(declared)))
+        _fold(block, declared, linear)
         del block
-    linear.resize(n, refcheck=False)
+    else:
+        linear.resize(n, refcheck=False)
     values.resize(n, refcheck=False)
     return declared, linear, values
 
 
 def _foldable(dims, order) -> bool:
-    """Whether entries of `order` indices fold into int64 linear ids of `dims`."""
+    """Whether entries of `order` indices fold into linear ids of `dims`, at
+    most int64."""
     return len(dims) == order and math.prod(dims) <= _INT64.max
 
 
@@ -307,8 +316,8 @@ def _fold(idx, dims, out):
     """Write the 0-based, mode-0-fastest linear ids of the rows of 1-based
     indices `idx`, which lie within `dims`, into `out`, by Horner's rule from
     the last mode. Each partial id is below the product of the sizes it
-    covers, so no step overflows when `dims` numbers at most 2^63 - 1
-    positions."""
+    covers, so no step overflows `out`'s type when it holds every id of
+    `dims`: int32 below 2^31 positions, int64 up to 2^63 - 1."""
     np.subtract(idx[:, -1], 1, out=out)
     for k in range(len(dims) - 2, -1, -1):
         out *= dims[k]

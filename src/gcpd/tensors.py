@@ -107,26 +107,31 @@ class DenseTensor:
 
     def values_at_linear(self, linear_ids) -> np.ndarray:
         """Entries at the given mode-0-fastest linear positions, gathered
-        from the C-ordered values without a reordered copy of the tensor."""
-        linear_ids = np.asarray(linear_ids, dtype=np.int64)
+        from the C-ordered values without a reordered copy of the tensor;
+        IndexError unless every id lies in [0, total)."""
+        linear_ids = _check_linear(linear_ids, self.shape.total)
         return self.values.reshape(-1)[_c_positions(linear_ids, self.shape.dims)]
 
 
 class SparseTensorCOO:
     """Sparse coordinate tensor with implicit-zero semantics.
 
-    Each stored entry is held once, as its linear id (int64, mode-0 fastest)
-    and its value, in rising linear order; multi-indices are computed from
-    the linear ids where they are needed. A mode's fiber index (fiber row ->
-    slice of nonzeros) is built by the first read of that mode's fibers, so
-    fiber extraction is O(nnz in fiber), not O(nnz total), and a tensor that
-    is only densified never builds one. The entries are immutable after
-    construction. `indices` is an integer (nnz, N) array of 0-based
-    multi-indices or, with `linear=True`, an integer (nnz,) array of the
-    linear ids themselves. Entries already in strictly rising linear order,
-    as `data.write_tns` writes them, are kept as given when the ids are a
-    C-contiguous int64 array and the values a C-contiguous float64 array, so
-    the caller hands those arrays over.
+    Each stored entry is held once, as its linear id (mode-0 fastest) and
+    its value, in rising linear order; multi-indices are computed from the
+    linear ids where they are needed. The ids are int32 when the shape has
+    fewer than 2^31 positions and int64 otherwise (`_index_dtype` of the
+    position count), so an entry takes 12 bytes below 2^31 positions. A
+    mode's fiber index (fiber row -> slice of nonzeros) is built by the
+    first read of that mode's fibers, so fiber extraction is O(nnz in
+    fiber), not O(nnz total), and a tensor that is only densified never
+    builds one. The entries are immutable after construction. `indices` is
+    an integer (nnz, N) array of 0-based multi-indices or, with
+    `linear=True`, an integer (nnz,) array of the linear ids themselves;
+    ids of any other integer type are narrowed or widened to the tensor's
+    once, after their range check. Entries already in strictly rising
+    linear order, as `data.write_tns` writes them, are kept as given when
+    the ids are a C-contiguous array of the tensor's id type and the values
+    a C-contiguous float64 array, so the caller hands those arrays over.
     """
 
     def __init__(self, shape, indices, values, *, linear: bool = False):
@@ -135,9 +140,10 @@ class SparseTensorCOO:
         if self.shape.total > np.iinfo(np.int64).max:
             raise DataError(f"shape {dims} has {self.shape.total} positions, more than "
                             "int64 linear ids can number")
+        id_dtype = _index_dtype(self.shape.total)
         indices = np.asarray(indices)
         if indices.size == 0:
-            indices = np.empty((0,) if linear else (0, len(dims)), dtype=np.int64)
+            indices = np.empty((0,) if linear else (0, len(dims)), dtype=id_dtype)
         if linear and indices.ndim != 1:
             raise DataError(f"linear ids must have shape (nnz,), got {indices.shape}")
         if not linear and (indices.ndim != 2 or indices.shape[1] != len(dims)):
@@ -154,13 +160,15 @@ class SparseTensorCOO:
         if values.size and not np.all(np.isfinite(values)):
             raise DataError("sparse tensor contains non-finite values")
         if linear:
-            ids = np.ascontiguousarray(indices, dtype=np.int64)
-            if ids.size and (ids.min() < 0 or ids.max() >= self.shape.total):
+            # The range is checked in the ids' own type, before a narrowing
+            # cast could wrap an id outside it onto a stored position.
+            if indices.size and (indices.min() < 0 or indices.max() >= self.shape.total):
                 raise DataError("sparse index out of bounds")
+            ids = np.ascontiguousarray(indices, dtype=id_dtype)
         else:
             try:
                 ids = np.ravel_multi_index(tuple(indices.astype(np.int64, copy=False).T),
-                                           dims, order="F")
+                                           dims, order="F").astype(id_dtype, copy=False)
             except ValueError:
                 raise DataError("sparse index out of bounds") from None
         if not np.all(ids[1:] > ids[:-1]):
@@ -198,8 +206,8 @@ class SparseTensorCOO:
 
     def _build_fiber_index(self, mode: int):
         """A counting sort of the entries by fiber id, a block at a time:
-        beside the int32 order and starts it holds int64 temporaries of one
-        block and of J_n fiber counts. The linear order lists each fiber's
+        beside the int32 order and starts it holds temporaries of one block
+        and of J_n fiber counts. The linear order lists each fiber's
         entries by rising mode-`mode` index, so this stable sort by fiber id
         is the index (`verify.fiber_index_argsort` builds it in one piece)."""
         dims = self.shape.dims
@@ -208,7 +216,9 @@ class SparseTensorCOO:
         starts = np.zeros(j_n + 1, dtype=dtype)
         if mode == 0:
             # Mode-0 fiber f holds the linear ids [f * I_0, (f + 1) * I_0).
-            starts[1:] = np.searchsorted(self._linear, np.arange(1, starts.size) * dims[0])
+            # The keys take the ids' type, or the search would widen the ids.
+            keys = np.arange(1, starts.size, dtype=self._linear.dtype) * dims[0]
+            starts[1:] = np.searchsorted(self._linear, keys)
             return None, starts
         # Linear id a + lo * (i + I * b), with a < lo = I_0 ... I_{mode-1} and
         # I = I_mode, lies at index i of fiber a + lo * b.
@@ -257,15 +267,16 @@ class SparseTensorCOO:
     def fiber_rows(self, mode: int, rows) -> np.ndarray:
         """Rows of the mode-`mode` unfolding at the given fiber indices, (B, I_mode)."""
         rows = _check_rows(self.shape.dims, mode, rows)
-        # One gather over the concatenated index slices of the requested fibers.
-        # The int32 index is widened once, so that no later step mixes types.
+        # One gather over the concatenated index slices of the requested
+        # fibers. The index and the ids are read in their own types; only
+        # the slots and output positions of the entries read are int64.
         order, starts = self.fiber_index(mode)
         first = starts.take(rows).astype(np.int64)
         counts = starts.take(rows + 1) - first
         # Slot t of fiber b's run lies at first[b] + (t - offset[b]).
         offsets = counts.cumsum() - counts
         slots = np.arange(counts.sum()) + (first - offsets).repeat(counts)
-        sel = slots if order is None else order.take(slots).astype(np.int64)
+        sel = slots if order is None else order.take(slots)
         # Each entry's index along `mode` is a digit of its linear id.
         size = self.shape.dims[mode]
         at = self._linear.take(sel)
@@ -273,20 +284,22 @@ class SparseTensorCOO:
             at //= math.prod(self.shape.dims[:mode])
         at %= size
         # Entry (b, at) lies at b * size + at of the C-ordered output.
-        at += np.arange(0, rows.size * size, size).repeat(counts)
+        at = np.arange(0, rows.size * size, size).repeat(counts) + at
         out = np.zeros((rows.size, size))
         out.reshape(-1)[at] = self.values.take(sel)
         return out
 
     def values_at_linear(self, linear_ids) -> np.ndarray:
-        """Entries at the given mode-0-fastest linear positions (absent = 0)."""
-        linear_ids = np.asarray(linear_ids, dtype=np.int64)
+        """Entries at the given mode-0-fastest linear positions (absent = 0);
+        IndexError unless every id lies in [0, total)."""
+        linear_ids = _check_linear(linear_ids, self.shape.total)
         out = np.zeros(linear_ids.shape)
         if self.nnz:
             # Rising keys keep the binary searches local; the hits are then
-            # scattered back to the caller's order.
+            # scattered back to the caller's order. The keys, in range, take
+            # the ids' type, or the search would widen the ids.
             order = np.argsort(linear_ids, axis=None)
-            keys = linear_ids.reshape(-1)[order]
+            keys = linear_ids.reshape(-1)[order].astype(self._linear.dtype, copy=False)
             pos = np.minimum(np.searchsorted(self._linear, keys), self.nnz - 1)
             hit = self._linear[pos] == keys
             out.reshape(-1)[order[hit]] = self.values[pos[hit]]
@@ -311,15 +324,27 @@ class SparseTensorCOO:
 
 
 # Entries per block of `SparseTensorCOO.to_dense`. Its three block-sized
-# int64 temporaries take 96 KiB, a twentieth of a 240k-entry dense tensor;
-# larger blocks save no measurable time.
+# temporaries of the id type take at most 96 KiB, a twentieth of a
+# 240k-entry dense tensor; larger blocks save no measurable time.
 _FILL_BLOCK = 1 << 12
 
 
-def _index_dtype(nnz: int):
-    """Integer type of a fiber index over `nnz` entries: int32 while every
-    slot and run end (0..nnz) fits in it, int64 beyond."""
-    return np.int32 if nnz < 1 << 31 else np.int64
+def _index_dtype(n: int):
+    """Integer type of indices to `n` slots or positions, such as a fiber
+    index over n entries or the linear ids of n positions: int32 while 0..n
+    fits in it, int64 beyond."""
+    return np.int32 if n < 1 << 31 else np.int64
+
+
+def _check_linear(linear_ids, total: int) -> np.ndarray:
+    """Linear ids as an int64 array; IndexError unless all lie in [0, total)."""
+    linear_ids = np.asarray(linear_ids, dtype=np.int64)
+    # One argmax, as in `_check_rows`: a negative id wraps to at least 2^63
+    # as uint64, so the uint64 argmax is a negative id or else the largest.
+    if linear_ids.size and not 0 <= linear_ids.item(
+            linear_ids.view(np.uint64).argmax()) < total:
+        raise IndexError(f"linear id out of range [0, {total})")
+    return linear_ids
 
 
 def _c_positions(linear, dims) -> np.ndarray:

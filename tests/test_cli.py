@@ -531,6 +531,31 @@ class TestCompare:
         methods = [line.split(",")[0] for line in lines[1:]]
         assert methods == ["inertial-saga", "plain-sgd"]
 
+    def test_manifest_rebuilds_a_method_seeds_run(self, gamma_files, tmp_path):
+        out = tmp_path / "grid.csv"
+        code = run_cli("compare", "--input", str(gamma_files) + ".tns",
+                       "--truth", str(gamma_files), "--methods", "plain-sgd,inertial-saga",
+                       "--seeds", "1", "--seed", "4", "--loss", "gamma", "--rank", "2",
+                       "--iters", "40", "--threshold", "0.5", "--metric", "mse",
+                       "--no-timing", "--out", str(out))
+        assert code == 0
+        saved = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert saved["methods"] == ["plain-sgd", "inertial-saga"]
+        assert saved["seeds"] == {"first": 4, "count": 1}
+        assert (saved["threshold"], saved["metric"]) == (0.5, "mse")
+        assert saved["input"] == {"path": str(gamma_files) + ".tns", "shape": [8, 7, 6]}
+        assert saved["truth"] == str(gamma_files)
+        # The base config is the resolved one, so resolving it changes nothing.
+        tensor = read_tns(saved["input"]["path"]).to_dense()
+        base = SolverConfig.from_dict(saved["config"])
+        assert base == base.resolved(tensor.shape) and base.batch == 4
+        config = dataclasses.replace(base, estimator="sgd", c1=0.0, c2=0.0)
+        truth = read_factors(saved["truth"], order=3)
+        trace, _ = solver.run(config, tensor, truth=truth)
+        plain_sgd = out.read_text().splitlines()[1].split(",")
+        assert plain_sgd[0] == "plain-sgd"
+        assert f"{trace.records[-1].nre:.17g}" == plain_sgd[3]
+
     def test_unreachable_threshold_reports_budget(self, gamma_files, tmp_path):
         out = tmp_path / "budget.csv"
         code = run_cli("compare", "--input", str(gamma_files) + ".tns",

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcpd import tensors
+from gcpd.data import read_tns, write_tns
 from gcpd.errors import DataError
 from gcpd.tensors import (DenseTensor, FiberPlan, KruskalModel, SparseTensorCOO,
                           TensorShape, data_fibers, khatri_rao_rows)
@@ -325,10 +326,19 @@ class TestSparseFromLinearIds:
         assert all(np.array_equal(a, b) for a, b in zip(_coo_arrays(got), _coo_arrays(want)))
 
     def test_rising_int64_ids_and_values_are_kept_as_given(self):
-        ids = np.array([0, 5, 7, 11])
+        # Ids already of the tensor's id type are kept without a copy: int64
+        # from 2^31 positions on, int32 below. Int64 ids of a smaller shape
+        # are narrowed once, to a new int32 array.
         values = np.array([1.0, -2.0, 3.0, 0.5])
+        for dims, dtype in (((2 ** 16, 2 ** 15), np.int64), ((3, 4), np.int32)):
+            ids = np.array([0, 5, 7, 11], dtype=dtype)
+            tensor = SparseTensorCOO(dims, ids, values, linear=True)
+            assert np.shares_memory(tensor._linear, ids)
+            assert np.shares_memory(tensor.values, values)
+        ids = np.array([0, 5, 7, 11], dtype=np.int64)
         tensor = SparseTensorCOO((3, 4), ids, values, linear=True)
-        assert np.shares_memory(tensor._linear, ids) and np.shares_memory(tensor.values, values)
+        assert tensor._linear.dtype == np.int32 and not np.shares_memory(tensor._linear, ids)
+        assert np.array_equal(tensor._linear, ids)
 
     def test_duplicates_rejected(self):
         with pytest.raises(DataError, match=r"duplicate coordinate \(1, 2\)"):
@@ -352,8 +362,10 @@ class TestSparseFromLinearIds:
 
     @pytest.mark.parametrize("ids", [[], np.empty(0)])
     def test_no_ids_give_an_empty_tensor(self, ids):
-        tensor = SparseTensorCOO((3, 4), ids, [], linear=True)
-        assert tensor.nnz == 0 and tensor._linear.dtype == np.int64
+        # The empty ids take the shape's id type, whatever type was given.
+        for dims, dtype in (((3, 4), np.int32), ((2 ** 16, 2 ** 15), np.int64)):
+            tensor = SparseTensorCOO(dims, ids, [], linear=True)
+            assert tensor.nnz == 0 and tensor._linear.dtype == dtype
 
 
 def _coo_arrays(tensor):
@@ -420,12 +432,13 @@ class TestSparseLayout:
         assert tensors._index_dtype(3 * 2 ** 32) is np.int64
 
     def test_holds_no_index_block(self):
-        # Each entry is held once, as a linear id and a value.
+        # Each entry is held once, as a value and a linear id, the int64
+        # multi-indices narrowed once to the int32 ids of a small shape.
         idx, values = self._entries((6, 5, 4), 40, seed=8)
         tensor = SparseTensorCOO((6, 5, 4), idx, values)
         held = [v for v in vars(tensor).values() if isinstance(v, np.ndarray)]
         assert [(a.shape, a.dtype) for a in held] == [((40,), np.float64),
-                                                      ((40,), np.int64)]
+                                                      ((40,), np.int32)]
         assert np.array_equal(tensor._linear, np.ravel_multi_index(
             tuple(idx.T), (6, 5, 4), order="F"))
 
@@ -614,6 +627,120 @@ class TestFiberIndexBuild:
         block = 8 * tensors.BLOCK_ENTRIES
         counts = 8 * tensor.shape.fiber_count(mode)
         assert peak <= order.nbytes + starts.nbytes + 6 * block + 3 * counts
+
+
+# The shapes just below and at 2^31 positions: the first keeps int32 linear
+# ids, the second int64.
+_ID_WIDTH_EDGE = [((2 ** 16, 2 ** 15 - 1), np.int32), ((2 ** 16, 2 ** 15), np.int64)]
+
+
+class TestIdWidthAtTwoTo31Positions:
+    @staticmethod
+    def _entries(dims):
+        """Linear ids (out of order) and values: the first and last
+        positions, the first of the last mode-0 fiber and a few between."""
+        total = math.prod(dims)
+        linear = np.array([total - 1, 0, 5, 2 ** 16 + 3, total - 2 ** 16, 2 ** 30 + 7])
+        return linear, np.arange(1.0, linear.size + 1.0)
+
+    @pytest.mark.parametrize("dims,dtype", _ID_WIDTH_EDGE)
+    def test_both_constructors_keep_the_shapes_id_type(self, dims, dtype):
+        linear, values = self._entries(dims)
+        idx = np.column_stack(np.unravel_index(linear, dims, order="F"))
+        rising = np.argsort(linear)
+        for tensor in (SparseTensorCOO(dims, linear, values, linear=True),
+                       SparseTensorCOO(dims, idx, values)):
+            assert tensor._linear.dtype == dtype
+            assert np.array_equal(tensor._linear, linear[rising])
+            assert np.array_equal(tensor.values, values[rising])
+
+    @pytest.mark.parametrize("dims,dtype", _ID_WIDTH_EDGE)
+    def test_reads_and_a_round_trip_keep_the_shapes_id_type(self, dims, dtype, tmp_path):
+        # A declared shape (a header, or `shape=`) and a headerless file,
+        # whose last entry gives the shape.
+        linear, values = self._entries(dims)
+        idx = np.column_stack(np.unravel_index(linear, dims, order="F")) + 1
+        body = "".join(f"{i} {j} {v}\n" for (i, j), v in zip(idx.tolist(), values.tolist()))
+        header, bare = tmp_path / "header.tns", tmp_path / "bare.tns"
+        header.write_text(f"# shape: {dims[0]} {dims[1]}\n" + body)
+        bare.write_text(body)
+        want = SparseTensorCOO(dims, linear, values, linear=True)
+        reads = [read_tns(header), read_tns(bare), read_tns(bare, shape=dims)]
+        write_tns(reads[0], tmp_path / "again.tns")
+        reads.append(read_tns(tmp_path / "again.tns"))
+        for got in reads:
+            assert got.dims == dims and got._linear.dtype == dtype
+            assert np.array_equal(got._linear, want._linear)
+            assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("dims,dtype", _ID_WIDTH_EDGE)
+    def test_fiber_reads_and_lookups(self, dims, dtype):
+        linear, values = self._entries(dims)
+        tensor = SparseTensorCOO(dims, linear, values, linear=True)
+        assert tensor._linear.dtype == dtype
+        held = np.unravel_index(linear, dims, order="F")
+        for mode in range(2):
+            # Every fiber holding an entry, and two empty ones.
+            rows = np.concatenate([held[1 - mode], [1, tensor.shape.fiber_count(mode) - 2]])
+            assert np.array_equal(tensor.fiber_rows(mode, rows),
+                                  fiber_rows_loop(tensor, mode, rows))
+        total = tensor.shape.total
+        queries = np.concatenate([linear, [1, 6, total - 2, 2 ** 31 - 2 ** 16 - 1]])
+        stored = dict(zip(linear.tolist(), values.tolist()))
+        assert np.array_equal(tensor.values_at_linear(queries),
+                              [stored.get(q, 0.0) for q in queries.tolist()])
+
+
+class TestNoWideIds:
+    """An int32-keyed tensor's builds and reads allocate no int64 array of
+    its entries' size (8 bytes an entry), which a search of the ids with
+    int64 keys would: numpy then widens every id to int64."""
+
+    def test_no_build_or_read_holds_an_int64_array_of_the_entries(self):
+        # Each peaks below 8 bytes an entry; `to_dense` above the dense
+        # values it fills. A mode-1 or mode-2 build keeps an int32 order of
+        # the entries and holds about 1.5 bytes an entry more.
+        dims = (100, 80, 50)
+        rng = np.random.default_rng(12)
+        linear = np.sort(rng.choice(math.prod(dims), 200_000, replace=False))
+        tensor = SparseTensorCOO(dims, linear, rng.random(linear.size), linear=True)
+        assert tensor._linear.dtype == np.int32
+        wide = 8 * tensor.nnz
+        for mode in range(3):
+            assert _traced_peak(lambda: tensor.fiber_index(mode))[1] < wide, f"build {mode}"
+        for mode in range(3):
+            # A group of batches, as `estimators.fiber_groups` reads them.
+            rows = rng.integers(0, tensor.shape.fiber_count(mode), size=96)
+            assert _traced_peak(lambda: tensor.fiber_rows(mode, rows))[1] < wide, f"read {mode}"
+        keys = rng.integers(0, tensor.shape.total, size=tensors.BLOCK_ENTRIES)
+        assert _traced_peak(lambda: tensor.values_at_linear(keys))[1] < wide
+        dense, peak = _traced_peak(tensor.to_dense)
+        assert peak - dense.values.nbytes < wide
+
+
+class TestLinearIdRange:
+    @pytest.mark.parametrize("bad", [-1, 24, 2 ** 31 + 3])
+    def test_ids_outside_the_positions_raise(self, bad):
+        # Unchecked, the dense gather read id -1 as 19.0 and id 24 as 4.0;
+        # narrowed to int32, id 2^31 + 3 could alias a stored entry.
+        values = np.arange(24.0).reshape(2, 3, 4)
+        dense = DenseTensor(values)
+        sparse = SparseTensorCOO((2, 3, 4), np.arange(24), values.ravel(order="F"),
+                                 linear=True)
+        empty = SparseTensorCOO((2, 3, 4), [], [], linear=True)
+        for tensor in (dense, sparse, empty):
+            for ids in ([bad], [[0, 3], [bad, 23]], np.int64(bad)):
+                with pytest.raises(IndexError, match=r"linear id out of range \[0, 24\)"):
+                    tensor.values_at_linear(ids)
+
+    def test_ids_in_range_read_the_same_on_both_kinds(self):
+        values = np.arange(24.0).reshape(2, 3, 4)
+        sparse = SparseTensorCOO((2, 3, 4), np.arange(24), values.ravel(order="F"),
+                                 linear=True)
+        ids = np.array([[23, 0], [5, 19]])
+        want = values.ravel(order="F")[ids]
+        assert np.array_equal(DenseTensor(values).values_at_linear(ids), want)
+        assert np.array_equal(sparse.values_at_linear(ids), want)
 
 
 class TestRowRangeGuards:
