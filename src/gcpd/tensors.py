@@ -110,7 +110,8 @@ class DenseTensor:
         from the C-ordered values without a reordered copy of the tensor;
         IndexError unless every id lies in [0, total)."""
         linear_ids = _check_linear(linear_ids, self.shape.total)
-        return self.values.reshape(-1)[_c_positions(linear_ids, self.shape.dims)]
+        positions = _c_positions(linear_ids.reshape(-1), self.shape.dims)
+        return self.values.reshape(-1)[positions].reshape(linear_ids.shape)
 
 
 class SparseTensorCOO:
@@ -128,10 +129,13 @@ class SparseTensorCOO:
     an integer (nnz, N) array of 0-based multi-indices or, with
     `linear=True`, an integer (nnz,) array of the linear ids themselves;
     ids of any other integer type are narrowed or widened to the tensor's
-    once, after their range check. Entries already in strictly rising
-    linear order, as `data.write_tns` writes them, are kept as given when
-    the ids are a C-contiguous array of the tensor's id type and the values
-    a C-contiguous float64 array, so the caller hands those arrays over.
+    once, after their range check. Multi-indices of any integer type are
+    folded by `_fold_rows`, a block of entries at a time, straight into ids
+    of the tensor's type, so beside the ids the fold holds temporaries of
+    one block. Entries already in strictly rising linear order, as
+    `data.write_tns` writes them, are kept as given when the ids are a
+    C-contiguous array of the tensor's id type and the values a C-contiguous
+    float64 array, so the caller hands those arrays over.
     """
 
     def __init__(self, shape, indices, values, *, linear: bool = False):
@@ -166,9 +170,9 @@ class SparseTensorCOO:
                 raise DataError("sparse index out of bounds")
             ids = np.ascontiguousarray(indices, dtype=id_dtype)
         else:
+            ids = np.empty(indices.shape[0], dtype=id_dtype)
             try:
-                ids = np.ravel_multi_index(tuple(indices.astype(np.int64, copy=False).T),
-                                           dims, order="F").astype(id_dtype, copy=False)
+                _fold_rows(indices, dims, ids)
             except ValueError:
                 raise DataError("sparse index out of bounds") from None
         if not np.all(ids[1:] > ids[:-1]):
@@ -336,6 +340,17 @@ def _index_dtype(n: int):
     return np.int32 if n < 1 << 31 else np.int64
 
 
+def _fold_rows(indices, dims, out):
+    """Write the mode-0-fastest linear ids of `indices`, an integer (m, N)
+    array of 0-based multi-indices, into `out`, one `np.ravel_multi_index`
+    per `BLOCK_ENTRIES` rows. numpy's ValueError means an index outside
+    `dims` (a uint64 one of 2^63 or more reads as negative), another mode
+    count, or more positions than int64 ids can number."""
+    for lo in range(0, len(indices), BLOCK_ENTRIES):
+        block = indices[lo:lo + BLOCK_ENTRIES]
+        out[lo:lo + len(block)] = np.ravel_multi_index(tuple(block.T), dims, order="F")
+
+
 def _check_linear(linear_ids, total: int) -> np.ndarray:
     """Linear ids as an int64 array; IndexError unless all lie in [0, total)."""
     linear_ids = np.asarray(linear_ids, dtype=np.int64)
@@ -387,10 +402,11 @@ class KruskalModel:
         return len(self.factors)
 
     def values_at_linear(self, linear_ids) -> np.ndarray:
-        """Model values at mode-0-fastest linear ids in [0, total). The
-        product of the factors' rows is taken one mode's digits at a time,
-        so beside the (S, R) product it holds one mode's rows and digits."""
-        linear_ids = np.asarray(linear_ids, dtype=np.int64)
+        """Model values at mode-0-fastest linear ids; IndexError unless
+        every id lies in [0, total). The product of the factors' rows is
+        taken one mode's digits at a time, so beside the (S, R) product it
+        holds one mode's rows and digits."""
+        linear_ids = _check_linear(linear_ids, self.shape.total)
         out, stride = None, 1
         for a, size in zip(self.factors, self.shape.dims):
             digit = linear_ids // stride
@@ -401,7 +417,7 @@ class KruskalModel:
             else:
                 out *= a.take(digit, axis=0)
             del digit
-        return out.sum(axis=1)
+        return out.sum(axis=-1)
 
     def slab(self, lo: int, hi: int) -> np.ndarray:
         """Model values at mode-0 indices [lo, hi), shape (hi - lo, I_1, ...):

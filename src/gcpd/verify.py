@@ -8,20 +8,25 @@ materialization, exhaustive permutation matching, a per-fiber loop for
 sparse fiber reads, and one argsort for the sparse fiber index. Scalar
 fiber-index conversions, the full dense unfolding, the exact gaussian block
 curvature, and the generator psi with its gradient and the three-point
-identity are kept here as oracles for tests.
+identity are kept here as oracles for tests, beside a reader of the trace
+CSVs that `data.write_trace_csv` writes.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .bregman import (GeneratorSpec, RegularizerSpec, _check_entropy_domain, bregman_div,
                       mirror_prox_step)
 from .data import sample_tensor
+from .errors import ParseError
 from .estimators import batch_gradient, full_gradient
 from .losses import KINDS, LossSpec, objective
 from .metrics import _cost_matrix, match_columns, mse
@@ -375,3 +380,26 @@ def run_all(quick: bool = False) -> list[CheckResult]:
         check_khatri_rao(),
         check_mse_matching(pairs=mse_pairs),
     ]
+
+
+def read_trace_csv(path) -> tuple[list[str], list[list[str]], dict | None]:
+    """(header, rows, embedded manifest or None) from a trace CSV."""
+    path = Path(path)
+    manifest = None
+    rows = []
+    header = None
+    with path.open(newline="") as fh:
+        for line in fh:
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if body.startswith("manifest:"):
+                    manifest = json.loads(body[len("manifest:"):])
+                continue
+            cells = next(csv.reader([line]))
+            if header is None:
+                header = cells
+            else:
+                rows.append(cells)
+    if header is None:
+        raise ParseError("trace CSV has no header row", path)
+    return header, rows, manifest

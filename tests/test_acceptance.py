@@ -18,8 +18,8 @@ import pytest
 
 from gcpd.bregman import GeneratorSpec, RegularizerSpec
 from gcpd.cli import main as cli_main
-from gcpd.data import (SyntheticSpec, generate, read_tns, read_trace_csv,
-                       write_tns, write_trace_csv, write_trace_json)
+from gcpd.data import (SyntheticSpec, generate, read_tns, write_tns, write_trace_csv,
+                       write_trace_json)
 from gcpd.estimators import (EstimatorState, batch_gradient, checked_gradient,
                              full_gradient)
 from gcpd.losses import LossSpec, objective
@@ -27,7 +27,7 @@ from gcpd.metrics import _cost_matrix, match_columns, mse
 from gcpd.solver import SolverConfig, run
 from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO, TensorShape
 from gcpd.verify import (check_prox_oracle, exhaustive_match, fd_block_gradient,
-                         gaussian_block_curvature)
+                         gaussian_block_curvature, read_trace_csv)
 
 FOUR_FAMILIES = ("gaussian", "gamma", "poisson-identity", "bernoulli-odds")
 

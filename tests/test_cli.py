@@ -9,12 +9,12 @@ import pytest
 
 from gcpd import solver
 from gcpd.cli import _build_parser, _solver_config_from_args, main
-from gcpd.data import SyntheticSpec, read_factors, read_tns, read_trace_csv
+from gcpd.data import SyntheticSpec, read_factors, read_tns
 from gcpd.estimators import ESTIMATOR_KINDS
 from gcpd.losses import KINDS as LOSS_KINDS
 from gcpd.losses import LossSpec
 from gcpd.solver import SolverConfig
-from gcpd.verify import check_gradient_fd
+from gcpd.verify import check_gradient_fd, read_trace_csv
 
 
 # Fields that saved configs used to hold, with the values every CLI run saved.

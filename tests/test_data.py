@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 from gcpd import data as gdata
 from gcpd.data import (SyntheticSpec, generate, planted_factors, read_factors,
-                       read_tns, read_trace_csv, sample_tensor, trace_header,
-                       write_factors, write_tns, write_trace_csv, write_trace_json)
+                       read_tns, sample_tensor, trace_header, write_factors, write_tns,
+                       write_trace_csv, write_trace_json)
 from gcpd.errors import ConfigError, DataError, GcpdError, ParseError
 from gcpd.solver import IterationTrace, TraceRecord
 from gcpd.tensors import DenseTensor, KruskalModel, SparseTensorCOO
+from gcpd.verify import read_trace_csv
 
 
 class TestGenerate:
@@ -409,18 +410,24 @@ class TestVectorizedTnsReader:
                                   side_effect=AssertionError("per-line reader")):
             assert _outcomes(text, shape, read_tns) == (got,)
 
-    @pytest.mark.parametrize("text,shape", [
-        ("# shape: 10000000 10000000 10000000\n1 1 1 2.5\n", None),
-        ("1 1 1 2.5\n2 2 2 1\n# shape: 10000000 10000000 10000000\n", None),
-        ("1 1 1 2.5\n", (10_000_000,) * 3),
-        ("10000000 10000000 10000000 2.5\n1 1 1 1\n", None),
+    BIG = "10000000, 10000000, 10000000"
+
+    @pytest.mark.parametrize("text,shape,dims", [
+        ("# shape: 10000000 10000000 10000000\n1 1 1 2.5\n", None, BIG),
+        ("1 1 1 2.5\n2 2 2 1\n# shape: 10000000 10000000 10000000\n", None, BIG),
+        ("1 1 1 2.5\n", (10_000_000,) * 3, BIG),
+        ("10000000 10000000 10000000 2.5\n1 1 1 1\n", None, BIG),
+        ("# shape: 10000000000000000000 2 2\n1 1 1 2.5\n", None, "10000000000000000000, 2, 2"),
     ])
-    def test_shape_beyond_int64_linear_ids_is_never_folded(self, tmp_path, text, shape):
+    def test_shape_beyond_int64_linear_ids_is_never_folded(self, tmp_path, text, shape, dims):
+        # The one-pass read gives up on such a shape, and the tensor built
+        # from the per-line reader's entries raises.
         p = tmp_path / "big.tns"
         p.write_text(text)
-        with mock.patch.object(gdata, "_fold", side_effect=AssertionError("folded")):
-            with pytest.raises(DataError, match=r"shape \(10000000, 10000000, 10000000\)"):
+        with mock.patch.object(gdata, "_read_lines", wraps=gdata._read_lines) as lines:
+            with pytest.raises(DataError, match=rf"shape \({dims}\)"):
                 read_tns(p, shape=shape)
+        assert lines.called
 
     def test_shape_of_int64_max_positions_folds_its_last_position(self, tmp_path):
         # 2^63 - 1 positions: the last id is 2^63 - 2, and no partial id of
@@ -434,16 +441,6 @@ class TestVectorizedTnsReader:
             tensor = read_tns(p)
         assert tensor._linear.tolist() == [0, 2 ** 63 - 2]
         assert tensor.values.tolist() == [2.5, 1.5]
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_fold_is_ravel_multi_index(self, data):
-        dims = tuple(data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=5)))
-        idx = np.array(data.draw(st.lists(st.tuples(*(st.integers(1, d) for d in dims)),
-                                          min_size=1, max_size=12)), dtype=np.int64)
-        out = np.empty(len(idx), dtype=np.int64)
-        gdata._fold(idx, dims, out)
-        assert np.array_equal(out, np.ravel_multi_index(tuple(idx.T - 1), dims, order="F"))
 
     @pytest.mark.parametrize("shape,distribution", [
         ((60, 50, 40), "gamma"), ((256, 200, 100), "poisson"),

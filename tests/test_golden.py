@@ -4,7 +4,9 @@ Every estimator (full, sgd, saga) runs on a dense and a sparse input
 under both geometries (negative-entropy with a poisson loss, squared-euclidean
 with a gaussian loss), SAGA runs once per remaining loss kind, and a few runs
 exercise the optional solver branches. The objective trace, the stepsize history and the bytes of the
-final factors must equal the values in ``golden_traces.json`` exactly.
+final factors must equal the values in ``golden_traces.json`` exactly. Under
+the exact objective, one tensor stored dense and stored sparse must give the
+same bits, which no recorded entry needs.
 
 Regenerate the file only for a change that is meant to alter the arithmetic:
 
@@ -121,6 +123,16 @@ def _refresh(recorded: dict, cases: dict, prefixes: tuple, fingerprint=_fingerpr
     for name in rerun:
         out[name] = fingerprint(*cases[name])
     return out, rerun, dropped
+
+
+@pytest.mark.parametrize("estimator", ["full", "sgd", "saga"])
+@pytest.mark.parametrize("kind", ["gaussian", "poisson-identity", "gamma", "bernoulli-odds"])
+def test_dense_and_sparse_storage_give_the_same_bits(kind, estimator):
+    # One tensor stored dense and stored sparse, under the exact objective
+    # on both: the traces, the stepsizes and the factor bytes agree.
+    config = _config(kind, estimator, "dense")
+    assert config.eval_samples is None
+    assert _fingerprint(kind, "sparse", config) == _fingerprint(kind, "dense", config)
 
 
 def test_refresh_drops_entries_of_removed_cases():

@@ -195,6 +195,10 @@ class TestModelFibers:
                 prod *= a[i]
             got = model.values_at_linear(lin)
             assert got.tobytes() == prod.sum(axis=1).tobytes()
+            # Ids of any shape read one value each, as on the tensors.
+            column = model.values_at_linear(lin.reshape(-1, 1))
+            assert column.shape == (lin.size, 1) and column.tobytes() == got.tobytes()
+            assert model.values_at_linear(lin[0]) == got[0]
             assert np.allclose(got, model.to_dense().values.ravel(order="F")[lin], rtol=1e-14)
 
     def test_entries_match_model_entry(self):
@@ -629,6 +633,57 @@ class TestFiberIndexBuild:
         assert peak <= order.nbytes + starts.nbytes + 6 * block + 3 * counts
 
 
+_BLOCK = tensors.BLOCK_ENTRIES
+
+
+class TestBlockwiseFold:
+    """(nnz, N) multi-indices fold into linear ids a block at a time."""
+
+    DIMS = (120, 100, 90)   # every index fits int8
+    DTYPES = [np.int8, np.int16, np.int32, np.int64,
+              np.uint8, np.uint16, np.uint32, np.uint64]
+
+    def _indices(self, nnz, dtype):
+        rng = np.random.default_rng(nnz)
+        linear = np.sort(rng.choice(math.prod(self.DIMS), nnz, replace=False))
+        idx = np.column_stack(np.unravel_index(linear, self.DIMS, order="F"))
+        return idx.astype(dtype), rng.random(nnz)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("nnz", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_ids_equal_the_one_piece_ravel(self, nnz, dtype):
+        idx, values = self._indices(nnz, dtype)
+        tensor = SparseTensorCOO(self.DIMS, idx, values)
+        want = np.ravel_multi_index(tuple(idx.astype(np.int64).T), self.DIMS, order="F")
+        assert tensor._linear.dtype == np.int32
+        assert np.array_equal(tensor._linear, want)
+        assert np.array_equal(tensor.values, values)
+
+    @pytest.mark.parametrize("dtype,bad", [
+        (np.int64, 90), (np.uint16, 90), (np.int64, -1), (np.int8, -1),
+        (np.uint64, 2 ** 64 - 1), (np.uint64, 2 ** 63 + 5)])   # the last two read as negative
+    def test_an_index_outside_the_shape_in_the_last_block_raises(self, dtype, bad):
+        idx, values = self._indices(2 * _BLOCK + 3, dtype)
+        idx[-1, 2] = bad
+        with pytest.raises(DataError, match="sparse index out of bounds"):
+            SparseTensorCOO(self.DIMS, idx, values)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_build_holds_the_ids_and_one_block(self, dtype):
+        # 238 245 entries in sparse-poisson-sgd's shape, in rising order.
+        # Beside the int32 ids it keeps, a build holds the order check's
+        # booleans and int64 temporaries of one block. A fold in one piece
+        # held int64 copies of every entry: 2.73 MiB from int64 indices and
+        # 7.27 MiB from int32 ones, against a bound of 1.39 MiB.
+        dims = (256, 200, 100)
+        linear = np.arange(238_245) * 21
+        idx = np.column_stack(np.unravel_index(linear, dims, order="F")).astype(dtype)
+        values = np.random.default_rng(6).random(linear.size)
+        tensor, peak = _traced_peak(lambda: SparseTensorCOO(dims, idx, values))
+        assert np.array_equal(tensor._linear, linear)
+        assert peak <= tensor._linear.nbytes + tensor.nnz + 8 * (len(dims) + 1) * _BLOCK
+
+
 # The shapes just below and at 2^31 positions: the first keeps int32 linear
 # ids, the second int64.
 _ID_WIDTH_EDGE = [((2 ** 16, 2 ** 15 - 1), np.int32), ((2 ** 16, 2 ** 15), np.int64)]
@@ -721,14 +776,16 @@ class TestNoWideIds:
 class TestLinearIdRange:
     @pytest.mark.parametrize("bad", [-1, 24, 2 ** 31 + 3])
     def test_ids_outside_the_positions_raise(self, bad):
-        # Unchecked, the dense gather read id -1 as 19.0 and id 24 as 4.0;
-        # narrowed to int32, id 2^31 + 3 could alias a stored entry.
+        # Unchecked, the dense gather read id -1 as 19.0 and id 24 as 4.0,
+        # and the model read them as its values at ids 23 and 0 (24.0 and
+        # 1.0); narrowed to int32, id 2^31 + 3 could alias a stored entry.
         values = np.arange(24.0).reshape(2, 3, 4)
         dense = DenseTensor(values)
         sparse = SparseTensorCOO((2, 3, 4), np.arange(24), values.ravel(order="F"),
                                  linear=True)
         empty = SparseTensorCOO((2, 3, 4), [], [], linear=True)
-        for tensor in (dense, sparse, empty):
+        model = KruskalModel([np.arange(1.0, d + 1.0)[:, None] for d in (2, 3, 4)])
+        for tensor in (dense, sparse, empty, model):
             for ids in ([bad], [[0, 3], [bad, 23]], np.int64(bad)):
                 with pytest.raises(IndexError, match=r"linear id out of range \[0, 24\)"):
                     tensor.values_at_linear(ids)
@@ -737,10 +794,11 @@ class TestLinearIdRange:
         values = np.arange(24.0).reshape(2, 3, 4)
         sparse = SparseTensorCOO((2, 3, 4), np.arange(24), values.ravel(order="F"),
                                  linear=True)
-        ids = np.array([[23, 0], [5, 19]])
-        want = values.ravel(order="F")[ids]
-        assert np.array_equal(DenseTensor(values).values_at_linear(ids), want)
-        assert np.array_equal(sparse.values_at_linear(ids), want)
+        for ids in (np.array([[23, 0], [5, 19]]), np.int64(7)):
+            want = values.ravel(order="F")[ids]
+            for tensor in (DenseTensor(values), sparse):
+                got = tensor.values_at_linear(ids)
+                assert got.shape == np.shape(ids) and np.array_equal(got, want)
 
 
 class TestRowRangeGuards:
