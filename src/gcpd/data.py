@@ -25,13 +25,13 @@ The .tns text format, exactly as `read_tns` accepts it:
 
 `read_tns` reads a file once, as bytes, and parses it in one of two ways. A
 well-formed file becomes a tensor in one pass of `np.loadtxt` over those
-bytes, `CHUNK` rows per call. Under a declared shape (a header anywhere in
-the file, or `shape=`), each chunk's indices are made 0-based in place and
-folded by `tensors._fold_rows`, the constructor's own fold (numpy's
-`ravel_multi_index`, which also checks them against the shape), into the
-linear ids the tensor keeps, of the tensor's id type (int32 below 2^31
-positions, int64 beyond), and its values written into the float64 array
-the tensor keeps. So a read peaks at the file's bytes, 12 bytes an entry
+bytes, `tensors.BLOCK_ENTRIES` rows per call. Under a declared shape (a
+header anywhere in the file, or `shape=`), each chunk's indices are made
+0-based in place and folded by `tensors._fold_rows`, the constructor's own
+fold (numpy's `ravel_multi_index`, which also checks them against the
+shape), into the linear ids the tensor keeps, of the tensor's id type
+(int32 below 2^31 positions, int64 beyond), and its values written into
+the float64 array the tensor keeps. So a read peaks at the file's bytes, 12 bytes an entry
 (16 at 2^31 positions or more) and one chunk, and the tensor builds a
 mode's fiber index only when that mode's fibers are first read. A file
 with no declared shape holds its indices as an int64 (nnz, N) block until
@@ -58,22 +58,20 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
 from .solver import IterationTrace, TraceRecord
-from .tensors import (DenseTensor, KruskalModel, SparseTensorCOO, TensorShape, _fold_rows,
-                      _index_dtype)
+from .tensors import (BLOCK_ENTRIES, DenseTensor, KruskalModel, SparseTensorCOO, TensorShape,
+                      _fold_rows, _index_dtype)
 
 DISTRIBUTIONS = ("gamma", "poisson", "bernoulli-odds", "gaussian")
 
 _INDEX_TOKEN = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
-_WRITE_CHUNK = 1 << 16   # .tns entries formatted per write
-CHUNK = 1 << 13          # .tns entry rows parsed per `np.loadtxt` call
 
 
 @dataclass(frozen=True)
@@ -157,21 +155,21 @@ def write_tns(tensor, path, manifest: dict | None = None):
 
 def _entry_blocks(tensor):
     """(0-based indices, values) of the nonzero entries in linear order, at
-    most `_WRITE_CHUNK` at a time. A sparse tensor's indices are computed
+    most `BLOCK_ENTRIES` at a time. A sparse tensor's indices are computed
     from its linear ids a block at a time; a dense tensor is searched one
     last-mode slab at a time, so no copy of the whole tensor is made."""
     if isinstance(tensor, SparseTensorCOO):
-        for lo in range(0, tensor.nnz, _WRITE_CHUNK):
-            at = tensor._linear[lo:lo + _WRITE_CHUNK]
+        for lo in range(0, tensor.nnz, BLOCK_ENTRIES):
+            at = tensor._linear[lo:lo + BLOCK_ENTRIES]
             yield (np.column_stack(np.unravel_index(at, tensor.dims, order="F")),
-                   tensor.values[lo:lo + _WRITE_CHUNK])
+                   tensor.values[lo:lo + BLOCK_ENTRIES])
         return
     *lead, last = tensor.dims
     for k in range(last):
         flat = tensor.values[..., k].ravel(order="F")
         nz = np.flatnonzero(flat)
-        for lo in range(0, nz.size, _WRITE_CHUNK):
-            at = nz[lo:lo + _WRITE_CHUNK]
+        for lo in range(0, nz.size, BLOCK_ENTRIES):
+            at = nz[lo:lo + BLOCK_ENTRIES]
             yield (np.column_stack(np.unravel_index(at, lead, order="F")
                                    + (np.full(at.size, k),)), flat[at])
 
@@ -244,12 +242,12 @@ def _read_well_formed(buf, declared):
     order = len(fields) - 1
     stream.seek(stream.tell() - len(first))
     comments = "#" if buf.rfind(b"#") > stream.tell() else None
-    # Each `CHUNK` rows go straight into arrays sized for one entry per line
-    # left, then trimmed to the rows read, which the tensor keeps: under a
-    # declared shape, each chunk's indices are made 0-based in place and
-    # folded into linear ids of the tensor's id type at once. Without one the
-    # shape is known only after the last row, so the indices are held as a
-    # block until then. `max_rows` leaves the stream just past the rows it
+    # Each `BLOCK_ENTRIES` rows go straight into arrays sized for one entry
+    # per line left, then trimmed to the rows read, which the tensor keeps:
+    # under a declared shape, each chunk's indices are made 0-based in place
+    # and folded into linear ids of the tensor's id type at once. Without one
+    # the shape is known only after the last row, so the indices are held as
+    # a block until then. `max_rows` leaves the stream just past the rows it
     # read.
     lines = buf.count(b"\n", stream.tell()) + 1
     values = np.empty(lines)
@@ -270,7 +268,7 @@ def _read_well_formed(buf, declared):
             warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                     UserWarning)
             while n < lines:
-                rows = min(CHUNK, lines - n)
+                rows = min(BLOCK_ENTRIES, lines - n)
                 chunk = np.loadtxt(stream, comments=comments, ndmin=1,
                                    dtype=dtype, max_rows=rows)
                 m = chunk.size
@@ -455,19 +453,13 @@ def write_trace_csv(trace: IterationTrace, path, n_modes: int):
 
 
 def write_trace_json(trace: IterationTrace, path, n_modes: int):
+    """Each record holds the `TraceRecord` fields, `gamma` written as `gamma_k`."""
     path = Path(path)
     records = []
     for rec in trace.records:
-        records.append({
-            "iteration": rec.iteration,
-            "seconds": rec.seconds,
-            "nre": rec.nre,
-            "mse_mean": rec.mse_mean,
-            "mse_modes": list(rec.mse_modes) if rec.mse_modes is not None else None,
-            "lyapunov": rec.lyapunov,
-            "gamma_k": rec.gamma,
-            "gamma_modes": list(rec.gamma_modes) if rec.gamma_modes is not None else None,
-        })
+        record = asdict(rec)
+        record["gamma_k"] = record.pop("gamma")
+        records.append(record)
     payload = {
         "manifest": trace.manifest,
         "n_modes": n_modes,
@@ -479,13 +471,11 @@ def write_trace_json(trace: IterationTrace, path, n_modes: int):
         fh.write("\n")
 
 
-TRACE_FORMATS = ("csv", "json")
+_TRACE_WRITERS = {"csv": write_trace_csv, "json": write_trace_json}
+TRACE_FORMATS = tuple(_TRACE_WRITERS)
 
 
 def write_trace(trace: IterationTrace, path, n_modes: int, fmt: str = "csv"):
-    if fmt == "csv":
-        write_trace_csv(trace, path, n_modes)
-    elif fmt == "json":
-        write_trace_json(trace, path, n_modes)
-    else:
+    if fmt not in _TRACE_WRITERS:
         raise ConfigError(f"unknown trace format {fmt!r}; use csv or json")
+    _TRACE_WRITERS[fmt](trace, path, n_modes)

@@ -24,9 +24,11 @@ import numpy as np
 from .errors import DataError
 
 
-# Entries per block of the passes that walk a tensor in blocks: the checked
+# Entries per block of every pass that walks a tensor in blocks: the checked
 # gradient passes of `estimators`, the exact and sampled objectives and the
-# data-domain check of `losses`, and the sparse fiber-index build. Smaller
+# data-domain check of `losses`, the sparse fiber-index build, the order
+# check and index fold of a sparse build and its `to_dense` fill, and the
+# `.tns` reader's chunks and writer's blocks in `data`. Smaller
 # blocks pay more checked calls (2^10 more than doubles a
 # dense-bernoulli-full fit, and costs a sparse-poisson-sgd fit 3.5 % in its
 # sampled objective); larger ones add per-block temporaries (at 2^15 a dense
@@ -76,7 +78,7 @@ class DenseTensor:
         values = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
         if values.ndim < 2:
             raise DataError("dense tensor must have order >= 2")
-        if not np.all(np.isfinite(values)):
+        if not _all_finite(values):
             raise DataError("dense tensor contains non-finite entries")
         self._keep(values)
 
@@ -109,7 +111,7 @@ class DenseTensor:
         """Entries at the given mode-0-fastest linear positions, gathered
         from the C-ordered values without a reordered copy of the tensor;
         IndexError unless every id lies in [0, total)."""
-        linear_ids = _check_linear(linear_ids, self.shape.total)
+        linear_ids = _check_ids(linear_ids, self.shape.total, "linear id")
         positions = _c_positions(linear_ids.reshape(-1), self.shape.dims)
         return self.values.reshape(-1)[positions].reshape(linear_ids.shape)
 
@@ -161,7 +163,7 @@ class SparseTensorCOO:
             raise DataError("indices and values length mismatch")
         if values.size > self.shape.total:
             raise DataError("more stored entries than tensor positions")
-        if values.size and not np.all(np.isfinite(values)):
+        if not _all_finite(values):
             raise DataError("sparse tensor contains non-finite values")
         if linear:
             # The range is checked in the ids' own type, before a narrowing
@@ -175,7 +177,7 @@ class SparseTensorCOO:
                 _fold_rows(indices, dims, ids)
             except ValueError:
                 raise DataError("sparse index out of bounds") from None
-        if not np.all(ids[1:] > ids[:-1]):
+        if not _rising(ids):
             order = np.argsort(ids, kind="stable")
             ids = ids[order]
             repeated = np.flatnonzero(ids[1:] == ids[:-1])
@@ -296,7 +298,7 @@ class SparseTensorCOO:
     def values_at_linear(self, linear_ids) -> np.ndarray:
         """Entries at the given mode-0-fastest linear positions (absent = 0);
         IndexError unless every id lies in [0, total)."""
-        linear_ids = _check_linear(linear_ids, self.shape.total)
+        linear_ids = _check_ids(linear_ids, self.shape.total, "linear id")
         out = np.zeros(linear_ids.shape)
         if self.nnz:
             # Rising keys keep the binary searches local; the hits are then
@@ -320,17 +322,11 @@ class SparseTensorCOO:
         else:
             values = np.zeros(dims)
             flat = values.reshape(-1)
-            for lo in range(0, self.nnz, _FILL_BLOCK):
-                flat[_c_positions(self._linear[lo:lo + _FILL_BLOCK], dims)] = \
-                    self.values[lo:lo + _FILL_BLOCK]
+            for lo in range(0, self.nnz, BLOCK_ENTRIES):
+                flat[_c_positions(self._linear[lo:lo + BLOCK_ENTRIES], dims)] = \
+                    self.values[lo:lo + BLOCK_ENTRIES]
         # The values were checked finite when the tensor was built.
         return DenseTensor._of_finite(values)
-
-
-# Entries per block of `SparseTensorCOO.to_dense`. Its three block-sized
-# temporaries of the id type take at most 96 KiB, a twentieth of a
-# 240k-entry dense tensor; larger blocks save no measurable time.
-_FILL_BLOCK = 1 << 12
 
 
 def _index_dtype(n: int):
@@ -351,15 +347,38 @@ def _fold_rows(indices, dims, out):
         out[lo:lo + len(block)] = np.ravel_multi_index(tuple(block.T), dims, order="F")
 
 
-def _check_linear(linear_ids, total: int) -> np.ndarray:
-    """Linear ids as an int64 array; IndexError unless all lie in [0, total)."""
-    linear_ids = np.asarray(linear_ids, dtype=np.int64)
-    # One argmax, as in `_check_rows`: a negative id wraps to at least 2^63
-    # as uint64, so the uint64 argmax is a negative id or else the largest.
-    if linear_ids.size and not 0 <= linear_ids.item(
-            linear_ids.view(np.uint64).argmax()) < total:
-        raise IndexError(f"linear id out of range [0, {total})")
-    return linear_ids
+def _rising(ids) -> bool:
+    """Whether `ids` rise strictly, compared a block of `BLOCK_ENTRIES` at a
+    time, so the test holds no mask of every entry."""
+    for lo in range(1, ids.size, BLOCK_ENTRIES):
+        hi = min(lo + BLOCK_ENTRIES, ids.size)
+        if not np.all(ids[lo:hi] > ids[lo - 1:hi - 1]):
+            return False
+    return True
+
+
+def _all_finite(values) -> bool:
+    """Whether no entry of `values` is NaN or infinite. The minimum and
+    maximum are NaN when any entry is, so the test holds no per-entry mask."""
+    return not values.size or (math.isfinite(values.min()) and math.isfinite(values.max()))
+
+
+def _check_ids(ids, bound: int, name: str, mode: int | None = None) -> np.ndarray:
+    """`ids` as an int64 array of its own shape; IndexError unless every one
+    is an integer in [0, bound). A non-empty array of another kind than
+    integers (float, bool, object) raises, as numpy does for such an index
+    array, instead of being truncated. `name` (and `mode`) name the ids in
+    the messages."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise IndexError(f"{name}s must be integers, got {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
+    # One argmax: a negative id wraps to at least 2^63 as uint64, so the
+    # uint64 argmax is a negative id if there is one, else the largest id.
+    if ids.size and not 0 <= ids.item(ids.view(np.uint64).argmax()) < bound:
+        raise IndexError(f"{name} out of range [0, {bound})"
+                         + ("" if mode is None else f" for mode {mode}"))
+    return ids
 
 
 def _c_positions(linear, dims) -> np.ndarray:
@@ -391,7 +410,7 @@ class KruskalModel:
         ranks = {a.shape[1] for a in factors if a.ndim == 2}
         if any(a.ndim != 2 for a in factors) or len(ranks) != 1:
             raise DataError("factors must be matrices sharing one column count")
-        if any(not np.all(np.isfinite(a)) for a in factors):
+        if not all(map(_all_finite, factors)):
             raise DataError("factor matrices contain non-finite entries")
         self.factors = factors
         self.rank = factors[0].shape[1]
@@ -403,21 +422,12 @@ class KruskalModel:
 
     def values_at_linear(self, linear_ids) -> np.ndarray:
         """Model values at mode-0-fastest linear ids; IndexError unless
-        every id lies in [0, total). The product of the factors' rows is
-        taken one mode's digits at a time, so beside the (S, R) product it
-        holds one mode's rows and digits."""
-        linear_ids = _check_linear(linear_ids, self.shape.total)
-        out, stride = None, 1
-        for a, size in zip(self.factors, self.shape.dims):
-            digit = linear_ids // stride
-            digit %= size
-            stride *= size
-            if out is None:
-                out = a.take(digit, axis=0)
-            else:
-                out *= a.take(digit, axis=0)
-            del digit
-        return out.sum(axis=-1)
+        every id lies in [0, total). Each value is the row sum of the
+        factors' rows at the id's digits, multiplied as `_khatri_rao`
+        multiplies the rows of a Khatri-Rao product."""
+        linear_ids = _check_ids(linear_ids, self.shape.total, "linear id")
+        digits = np.unravel_index(linear_ids, self.shape.dims, order="F")
+        return _khatri_rao(self.factors, range(self.order), digits).sum(axis=-1)
 
     def slab(self, lo: int, hi: int) -> np.ndarray:
         """Model values at mode-0 indices [lo, hi), shape (hi - lo, I_1, ...):
@@ -441,31 +451,13 @@ class KruskalModel:
         return KruskalModel(factors)
 
 
-def row_array(rows) -> np.ndarray:
-    """Fiber rows as an int64 array of at least one dimension. A non-empty
-    array of another kind than integers (float, bool, object) raises
-    IndexError, as numpy does for such an index array, instead of being
-    truncated."""
-    rows = np.asarray(rows)
-    if not rows.ndim:
-        rows = rows.reshape(1)
-    if rows.size and rows.dtype.kind not in "iu":
-        raise IndexError(f"fiber rows must be integers, got {rows.dtype}")
-    return rows.astype(np.int64, copy=False)
-
-
 def _check_rows(dims, mode: int, rows) -> np.ndarray:
-    """Fiber rows as an int64 array; IndexError unless all are integers in
-    [0, J_mode)."""
+    """Fiber rows as an int64 array of at least one dimension; IndexError
+    unless all are integers in [0, J_mode)."""
     if not 0 <= mode < len(dims):
         raise IndexError(f"mode {mode} out of range for order-{len(dims)} tensor")
-    rows = row_array(rows)
-    j_n = math.prod(dims) // dims[mode]
-    # One argmax: a negative row wraps to at least 2^63 as uint64, so the
-    # uint64 argmax is a negative row if there is one, else the largest row.
-    if rows.size and not 0 <= rows.item(rows.view(np.uint64).argmax()) < j_n:
-        raise IndexError(f"fiber row out of range [0, {j_n}) for mode {mode}")
-    return rows
+    rows = _check_ids(rows, math.prod(dims) // dims[mode], "fiber row", mode)
+    return rows if rows.ndim else rows.reshape(1)
 
 
 def _khatri_rao(factors, others, digits) -> np.ndarray:

@@ -2,10 +2,13 @@
 
 import dataclasses
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcpd import solver
 from gcpd.cli import _build_parser, _solver_config_from_args, main
@@ -471,6 +474,67 @@ class TestDecompose:
         assert code == 1
         assert f"unknown config key {line.split('=')[0]!r}" in capsys.readouterr().err
         assert not trace_path.exists()
+
+
+# The loss kinds whose domain holds the data of each synthesized distribution.
+LOSSES_OF = {"gamma": ("gamma",), "poisson": ("poisson-identity", "poisson-log"),
+             "bernoulli-odds": ("bernoulli-odds", "bernoulli-logit"), "gaussian": ("gaussian",)}
+
+
+@pytest.fixture(scope="module")
+def replay_inputs(tmp_path_factory):
+    """A directory holding one synthesized 5x4x3 instance per distribution,
+    `<dist>.tns` with its planted factors."""
+    root = tmp_path_factory.mktemp("replay")
+    for dist in LOSSES_OF:
+        assert run_cli("synthesize", "--shape", "5,4,3", "--rank", "2", "--dist", dist,
+                       "--seed", "3", "--out", str(root / dist)) == 0
+    return root
+
+
+class TestManifestReplay:
+    """A run is a pure function of its manifest."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_replay_reproduces_every_output_byte(self, replay_inputs, data):
+        # Loss, estimator, c1/c2, batch, evaluation cadence and sampling,
+        # diagnostics, the Lyapunov record, the truth and the trace format.
+        dist = data.draw(st.sampled_from(sorted(LOSSES_OF)))
+        fmt = data.draw(st.sampled_from(["csv", "json"]))
+        rank = data.draw(st.integers(1, 3))
+        flags = ["--loss", data.draw(st.sampled_from(LOSSES_OF[dist])),
+                 "--estimator", data.draw(st.sampled_from(ESTIMATOR_KINDS)),
+                 "--rank", str(rank),
+                 "--iters", str(data.draw(st.integers(1, 30))),
+                 "--seed", str(data.draw(st.integers(0, 99))),
+                 "--c1", str(data.draw(st.sampled_from([0.0, 0.3, 0.6, 0.8]))),
+                 "--c2", str(data.draw(st.sampled_from([0.0, 0.3, 0.6, 0.8]))),
+                 "--trace-format", fmt]
+        for flag, values in (("--batch", st.integers(1, 8)),
+                             ("--eval-every", st.integers(1, 10)),
+                             ("--eval-samples", st.integers(1, 59))):
+            value = data.draw(st.none() | values)
+            if value is not None:
+                flags += [flag, str(value)]
+        for flag in ("--diagnostics", "--lyapunov"):
+            if data.draw(st.booleans()):
+                flags.append(flag)
+        if rank == 2 and data.draw(st.booleans()):   # the planted rank
+            flags += ["--truth", str(replay_inputs / dist)]
+        with tempfile.TemporaryDirectory() as tmp:
+            model = Path(tmp) / "m"
+            outputs = [Path(tmp) / f"t.{fmt}", Path(str(model) + ".manifest.json"),
+                       *(Path(str(model) + f".factor{n}.csv") for n in range(3))]
+            assert run_cli("decompose", "--input", str(replay_inputs / dist) + ".tns",
+                           "--no-timing", "--trace", str(outputs[0]),
+                           "--model-out", str(model), *flags) == 0
+            first = [path.read_bytes() for path in outputs]
+            for path in outputs[2:]:
+                path.unlink()
+            # The replay writes to the paths its manifest names.
+            assert run_cli("decompose", "--manifest", str(outputs[1])) == 0
+            assert [path.read_bytes() for path in outputs] == first
 
 
 class TestUnreadableInputs:

@@ -135,7 +135,7 @@ class TestTnsFormat:
     @pytest.mark.parametrize("manifest", [None, {"seed": 3, "shape": [6, 5, 4]}])
     def test_writes_the_per_line_form(self, tmp_path, monkeypatch, manifest, chunk):
         if chunk:   # 79 entries: 13 full chunks and one of a single entry
-            monkeypatch.setattr(gdata, "_WRITE_CHUNK", chunk)
+            monkeypatch.setattr(gdata, "BLOCK_ENTRIES", chunk)
         # One entry per write, as the writer used to run: the reference form.
         def per_line(path, dims, indices, values):
             with path.open("w") as fh:
@@ -325,14 +325,14 @@ class TestVectorizedTnsReader:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_valid_files_match_across_chunks(self, chunk, data):
-        with mock.patch.object(gdata, "CHUNK", chunk):
+        with mock.patch.object(gdata, "BLOCK_ENTRIES", chunk):
             self._valid_file_matches(data)
 
     @pytest.mark.parametrize("chunk", [2, 3])
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), fault=st.sampled_from(FAULTS))
     def test_faulty_files_fail_on_the_same_line_across_chunks(self, chunk, data, fault):
-        with mock.patch.object(gdata, "CHUNK", chunk):
+        with mock.patch.object(gdata, "BLOCK_ENTRIES", chunk):
             self._faulty_file_fails_alike(data, fault)
 
     @pytest.mark.parametrize("fault,line_text", [
@@ -340,10 +340,10 @@ class TestVectorizedTnsReader:
         ("field-count", "1 2 1"), ("trailing-comment", "1 2 1 1.0 # late")])
     def test_fault_in_a_late_chunk(self, tmp_path, fault, line_text):
         # Three full chunks and part of a fourth, which holds the fault.
-        entries = 3 * gdata.CHUNK + 100
+        entries = 3 * gdata.BLOCK_ENTRIES + 100
         lines = ["# shape: 4 4 %d" % entries] + [
             f"{1 + k % 4} {1 + k // 4 % 4} {1 + k // 16} {k}.5" for k in range(entries)]
-        at = 3 * gdata.CHUNK + 50
+        at = 3 * gdata.BLOCK_ENTRIES + 50
         lines[at] = line_text
         p = tmp_path / "late.tns"
         p.write_text("\n".join(lines) + "\n")
@@ -392,7 +392,7 @@ class TestVectorizedTnsReader:
         "headerless": ("# a comment\n{entries}", None),
     }
 
-    @pytest.mark.parametrize("chunk", [2, 3, gdata.CHUNK])
+    @pytest.mark.parametrize("chunk", [2, 3, gdata.BLOCK_ENTRIES])
     @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
     def test_every_shape_placement_keeps_the_one_pass_read(self, placement, chunk):
         rng = np.random.default_rng(3)
@@ -405,7 +405,7 @@ class TestVectorizedTnsReader:
                                tail="".join(rows[7:]))
         got, want = _both_readers(text, shape)
         assert got == want and got[:2] == ("tensor", (4, 3, 5))
-        with mock.patch.object(gdata, "CHUNK", chunk), \
+        with mock.patch.object(gdata, "BLOCK_ENTRIES", chunk), \
                 mock.patch.object(gdata, "_read_lines",
                                   side_effect=AssertionError("per-line reader")):
             assert _outcomes(text, shape, read_tns) == (got,)

@@ -6,7 +6,8 @@ with a gaussian loss), SAGA runs once per remaining loss kind, and a few runs
 exercise the optional solver branches. The objective trace, the stepsize history and the bytes of the
 final factors must equal the values in ``golden_traces.json`` exactly. Under
 the exact objective, one tensor stored dense and stored sparse must give the
-same bits, which no recorded entry needs.
+same bits, which no recorded entry needs; so must random small instances,
+under exact and sampled evaluation.
 
 Regenerate the file only for a change that is meant to alter the arithmetic:
 
@@ -26,8 +27,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcpd.bregman import RegularizerSpec
+from gcpd.errors import GcpdError
+from gcpd.estimators import ESTIMATOR_KINDS
+from gcpd.losses import KINDS as LOSS_KINDS
 from gcpd.losses import LossSpec
 from gcpd.solver import SolverConfig, run
 from gcpd.tensors import DenseTensor, SparseTensorCOO
@@ -133,6 +139,47 @@ def test_dense_and_sparse_storage_give_the_same_bits(kind, estimator):
     config = _config(kind, estimator, "dense")
     assert config.eval_samples is None
     assert _fingerprint(kind, "sparse", config) == _fingerprint(kind, "dense", config)
+
+
+def _storage_outcome(config: SolverConfig, tensor):
+    """Everything a run gives that storage must not move, as text and bytes:
+    each trace record, the stepsizes and the factor bytes, or the error."""
+    try:
+        trace, model = run(config, tensor)
+    except GcpdError as err:
+        return type(err).__name__, str(err)
+    return (repr([dataclasses.astuple(r) for r in trace.records]), repr(trace.eta_history),
+            b"".join(a.tobytes() for a in model.factors))
+
+
+@settings(derandomize=True, max_examples=108, deadline=None)
+@given(st.data())
+def test_storage_never_moves_the_bits_on_random_instances(data):
+    # Order 2-4, sizes 2-5, rank 1-3, every loss and estimator, under the
+    # exact objective and a sampled one, with about half the entries zero.
+    order = data.draw(st.integers(2, 4))
+    dims = tuple(data.draw(st.lists(st.integers(2, 5), min_size=order, max_size=order)))
+    kind = data.draw(st.sampled_from(LOSS_KINDS))
+    total = int(np.prod(dims))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    if kind == "gaussian":
+        values = rng.standard_normal(dims)
+    elif kind == "gamma":
+        values = rng.gamma(1.0, 0.5, size=dims)
+    elif kind.startswith("poisson"):
+        values = rng.poisson(1.2, size=dims).astype(float)
+    else:  # bernoulli kinds
+        values = (rng.random(dims) < 0.6).astype(float)
+    values[rng.random(dims) < 0.5] = 0.0
+    idx = np.argwhere(values != 0)
+    config = SolverConfig(
+        rank=data.draw(st.integers(1, 3)), loss=LossSpec(kind),
+        estimator=data.draw(st.sampled_from(ESTIMATOR_KINDS)), max_iters=25, eval_every=5,
+        eval_samples=data.draw(st.none() | st.integers(1, total - 1)),
+        seed=data.draw(st.integers(0, 2 ** 16)), record_timing=False)
+    dense = _storage_outcome(config, DenseTensor(values))
+    sparse = _storage_outcome(config, SparseTensorCOO(dims, idx, values[tuple(idx.T)]))
+    assert sparse == dense
 
 
 def test_refresh_drops_entries_of_removed_cases():

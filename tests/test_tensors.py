@@ -466,7 +466,7 @@ class TestSparseLayout:
     def test_to_dense_fills_one_array_in_place(self, dims, nnz):
         # Filling in Fortran order and copying to C order peaks at 2.1x. A
         # fully stored tensor is one copy of its values; the blocks of any
-        # other add three int64 temporaries of `_FILL_BLOCK` entries.
+        # other add three temporaries of the id type of `BLOCK_ENTRIES` entries.
         idx, values = self._entries(dims, nnz, seed=7)
         tensor = SparseTensorCOO(dims, idx, values)
         tensor.to_dense()
@@ -799,6 +799,97 @@ class TestLinearIdRange:
             for tensor in (DenseTensor(values), sparse):
                 got = tensor.values_at_linear(ids)
                 assert got.shape == np.shape(ids) and np.array_equal(got, want)
+
+    @staticmethod
+    def _containers():
+        """A dense tensor, the same tensor stored sparse, and a model, 2x3x4."""
+        values = np.arange(24.0).reshape(2, 3, 4)
+        return (DenseTensor(values),
+                SparseTensorCOO((2, 3, 4), np.arange(24), values.ravel(order="F"),
+                                linear=True),
+                KruskalModel([np.arange(1.0, d + 1.0)[:, None] for d in (2, 3, 4)]))
+
+    @pytest.mark.parametrize("bad", [[1.7], [True], [2.9], [0, 2.5], np.array([1.0]),
+                                     np.array([1], dtype=object), np.float64(1.5)])
+    def test_non_integer_ids_raise(self, bad):
+        # A cast to int64 would read id 1 for [1.7] and [True] and id 2 for
+        # [2.9] on every container; the fiber reads reject such rows too.
+        for tensor in self._containers():
+            with pytest.raises(IndexError, match="linear ids must be integers"):
+                tensor.values_at_linear(bad)
+
+    @pytest.mark.parametrize("ids", [[], np.empty(0), np.empty((2, 0), dtype=np.uint8)])
+    def test_no_ids_of_any_kind_read_nothing(self, ids):
+        for tensor in self._containers():
+            assert tensor.values_at_linear(ids).shape == np.shape(ids)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+    def test_integer_ids_of_any_width_read_alike(self, dtype):
+        ids = np.array([[23, 0], [5, 19]])
+        for tensor in self._containers():
+            assert np.array_equal(tensor.values_at_linear(ids.astype(dtype)),
+                                  tensor.values_at_linear(ids))
+
+
+class TestChecksHoldNoEntryMask:
+    """The finiteness and order checks of a build hold no array of every entry."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_rejected(self, bad):
+        values = np.arange(1.0, 25.0).reshape(2, 3, 4)
+        values[1, 2, 3] = bad
+        with pytest.raises(DataError, match="dense tensor contains non-finite entries"):
+            DenseTensor(values)
+        with pytest.raises(DataError, match="sparse tensor contains non-finite values"):
+            SparseTensorCOO((2, 3, 4), np.arange(24), values.ravel(order="F"), linear=True)
+        with pytest.raises(DataError, match="factor matrices contain non-finite entries"):
+            KruskalModel([np.ones((2, 1)), values.reshape(-1, 1)])
+
+    def test_the_largest_finite_entries_are_taken(self):
+        values = np.array([[np.finfo(float).max, -np.finfo(float).max], [0.0, 1.0]])
+        assert np.array_equal(DenseTensor(values).values, values)
+        sparse = SparseTensorCOO((2, 2), np.arange(4), values.ravel(order="F"), linear=True)
+        assert np.array_equal(sparse.values, values.ravel(order="F"))
+        KruskalModel([values, values])
+
+    @pytest.mark.parametrize("at", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 4])
+    def test_an_entry_out_of_order_in_any_block_is_sorted(self, at):
+        # Ids rising except where entry `at` swaps with entry `at - 1`, on
+        # either side of a block edge.
+        linear = np.arange(2 * _BLOCK + 5) * 3
+        values = np.arange(1.0, linear.size + 1.0)
+        order = np.arange(linear.size)
+        order[[at - 1, at]] = order[[at, at - 1]]
+        tensor = SparseTensorCOO((linear.size, 3), linear[order], values[order], linear=True)
+        assert np.array_equal(tensor._linear, linear)
+        assert np.array_equal(tensor.values, values)
+
+    @pytest.mark.parametrize("at", [_BLOCK - 1, _BLOCK, 2 * _BLOCK + 4])
+    def test_a_repeated_id_in_any_block_is_rejected(self, at):
+        linear = np.arange(2 * _BLOCK + 5) * 3
+        linear[at] = linear[at - 1]
+        with pytest.raises(DataError, match="duplicate coordinate"):
+            SparseTensorCOO((linear.size, 3), linear, np.ones(linear.size), linear=True)
+
+    def test_sparse_build_from_rising_ids_holds_a_few_blocks(self):
+        # 2^20 rising int32 ids and float64 values, kept as given. An
+        # order check over the whole ids, or a finiteness mask of the values,
+        # held 1 byte an entry: 1 MiB.
+        dims = (256, 200, 100)
+        linear = (np.arange(1 << 20) * 4).astype(np.int32)
+        values = np.random.default_rng(3).random(linear.size)
+        tensor, peak = _traced_peak(
+            lambda: SparseTensorCOO(dims, linear, values, linear=True))
+        assert np.shares_memory(tensor._linear, linear)
+        assert np.shares_memory(tensor.values, values)
+        assert peak <= 2 * 8 * _BLOCK
+
+    def test_dense_build_holds_a_few_blocks(self):
+        # A finiteness mask of 2^20 entries held 1 MiB.
+        values = np.random.default_rng(4).random((128, 128, 64))
+        tensor, peak = _traced_peak(lambda: DenseTensor(values))
+        assert np.shares_memory(tensor.values, values)
+        assert peak <= 2 * 8 * _BLOCK
 
 
 class TestRowRangeGuards:
