@@ -27,8 +27,9 @@ from .errors import DataError
 # Entries per block of every pass that walks a tensor in blocks: the checked
 # gradient passes of `estimators`, the exact and sampled objectives and the
 # data-domain check of `losses`, the sparse fiber-index build, the order
-# check and index fold of a sparse build and its `to_dense` fill, and the
-# `.tns` reader's chunks and writer's blocks in `data`. Smaller
+# check and index fold of a sparse build and its `to_dense` fill, the model
+# reads of `KruskalModel.values_at_linear`, and the `.tns` reader's chunks
+# and writer's blocks in `data`. Smaller
 # blocks pay more checked calls (2^10 more than doubles a
 # dense-bernoulli-full fit, and costs a sparse-poisson-sgd fit 3.5 % in its
 # sampled objective); larger ones add per-block temporaries (at 2^15 a dense
@@ -424,10 +425,19 @@ class KruskalModel:
         """Model values at mode-0-fastest linear ids; IndexError unless
         every id lies in [0, total). Each value is the row sum of the
         factors' rows at the id's digits, multiplied as `_khatri_rao`
-        multiplies the rows of a Khatri-Rao product."""
+        multiplies the rows of a Khatri-Rao product. The ids are read
+        `BLOCK_ENTRIES // R` at a time, so a block's row product holds
+        `BLOCK_ENTRIES` entries and a read of any length holds temporaries
+        of one block beside the values."""
         linear_ids = _check_ids(linear_ids, self.shape.total, "linear id")
-        digits = np.unravel_index(linear_ids, self.shape.dims, order="F")
-        return _khatri_rao(self.factors, range(self.order), digits).sum(axis=-1)
+        out = np.empty(linear_ids.shape)
+        ids, values = linear_ids.reshape(-1), out.reshape(-1)
+        step = BLOCK_ENTRIES // max(self.rank, 1)
+        for lo in range(0, ids.size, step):
+            digits = np.unravel_index(ids[lo:lo + step], self.shape.dims, order="F")
+            _khatri_rao(self.factors, range(self.order), digits).sum(
+                axis=-1, out=values[lo:lo + step])
+        return out
 
     def slab(self, lo: int, hi: int) -> np.ndarray:
         """Model values at mode-0 indices [lo, hi), shape (hi - lo, I_1, ...):

@@ -201,6 +201,22 @@ class TestModelFibers:
             assert model.values_at_linear(lin[0]) == got[0]
             assert np.allclose(got, model.to_dense().values.ravel(order="F")[lin], rtol=1e-14)
 
+    def test_a_read_of_many_blocks_equals_the_whole_product_and_holds_one_block(self):
+        # 2^16 ids of a rank-3 and order-3 model: 25 blocks of at most 2730
+        # ids. A read in one piece held its (S, 3) product, one more
+        # gathered (S, 3) array and one mode's digits, 3.5 MiB in all with
+        # the 0.5 MiB of values (5.0 MiB with every mode's digits at once).
+        rng = np.random.default_rng(9)
+        dims = (256, 200, 100)
+        model = KruskalModel([rng.random((d, 3)) for d in dims])
+        lin = rng.integers(0, math.prod(dims), size=1 << 16)
+        prod = np.ones((lin.size, 3))
+        for a, i in zip(model.factors, np.unravel_index(lin, dims, order="F")):
+            prod *= a[i]
+        got, peak = _traced_peak(lambda: model.values_at_linear(lin))
+        assert got.tobytes() == prod.sum(axis=1).tobytes()
+        assert peak <= got.nbytes + 4 * 8 * tensors.BLOCK_ENTRIES
+
     def test_entries_match_model_entry(self):
         rng = np.random.default_rng(5)
         model = KruskalModel([rng.random((d, 2)) for d in (2, 3, 2)])
