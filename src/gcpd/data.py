@@ -24,23 +24,26 @@ The .tns text format, exactly as `read_tns` accepts it:
   file with neither a shape nor entries is rejected.
 
 `read_tns` reads a file once, as bytes, and parses it in one of two ways. A
-well-formed file becomes a tensor in one pass of `np.loadtxt` over those
-bytes, `tensors.BLOCK_ENTRIES` rows per call. Under a declared shape (a
-header anywhere in the file, or `shape=`), each chunk's indices are made
-0-based in place and folded by `tensors._fold_rows`, the constructor's own
-fold (numpy's `ravel_multi_index`, which also checks them against the
-shape), into the linear ids the tensor keeps, of the tensor's id type
-(int32 below 2^31 positions, int64 beyond), and its values written into
-the float64 array the tensor keeps. So a read peaks at the file's bytes, 12 bytes an entry
-(16 at 2^31 positions or more) and one chunk, and the tensor builds a
-mode's fiber index only when that mode's fibers are first read. A file
-with no declared shape holds its indices as an int64 (nnz, N) block until
-the last row gives the shape, then folds them the same way into ids of
-that shape's type. Any doubt sends the same text, decoded, to the
-per-line reader, the one authority on faults, which raises a `ParseError`
-naming the first faulty line. Only faulty files, and files whose shape has
-more positions than int64 linear ids can number (a `DataError`), pay for the
-second, line-by-line parse.
+well-formed file becomes a tensor in one pass over those bytes: a piece of
+at least 2 * `tensors.BLOCK_ENTRIES` bytes at a time, cut at a line end,
+decoded and split into lines at "\n", is parsed by one `np.loadtxt` call.
+Under a declared shape (a header anywhere in the file, or `shape=`), each
+piece's indices are made 0-based in place and folded by
+`tensors._fold_rows`, the constructor's own fold (numpy's
+`ravel_multi_index`, which also checks them against the shape), into the
+linear ids the tensor keeps, of the tensor's id type (int32 below 2^31
+positions, int64 beyond), and its values written into the float64 array
+the tensor keeps. So a read peaks at the file's bytes, 12 bytes an entry
+(16 at 2^31 positions or more) and one piece, as text, lines and parsed
+rows, and the tensor builds a mode's fiber index only when that mode's
+fibers are first read. A file with no declared shape holds its indices as
+an (nnz, N) block, int32 unless an index does not fit, until the last row
+gives the shape, then folds them the same way into ids of that shape's
+type. Any doubt sends the same text, decoded, to the per-line reader, the
+one authority on faults, which raises a `ParseError` naming the first
+faulty line. Only faulty files, and files whose shape has more positions
+than int64 linear ids can number (a `DataError`), pay for the second,
+line-by-line parse.
 
 Files written here carry the shape header, so reads recover the declared
 shape even when trailing slices are empty.
@@ -180,12 +183,13 @@ def read_tns(path, shape=None) -> SparseTensorCOO:
     `shape` (or the first '# shape:' header) declares mode sizes; otherwise
     they are inferred as the largest index seen per mode. The file is read
     once, as bytes, and must be UTF-8 text. A well-formed file becomes a
-    tensor in one chunked `np.loadtxt` pass over those bytes, each chunk
-    folded into linear ids of the tensor's id type (int32 below 2^31
-    positions) as it is parsed when the shape is declared; at
-    any doubt they are decoded for the per-line reader, which alone decides
-    which line is at fault and raises the `ParseError`. So a faulty file is
-    parsed again line by line up to its fault, and a valid one never is.
+    tensor in one pass over those bytes, one `np.loadtxt` call for the
+    decoded lines of each piece of the text, each piece's rows folded into
+    linear ids of the tensor's id type (int32 below 2^31 positions) as they
+    are parsed when the shape is declared. At any doubt the bytes are decoded
+    for the per-line reader, which alone decides which line is at fault and
+    raises the `ParseError`. So a faulty file is parsed again line by line up
+    to its fault, and a valid one never is.
     """
     declared = tuple(int(d) for d in shape) if shape is not None else None
     if declared is not None and min(declared, default=1) < 1:
@@ -230,29 +234,36 @@ def _read_well_formed(buf, declared):
         pos = buf.find(b"#", end)
     # `np.loadtxt` starts at the first entry line, and looks for comments only
     # when one follows it.
-    stream = io.BytesIO(buf)
-    for first in stream:
-        fields = first.decode().split()
+    start = 0
+    while True:
+        end = buf.find(b"\n", start)
+        end = len(buf) if end < 0 else end
+        fields = buf[start:end].decode().split()
         if fields and not fields[0].startswith("#"):
             break
-    else:
-        return None
+        if end == len(buf):
+            return None
+        start = end + 1
     if len(fields) < 3:
         return None
     order = len(fields) - 1
-    stream.seek(stream.tell() - len(first))
-    comments = "#" if buf.rfind(b"#") > stream.tell() else None
-    # Each `BLOCK_ENTRIES` rows go straight into arrays sized for one entry
-    # per line left, then trimmed to the rows read, which the tensor keeps:
-    # under a declared shape, each chunk's indices are made 0-based in place
-    # and folded into linear ids of the tensor's id type at once. Without one
-    # the shape is known only after the last row, so the indices are held as
-    # a block until then. `max_rows` leaves the stream just past the rows it
-    # read.
-    lines = buf.count(b"\n", stream.tell()) + 1
+    comments = "#" if buf.rfind(b"#") > start else None
+    # The text is parsed a piece at a time: at least `size` bytes, up to the
+    # next line end. numpy counts the line ends a piece at a time, several
+    # times faster than `bytes.count`.
+    size = 2 * BLOCK_ENTRIES
+    view = np.frombuffer(buf, np.uint8)
+    lines = 1 + sum(int(np.count_nonzero(view[lo:lo + size] == ord("\n")))
+                    for lo in range(start, len(buf), size))
+    # The parsed rows go straight into arrays sized for one entry per line
+    # left, then trimmed to the rows read, which the tensor keeps: under a
+    # declared shape, each piece's indices are made 0-based in place and
+    # folded into linear ids of the tensor's id type at once. Without one the
+    # shape is known only after the last row, so the indices are held as a
+    # block until then: int32 while every index fits, widened once otherwise.
     values = np.empty(lines)
     if declared is None:
-        block = np.empty((lines, order), dtype=np.int64)
+        block = np.empty((lines, order), dtype=np.int32)
     else:
         block = None
         linear = np.empty(lines, dtype=_index_dtype(math.prod(declared)))
@@ -261,16 +272,23 @@ def _read_well_formed(buf, declared):
     try:
         # numpy's ValueError, from `np.loadtxt` or from the fold, is a doubt.
         with warnings.catch_warnings():
-            # A blank or comment line in a chunk, or no rows left after a full
-            # last chunk: neither is a fault.
-            warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data",
-                                    UserWarning)
+            # A piece of blank or comment lines only is no fault.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                     UserWarning)
-            while n < lines:
-                rows = min(BLOCK_ENTRIES, lines - n)
-                chunk = np.loadtxt(stream, comments=comments, ndmin=1,
-                                   dtype=dtype, max_rows=rows)
+            while start < len(buf):
+                # A piece is cut at a line end (so never inside a UTF-8
+                # sequence), decoded once and split at "\n" alone, as the
+                # per-line reader splits lines (`splitlines` also breaks at
+                # characters the grammar reads as whitespace). `np.loadtxt`
+                # parses a list of str lines faster than a byte stream, whose
+                # lines it decodes one at a time. The pages a piece's line
+                # strings take stay with the process, so bigger pieces, a
+                # little faster still, raise the fit's peak.
+                end = buf.find(b"\n", start + size - 1)
+                end = len(buf) if end < 0 else end
+                chunk = np.loadtxt(buf[start:end].decode().split("\n"), comments=comments,
+                                   ndmin=1, dtype=dtype)
+                start = end + 1
                 m = chunk.size
                 if block is None:
                     # 0-based in place, a column at a time: over the strided
@@ -278,13 +296,16 @@ def _read_well_formed(buf, declared):
                     for column in chunk["i"].T:
                         column -= 1
                     _fold_rows(chunk["i"], declared, linear[n:n + m])
-                else:
+                elif m:
+                    if block.itemsize == 4 and not (chunk["i"].min() >= 1
+                                                    and chunk["i"].max() < 1 << 31):
+                        # Widened before a cast could wrap an index; one
+                        # below 1 is a fault the fold then finds.
+                        block = block.astype(np.int64)
                     block[n:n + m] = chunk["i"]
                 values[n:n + m] = chunk["v"]
-                del chunk   # freed before the next chunk is parsed
+                del chunk   # freed before the next piece is parsed
                 n += m
-                if m < rows:
-                    break
         if block is not None:
             block = block[:n]
             declared = tuple(int(column.max()) for column in block.T)
@@ -411,7 +432,7 @@ def read_factors(prefix, order: int | None = None) -> KruskalModel:
         if not p.exists():
             break
         try:
-            factors.append(np.atleast_2d(np.loadtxt(p, delimiter=",")))
+            factors.append(np.loadtxt(p, delimiter=",", ndmin=2))
         except ValueError as exc:   # not numbers, or not UTF-8 text
             raise DataError(f"{p} is not a factor CSV: {exc}") from None
         n += 1

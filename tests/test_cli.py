@@ -94,6 +94,17 @@ class TestSynthesize:
         assert f"unknown config key {line.split('=')[0]!r}" in capsys.readouterr().err
         assert not (tmp_path / "s.tns").exists()
 
+    def test_rank_one_instance_serves_as_truth(self, tmp_path):
+        prefix = tmp_path / "r1"
+        assert run_cli("synthesize", "--shape", "4,3,5", "--rank", "1", "--dist", "gamma",
+                       "--seed", "2", "--out", str(prefix)) == 0
+        trace_path = tmp_path / "t.csv"
+        assert run_cli("decompose", "--input", str(prefix) + ".tns", "--loss", "gamma",
+                       "--rank", "1", "--iters", "20", "--truth", str(prefix),
+                       "--trace", str(trace_path)) == 0
+        header, rows, _ = read_trace_csv(trace_path)
+        assert all(row[header.index("mse_mean")] != "" for row in rows)
+
     def test_missing_dist_is_usage_error(self, tmp_path):
         code = run_cli("synthesize", "--shape", "5,4,3", "--rank", "2",
                        "--out", str(tmp_path / "x"))

@@ -177,12 +177,19 @@ FAULTS = ("field-count", "non-numeric", "fractional-index", "zero-index",
           "empty", "beyond-late-header")
 
 
+# Whitespace to `str.isspace` beside space and tab: no-break and em spaces,
+# next-line, a file separator, vertical tab and form feed.
+UNICODE_SPACES = ["\u00a0", "\u2003", "\u0085", "\u001c", "\v", "\f", " \u00a0\t"]
+
+
 def _tns_case(data, fault=None):
     """(text, shape argument) of a generated .tns file with `fault` planted.
 
     Valid files mix comment and blank lines among the entries, CRLF endings,
-    leading, trailing and repeated whitespace, a missing final newline,
-    header-less and header-only files, and the `shape=` argument.
+    leading, trailing and repeated whitespace (ASCII, and characters beyond it
+    that `str.isspace` accepts but "\n" line splitting does not break at), a
+    missing final newline, header-less and header-only files, and the
+    `shape=` argument.
     """
     draw = data.draw
     order = draw(st.integers(2, 4))
@@ -226,8 +233,8 @@ def _tns_case(data, fault=None):
         entries[row][col] = str(dims[col] + draw(st.integers(1, 3)))
     elif fault == "mode-count":
         header_dims = header_dims[:-1] if draw(st.booleans()) else header_dims + [2]
-    ws = st.sampled_from([" ", "  ", "\t", " \t "])
-    pad = st.sampled_from(["", " ", "\t", "  "])
+    ws = st.sampled_from([" ", "  ", "\t", " \t "] + UNICODE_SPACES)
+    pad = st.sampled_from(["", " ", "\t", "  "] + UNICODE_SPACES)
     lines = [draw(pad) + draw(ws).join(e) + draw(pad) for e in entries]
     if fault == "trailing-comment":
         lines[row] += draw(st.sampled_from([" # note", "#", "\t# shape: 9 9"]))
@@ -410,6 +417,35 @@ class TestVectorizedTnsReader:
                                   side_effect=AssertionError("per-line reader")):
             assert _outcomes(text, shape, read_tns) == (got,)
 
+    @pytest.mark.parametrize("chunk", [2, gdata.BLOCK_ENTRIES])
+    def test_headerless_index_beyond_int32_is_read(self, tmp_path, chunk):
+        # The held block widens to int64 when a later chunk holds an index
+        # int32 cannot, and the tensor gets int64 ids for its 6e9 positions.
+        text = "1 1 1 2.5\n2 1 1 -1\n%d 1 2 1.5\n1 1 2 4\n" % (3 * 10 ** 9)
+        got, want = _both_readers(text, None)
+        assert got == want and got[:2] == ("tensor", (3 * 10 ** 9, 1, 2))
+        path = tmp_path / "wide.tns"
+        path.write_text(text)
+        with mock.patch.object(gdata, "BLOCK_ENTRIES", chunk), \
+                mock.patch.object(gdata, "_read_lines",
+                                  side_effect=AssertionError("per-line reader")):
+            tensor = read_tns(path)
+        assert tensor._linear.dtype == np.int64
+        assert tensor._linear.tolist() == [0, 1, 3 * 10 ** 9, 2 * 3 * 10 ** 9 - 1]
+        assert tensor.values.tolist() == [2.5, -1.0, 4.0, 1.5]
+
+    @pytest.mark.parametrize("index", [-(2 ** 32) + 2, -(2 ** 31) - 1, 2 ** 32 + 2])
+    def test_headerless_index_is_never_wrapped(self, index):
+        # Indices an int32 cast would wrap to 2, or to 2^31 - 1, both valid
+        # indices: a fault below 1, or a mode of 2^32 + 2 positions.
+        text = "1 1 1 2.5\n%d 1 1 1.5\n" % index
+        got, want = _both_readers(text, None)
+        assert got == want
+        if index < 1:
+            assert got == ("ParseError", 2)
+        else:
+            assert got[:2] == ("tensor", (2 ** 32 + 2, 1, 1))
+
     BIG = "10000000, 10000000, 10000000"
 
     @pytest.mark.parametrize("text,shape,dims", [
@@ -555,6 +591,39 @@ class TestTnsMemory:
         assert back.dims == (60, 50, 40)
         assert peak <= path.stat().st_size + 1.2 * 16 * back.nnz
 
+    def test_headerless_read_holds_an_int32_index_block(self, tmp_path):
+        # With no declared shape the indices wait for the last row as an
+        # (nnz, N) block, int32 while they fit: beside the bytes the read holds
+        # the values, the block and, once the shape is known, the int32 ids,
+        # (8 + 4N + 4) bytes an entry, and one piece of text. An int64 block
+        # peaks at 1.5x that.
+        tensor, _ = generate(SyntheticSpec(shape=(60, 50, 40), rank=3,
+                                           distribution="gamma", seed=7))
+        path = tmp_path / "m.tns"
+        write_tns(tensor, path)
+        path.write_bytes(path.read_bytes().split(b"\n", 1)[1])
+        read_tns(path)
+        back, peak = _traced_peak(lambda: read_tns(path))
+        assert back.dims == (60, 50, 40) and back._linear.dtype == np.int32
+        assert peak <= path.stat().st_size + 1.2 * (8 + 4 * 3 + 4) * back.nnz
+
+    @pytest.mark.parametrize("shape,bound", [((30, 20, 10), 2.6), ((20, 15, 10, 8), 1.55)])
+    def test_small_file_read_peaks_at_one_piece_beside_the_entries(self, tmp_path, shape,
+                                                                   bound):
+        # Beyond the bytes, in units of the 12 bytes an entry the tensor keeps:
+        # on a file of few chunks, the piece of text parsed at a time (its str
+        # lines and its parsed rows) is most of the rest. Measured 2.33 and
+        # 1.36; 4.39 and 3.29 when each `np.loadtxt` call parsed
+        # `BLOCK_ENTRIES` rows from a file object.
+        tensor, _ = generate(SyntheticSpec(shape=shape, rank=3, distribution="gamma",
+                                           seed=7))
+        path = tmp_path / "m.tns"
+        write_tns(tensor, path)
+        read_tns(path)
+        back, peak = _traced_peak(lambda: read_tns(path))
+        assert back.nnz == math.prod(shape)
+        assert peak <= path.stat().st_size + bound * 12 * back.nnz
+
     def test_dense_write_copies_no_whole_tensor(self, tmp_path):
         # A whole-tensor search for nonzeros peaks at about 1.8x its bytes.
         tensor, _ = generate(SyntheticSpec(shape=(80, 60, 50), rank=3,
@@ -595,9 +664,10 @@ class TestTnsEncoding:
             read_tns(path)
 
     def test_non_ascii_whitespace_in_entries_is_read(self, tmp_path):
-        path = tmp_path / "nbsp.tns"
-        path.write_bytes(self.ENTRIES.replace("1 1 1", "1\u00a01 1").encode())
-        assert np.array_equal(read_tns(path).values, [1.5, -2.0, 4e-3])
+        # Without the per-line reader: `np.loadtxt` splits str lines at any
+        # whitespace `str.split` takes.
+        got = self._read(tmp_path, self.ENTRIES.replace("1 1 1", "1\u00a01 1").encode())
+        assert np.array_equal(got.values, [1.5, -2.0, 4e-3])
 
 
 class TestFactorFiles:
@@ -608,6 +678,18 @@ class TestFactorFiles:
         write_factors(model, prefix, manifest={"note": "test"})
         back = read_factors(prefix)
         assert back.rank == 3
+        for a, b in zip(back.factors, model.factors):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dims", [(4, 3, 5), (4, 4, 4)])
+    def test_rank_one_round_trip(self, tmp_path, dims):
+        # One column a file reads back as an (I_n, 1) matrix, not as a row.
+        rng = np.random.default_rng(9)
+        model = KruskalModel([rng.random((d, 1)) for d in dims])
+        prefix = tmp_path / "model"
+        write_factors(model, prefix)
+        back = read_factors(prefix)
+        assert back.rank == 1 and back.shape.dims == dims
         for a, b in zip(back.factors, model.factors):
             assert np.array_equal(a, b)
 
