@@ -110,17 +110,22 @@ def regularizer_value(spec: RegularizerSpec, a) -> float:
 
 
 def mirror_prox_step(gen: GeneratorSpec, reg: RegularizerSpec, anchor, grad,
-                     eta: float) -> np.ndarray:
-    """Solve argmin_A h(A) + <grad, A - anchor> + D_psi(A, anchor)/eta in closed form."""
-    if not eta > 0:
+                     eta: float, *, check: bool = True) -> np.ndarray:
+    """Solve argmin_A h(A) + <grad, A - anchor> + D_psi(A, anchor)/eta in closed form.
+
+    `check=False` skips the argument checks (eta > 0, matching shapes, and
+    under entropy an anchor > 0): only for arguments known to pass them,
+    which then give the same step, bit for bit."""
+    if check and not eta > 0:
         raise ConfigError(f"stepsize must be positive, got {eta}")
     anchor = np.asarray(anchor, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
-    if anchor.shape != grad.shape:
+    if check and anchor.shape != grad.shape:
         raise LossDomainError(f"anchor shape {anchor.shape} != gradient shape {grad.shape}")
 
     if gen.entropic:
-        _check_entropy_domain(anchor, "anchor", strict=True)
+        if check:
+            _check_entropy_domain(anchor, "anchor", strict=True)
         if reg.kind in ("zero", "nonnegative-indicator"):
             shift = grad
         elif reg.kind == "l1":

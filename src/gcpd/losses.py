@@ -35,7 +35,6 @@ bernoulli-logit   log(1+exp(m)) - x m          {0, 1}       reals   exp(m)/(1+ex
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,12 +124,6 @@ def _check_domain(spec: LossSpec, x, m):
             raise LossDomainError(f"{kind}: model value {m.min()} < 0")
 
 
-def deriv_kernel(spec: LossSpec):
-    """df/dm as a function of (x, m) that skips the domain checks of
-    :func:`loss_deriv`; only for values already known to lie in the domain."""
-    return functools.partial(_FORMULAS[spec.kind][1], eps=spec.epsilon)
-
-
 def loss_value(spec: LossSpec, x, m):
     """f(x, m), elementwise over broadcastable arrays."""
     x = np.asarray(x, dtype=np.float64)
@@ -139,11 +132,15 @@ def loss_value(spec: LossSpec, x, m):
     return _FORMULAS[spec.kind][0](x, m, spec.epsilon)
 
 
-def loss_deriv(spec: LossSpec, x, m):
-    """df/dm with the same epsilon substitution as :func:`loss_value`."""
+def loss_deriv(spec: LossSpec, x, m, *, check: bool = True):
+    """df/dm with the same epsilon substitution as :func:`loss_value`.
+
+    `check=False` skips the data and model domain checks, for values already
+    known to lie in the domain; the derivative is the same, bit for bit."""
     x = np.asarray(x, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
-    _check_domain(spec, x, m)
+    if check:
+        _check_domain(spec, x, m)
     return _FORMULAS[spec.kind][1](x, m, spec.epsilon)
 
 

@@ -26,12 +26,20 @@ batches at a time, when the first batch of a group is needed
 (`estimators.fiber_groups`), and handed to the estimator with the rows.
 
 :func:`run` validates its inputs once, at the run boundary: the config
-(`SolverConfig.resolved`) and the data against the loss domain. It draws the
+(`SolverConfig.resolved`), and, when `SolverRunState` builds the estimator
+state, the data against the loss domain and the start against the tensor's
+shape and, under a nonnegative loss, for negative entries. It draws the
 initial factors from stream 3, so a run is a function of its config, tensor
-and truth. The steps then trust what the run builds: fiber rows
-drawn without replacement and sorted are in range and unique, and the
-estimator state matches the factors by construction. Guards that can still
-fire (non-finite factors, the divergence and overflow bounds) stay in the loop.
+and truth. The steps then trust what the run builds: fiber rows drawn
+without replacement and sorted are in range and unique, the estimator state
+matches the factors by construction, and each step keeps the factors in the
+loss domain (it floors the anchor and the gradient point, and the prox keeps
+its output nonnegative where the loss needs it). So a step calls its traced
+layers with `check=False`: the estimator's `khatri_rao_rows`, `data_fibers`,
+`loss_deriv` and `full_gradient` calls, and `mirror_prox_step`, whose eta,
+shape and anchor-domain tests the resolved config and the floors already
+pass. Guards that can still fire (non-finite factors, the divergence and
+overflow bounds) stay in the loop.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from .bregman import (FLOOR, GeneratorSpec, RegularizerSpec, mirror_prox_step,
 from .errors import ConfigError, DataError, DivergenceError
 from .estimators import (ESTIMATOR_KINDS, EstimatorState, estimate_gradient, fiber_groups,
                          vr_diagnostics)
-from .losses import LossSpec, check_data_domain, objective
+from .losses import LossSpec, objective
 from .metrics import EPS_AUX, lyapunov, model_mse
 from .tensors import KruskalModel, TensorShape
 
@@ -243,7 +251,9 @@ def _streams(seed: int) -> list:
 class SolverRunState:
     """The resolved config of one run, its factors plus the one/two-step
     history, RNG streams and pending (mode, rows, fibers) draws. The config
-    is resolved against the tensor's shape here (resolving is idempotent)."""
+    is resolved against the tensor's shape here (resolving is idempotent),
+    and the estimator state it builds checks the data and the factors
+    (`EstimatorState`), so a bad start raises before any step."""
 
     def __init__(self, config: SolverConfig, tensor, factors):
         config = self.config = config.resolved(tensor.shape)
@@ -353,7 +363,8 @@ def step(state: SolverRunState) -> int:
         bound = config.max_step / config.eta
         grad = np.minimum(np.maximum(grad, -bound), bound)  # np.clip, minus its dispatch
 
-    new_block = mirror_prox_step(config.generator, config.regularizer[n], anchor, grad, config.eta)
+    new_block = mirror_prox_step(config.generator, config.regularizer[n], anchor, grad,
+                                 config.eta, check=False)
     # The entropic prox output is >= FLOOR unless it holds NaN or +inf, and
     # its argmax entry (the first NaN, if any) is then NaN or +inf.
     if not (new_block.item(new_block.argmax()) < math.inf if entropic
@@ -421,10 +432,9 @@ def run(config: SolverConfig, tensor, truth: KruskalModel | None = None):
     evaluations, at `max_iters`, or with DivergenceError past the guard.
     Deterministic for a given (config, tensor, truth) triple: the start is
     `initial_factors` drawn from stream 3 of the seed. Raises LossDomainError
-    for data outside the loss domain.
+    for data outside the loss domain, from the run state's build.
     """
     config = config.resolved(tensor.shape)
-    check_data_domain(config.loss, tensor.values)
     init_rng = np.random.default_rng(_streams(config.seed)[3])
     state = SolverRunState(config, tensor, initial_factors(config, tensor.shape, init_rng))
 

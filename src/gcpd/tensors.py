@@ -100,9 +100,13 @@ class DenseTensor:
     def dims(self) -> tuple[int, ...]:
         return self.shape.dims
 
-    def fiber_rows(self, mode: int, rows) -> np.ndarray:
-        """Rows of the mode-`mode` unfolding at the given fiber indices, (B, I_mode)."""
-        rows = _check_rows(self.shape.dims, mode, rows)
+    def fiber_rows(self, mode: int, rows, *, check: bool = True) -> np.ndarray:
+        """Rows of the mode-`mode` unfolding at the given fiber indices, (B, I_mode).
+
+        `check=False` skips the mode and row range check (`_check_rows`):
+        `rows` must then be a 1-d int64 array in [0, J_mode)."""
+        if check:
+            rows = _check_rows(self.shape.dims, mode, rows)
         plan = self._plans[mode]
         if plan is None:
             plan = self._plans[mode] = FiberPlan(self, mode)
@@ -271,9 +275,13 @@ class SparseTensorCOO:
         starts[0] = 0
         return order, starts
 
-    def fiber_rows(self, mode: int, rows) -> np.ndarray:
-        """Rows of the mode-`mode` unfolding at the given fiber indices, (B, I_mode)."""
-        rows = _check_rows(self.shape.dims, mode, rows)
+    def fiber_rows(self, mode: int, rows, *, check: bool = True) -> np.ndarray:
+        """Rows of the mode-`mode` unfolding at the given fiber indices, (B, I_mode).
+
+        `check=False` skips the row range check (`_check_rows`): `rows` must
+        then be a 1-d int64 array in [0, J_mode)."""
+        if check:
+            rows = _check_rows(self.shape.dims, mode, rows)
         # One gather over the concatenated index slices of the requested
         # fibers. The index and the ids are read in their own types; only
         # the slots and output positions of the entries read are int64.
@@ -509,20 +517,27 @@ class FiberPlan:
         return _khatri_rao(factors, self.others, digits)
 
 
-def khatri_rao_rows(factors, mode: int, rows) -> np.ndarray:
+def khatri_rao_rows(factors, mode: int, rows, *, check: bool = True) -> np.ndarray:
     """Rows of the Khatri-Rao product of all factors except `mode`, shape (B, R).
 
     Row b for fiber row j is the elementwise product over m != mode of
     A_m[i_m, :] at the fiber's multi-index; never materializes the full product.
+    `check=False` skips the mode and row range check (`_check_rows`): `mode`
+    must then be a mode of the factors and `rows` a 1-d int64 array in
+    [0, J_mode), and the product is the same, bit for bit.
     """
     factors = list(factors)
     dims = list(map(len, factors))
-    rows = _check_rows(dims, mode, rows)
+    if check:
+        rows = _check_rows(dims, mode, rows)
     others = [*range(mode), *range(mode + 1, len(dims))]
     return _khatri_rao(factors, others,
                        np.unravel_index(rows, dims[:mode] + dims[mode + 1:], order="F"))
 
 
-def data_fibers(tensor, mode: int, rows) -> np.ndarray:
-    """Rows X_(mode)[rows, :] of the data unfolding, (B, I_mode); sparse absent = 0."""
-    return tensor.fiber_rows(mode, rows)
+def data_fibers(tensor, mode: int, rows, *, check: bool = True) -> np.ndarray:
+    """Rows X_(mode)[rows, :] of the data unfolding, (B, I_mode); sparse absent = 0.
+
+    `check=False` skips the row range check of the tensor's `fiber_rows`, as
+    there: `rows` must then be a 1-d int64 array in [0, J_mode)."""
+    return tensor.fiber_rows(mode, rows, check=check)

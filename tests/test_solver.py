@@ -13,7 +13,7 @@ from scipy.stats import chisquare
 
 from gcpd.bregman import FLOOR, GeneratorSpec, RegularizerSpec
 from gcpd.data import SyntheticSpec, generate
-from gcpd.errors import ConfigError, DataError, DivergenceError, LossDomainError
+from gcpd.errors import ConfigError, DataError, DivergenceError, LossDomainError, StateError
 from gcpd.losses import LossSpec
 from gcpd import estimators, solver
 from gcpd.solver import (SolverConfig, SolverRunState, inertial_coefficients,
@@ -345,10 +345,13 @@ class TestStepMechanics:
         # Momentum from 1.0 down to 0.01 extrapolates both points below zero.
         # Entropy floors the anchor and the gradient point at FLOOR; a
         # nonnegative loss under the euclidean generator floors only the
-        # gradient point at 0, and the prox projects the anchor's step.
+        # gradient point at 0, and the prox projects the anchor's step. Both
+        # gamma setups take the absolute data, which the run state's
+        # boundary check then admits.
         tensor, _ = small_gaussian_instance(seed=7)
-        if setup == "entropy":
+        if setup in ("entropy", "nonnegative"):
             tensor = DenseTensor(np.abs(tensor.values))
+        if setup == "entropy":
             cfg = gamma_config(c1=0.9, c2=0.7, estimator="sgd", batch=3)
         elif setup == "nonnegative":
             cfg = gaussian_config(loss=LossSpec("gamma"), c1=0.9, c2=0.7,
@@ -366,7 +369,7 @@ class TestStepMechanics:
             seen["point"] = factors[mode]
             return np.zeros_like(factors[mode])
 
-        def prox_spy(gen, reg, anchor, grad, eta):
+        def prox_spy(gen, reg, anchor, grad, eta, **kwargs):
             seen["anchor"] = anchor
             return np.abs(anchor)
 
@@ -401,7 +404,7 @@ class TestStepMechanics:
         state.prev = [a + 0.01 for a in state.factors] if moved else state.factors
         modes = []
 
-        def prox(gen, reg, anchor, grad, eta):
+        def prox(gen, reg, anchor, grad, eta, **kwargs):
             modes.append(tensor.shape.dims.index(anchor.shape[0]))   # dims are distinct
             out = np.maximum(anchor, FLOOR)
             for at, value in bad.items():
@@ -574,9 +577,9 @@ class TestFiberGroups:
             groups[:] = est_state.groups
             return estimate(est_state, factors, mode, rows, fibers)
 
-        def spy_read(*args):
+        def spy_read(*args, **kwargs):
             reads.append(args[1])
-            return read(*args)
+            return read(*args, **kwargs)
 
         monkeypatch.setattr(solver, "estimate_gradient", spy_estimate)
         monkeypatch.setattr(estimators, "data_fibers", spy_read)
@@ -777,6 +780,44 @@ class TestRunBoundaryGuards:
             run(cfg, tensor)
 
 
+class TestStateBoundaryGuards:
+    """A run state checks the data and the start once, when it is built, so
+    the steps can read both unchecked: every kind raises before a step."""
+
+    @staticmethod
+    def _build(builder, estimator, tensor, start):
+        cfg = gamma_config(estimator=estimator, batch=3).resolved(tensor.shape)
+        if builder == "run-state":
+            return SolverRunState(cfg, tensor, start)
+        return estimators.EstimatorState(estimator, tensor, KruskalModel(start), cfg.loss,
+                                         batch=cfg.batch)
+
+    @pytest.mark.parametrize("builder", ["run-state", "estimator-state"])
+    @pytest.mark.parametrize("estimator", estimators.ESTIMATOR_KINDS)
+    def test_off_domain_data_rejected_at_build(self, builder, estimator):
+        tensor, _ = small_gaussian_instance(seed=7)   # gaussian data: some entries < 0
+        with pytest.raises(LossDomainError, match="data value"):
+            self._build(builder, estimator, tensor, [np.full((d, 2), 0.5) for d in tensor.dims])
+
+    @pytest.mark.parametrize("builder", ["run-state", "estimator-state"])
+    @pytest.mark.parametrize("estimator", estimators.ESTIMATOR_KINDS)
+    def test_negative_start_rejected_at_build(self, builder, estimator):
+        tensor, _ = small_gaussian_instance(seed=7)
+        tensor = DenseTensor(np.abs(tensor.values))
+        start = [np.full((d, 2), 0.5) for d in tensor.dims]
+        start[1][2, 0] = -0.25
+        with pytest.raises(LossDomainError, match="factors must be nonnegative"):
+            self._build(builder, estimator, tensor, start)
+
+    @pytest.mark.parametrize("estimator", estimators.ESTIMATOR_KINDS)
+    def test_start_of_another_shape_rejected_at_build(self, estimator):
+        tensor, _ = small_gaussian_instance(seed=7)
+        tensor = DenseTensor(np.abs(tensor.values))
+        start = [np.full((d + 1, 2), 0.5) for d in tensor.dims]
+        with pytest.raises(StateError):
+            self._build("estimator-state", estimator, tensor, start)
+
+
 class TestStreams:
     """Each consumer of randomness keeps its child of the run seed; child 1
     is spawned and read by nothing."""
@@ -843,11 +884,13 @@ class TestStepCallCount:
 
     The bounds are today's counts over the first 256 steps (one draw
     window, group reads included) of small entropic gamma runs whose passes
-    are one row block: 20.5, 13.6 and 34.4 calls per step for sgd, saga and
-    full. A change that adds a call to every step fails.
+    are one row block: 16.5, 13.5 and 27.4 calls per step for sgd, saga and
+    full, with the step's layer calls made unchecked (`check=False`). A
+    change that adds a call to every step, such as a guard the run boundary
+    already covers, fails.
     """
 
-    BOUNDS = {"sgd": 5246, "saga": 3469, "full": 8815}
+    BOUNDS = {"sgd": 4216, "saga": 3463, "full": 7023}
 
     @staticmethod
     def _state(estimator):
@@ -875,21 +918,23 @@ class TestStepCallCount:
             sys.setprofile(None)
         assert 0 < calls <= self.BOUNDS[estimator]
 
-    def test_sgd_step_makes_one_checked_call_per_layer(self, monkeypatch):
-        # The layer pin: a one-block sgd pass is one checked Khatri-Rao call
-        # and one checked derivative call, made through the estimators
-        # module's names, as a tracer that wraps those names sees them.
+    def test_sgd_step_makes_one_unchecked_call_per_layer(self, monkeypatch):
+        # The layer pin: a one-block sgd pass is one Khatri-Rao call and one
+        # derivative call, made through the estimators module's names, as a
+        # tracer that wraps those names sees them, each with its checks off.
         state = self._state("sgd")
-        counts = {}
+        counts, checks = {}, []
         for name in ("khatri_rao_rows", "loss_deriv"):
-            def counted(*args, _fn=getattr(estimators, name), _name=name):
+            def counted(*args, _fn=getattr(estimators, name), _name=name, **kwargs):
                 counts[_name] += 1
-                return _fn(*args)
+                checks.append(kwargs.get("check", True))
+                return _fn(*args, **kwargs)
             monkeypatch.setattr(estimators, name, counted)
         for _ in range(64):
             counts.update(khatri_rao_rows=0, loss_deriv=0)
             step(state)
             assert counts == {"khatri_rao_rows": 1, "loss_deriv": 1}
+        assert checks == [False] * 128
 
 
 class TestObservationDoesNotPerturb:
